@@ -87,6 +87,26 @@ def _pin_to_quietest_cpu() -> int | None:
     return best
 
 
+def _stop_children() -> None:
+    """Stop every process the run started and wait until each has ended.
+
+    Shard workers are stopped by ``monitor.close()``; any an aborted episode
+    left behind are terminated here.  The resource tracker that
+    ``multiprocessing`` starts for the shared-memory transport would
+    otherwise outlive this process until it noticed the closed pipe.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join(timeout=10.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    resource_tracker._resource_tracker._stop()
+
+
 def _peak_rss_mb() -> float:
     """Peak resident set of this process plus its largest reaped child
     (the shard workers, once the monitor closed them); Linux reports KiB."""
@@ -248,6 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
     finally:
+        _stop_children()
         shutil.rmtree(WORKDIR, ignore_errors=True)
     print(json.dumps(result))
     return 0
