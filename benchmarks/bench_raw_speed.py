@@ -1,21 +1,10 @@
-"""Raw-speed ingest path: batched kernels, shm transport, deferred levels.
+"""Raw-speed ingest path: deferred deep levels off the chunk path.
 
-Three mechanisms shave the fleet's per-chunk critical path, and each gets
-a measured, gated experiment here:
-
-* **Batched shard kernels** — the serial backend groups same-shape
-  per-shard iSVD updates into stacked 3-D GEMMs.  Gate: the batched
-  dispatch is no slower than forcing every shard down the plain per-shard
-  path (same FLOPs, fewer interpreter/BLAS dispatch round trips).
-* **Shared-memory chunk transport** — the process backend ships chunk
-  arrays through a slab ring instead of pickling them down the pipe.
-  Gate: at 8 rack shards, steady-state ingest through ``transport="shm"``
-  beats ``transport="pickle"``; the JSON records rows/sec for both.
-* **Deferred deep levels** — ``deep_levels="deferred"`` keeps levels
-  2..L off the chunk path (drift/every-N scheduled background refresh).
-  Gate: p95 per-chunk ingest latency drops vs inline maintenance.  The
-  catch-up cost that moved off the critical path is measured and
-  reported too — the work is deferred, not deleted.
+``deep_levels="deferred"`` keeps levels 2..L off the chunk path
+(drift/every-N scheduled background refresh).  Gate: p95 per-chunk ingest
+latency drops vs inline maintenance.  The catch-up cost that moved off the
+critical path is measured and reported too — the work is deferred, not
+deleted.
 
 Results land in ``BENCH_speed.json`` (machine-readable; uploaded as a CI
 artifact).  Quick mode (``--quick`` / default scale) keeps CI honest
@@ -32,12 +21,10 @@ import numpy as np
 import pytest
 
 from repro.core import MrDMDConfig
-from repro.core.batchops import ShardBatchPlanner
 from repro.pipeline import PipelineConfig
 from repro.service import FleetMonitor, RackSharding
 from repro.telemetry import MachineDescription, TelemetryGenerator, xc40_sensor_suite
 from repro.util import Timer, chunk_indices
-from repro.util.parallel import ProcessShardExecutor, shm_available
 
 from conftest import SCALE, scaled
 
@@ -49,20 +36,6 @@ HISTORY = scaled(1_600, 16_000)
 CHUNK = scaled(200, 2_000)
 N_CHUNKS = scaled(24, 60)
 CONFIG = PipelineConfig(mrdmd=MrDMDConfig(max_levels=scaled(4, 6)))
-
-
-def _report_section(name: str, payload: dict) -> None:
-    """Merge one experiment's results into the shared BENCH_speed.json."""
-    report = {}
-    if os.path.exists(RESULT_PATH):
-        with open(RESULT_PATH, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    report.setdefault("experiment", "raw_speed_ingest")
-    report["scale"] = SCALE
-    report[name] = payload
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +63,8 @@ def _chunk_bounds():
     ]
 
 
-def _fitted_monitor(stream, *, config=CONFIG, executor=None) -> FleetMonitor:
-    monitor = FleetMonitor.from_stream(
-        stream, policy=RackSharding(), config=config, executor=executor
-    )
+def _fitted_monitor(stream, *, config=CONFIG) -> FleetMonitor:
+    monitor = FleetMonitor.from_stream(stream, policy=RackSharding(), config=config)
     monitor.ingest(stream.values[:, :HISTORY])
     return monitor
 
@@ -106,101 +77,6 @@ def _stream_chunks(monitor, stream) -> list[float]:
             monitor.ingest(stream.values[:, lo:hi])
         times.append(timer.elapsed)
     return times
-
-
-def test_batched_kernels_vs_per_shard_loop(benchmark, fleet_stream):
-    """Serial ingest through stacked GEMMs vs the forced per-shard path.
-
-    Both monitors run the identical serial dispatch code; the "unbatched"
-    one carries a planner whose ``min_group`` no round can reach, so every
-    shard takes the plain ``isvd.update`` fallback.  Same work, same
-    results — the stacked kernels must not cost anything, and typically
-    win the dispatch overhead back.
-    """
-    batched = _fitted_monitor(fleet_stream)
-    unbatched = _fitted_monitor(fleet_stream)
-    unbatched._batch_planner = ShardBatchPlanner(min_group=10**9)
-
-    unbatched_times = _stream_chunks(unbatched, fleet_stream)
-    batched_times = benchmark.pedantic(
-        lambda: _stream_chunks(batched, fleet_stream),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
-    batched.close()
-    unbatched.close()
-
-    batched_total = float(np.sum(batched_times))
-    unbatched_total = float(np.sum(unbatched_times))
-    entries = fleet_stream.n_rows * CHUNK * N_CHUNKS
-    payload = {
-        "n_shards": 8,
-        "n_chunks": N_CHUNKS,
-        "chunk": CHUNK,
-        "batched_seconds": batched_total,
-        "unbatched_seconds": unbatched_total,
-        "batched_rows_per_sec": entries / batched_total,
-        "unbatched_rows_per_sec": entries / unbatched_total,
-        "speedup": unbatched_total / batched_total,
-    }
-    _report_section("batched_kernels", payload)
-    benchmark.extra_info.update(experiment="raw_speed_batched", **payload)
-
-    # Gate: batching must never regress the serial path (10% noise head-
-    # room for shared CI runners; the parity suite guards correctness).
-    assert batched_total <= 1.10 * unbatched_total, (
-        f"batched serial ingest ({batched_total:.2f}s) regressed against "
-        f"the per-shard loop ({unbatched_total:.2f}s)"
-    )
-
-
-@pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable")
-def test_shm_transport_vs_pickle_at_8_shards(benchmark, fleet_stream):
-    """Steady-state process-backend ingest: slab ring vs pickled chunks."""
-    n_workers = 4
-
-    def run(transport: str) -> float:
-        monitor = _fitted_monitor(
-            fleet_stream,
-            executor=ProcessShardExecutor(
-                max_workers=n_workers, transport=transport
-            ),
-        )
-        try:
-            return float(np.sum(_stream_chunks(monitor, fleet_stream)))
-        finally:
-            monitor.close()
-
-    pickle_seconds = run("pickle")
-    shm_seconds = benchmark.pedantic(
-        lambda: run("shm"), rounds=1, iterations=1, warmup_rounds=0
-    )
-
-    entries = fleet_stream.n_rows * CHUNK * N_CHUNKS
-    payload = {
-        "n_shards": 8,
-        "n_workers": n_workers,
-        "n_chunks": N_CHUNKS,
-        "chunk": CHUNK,
-        "shm_seconds": shm_seconds,
-        "pickle_seconds": pickle_seconds,
-        "shm_rows_per_sec": entries / shm_seconds,
-        "pickle_rows_per_sec": entries / pickle_seconds,
-        "speedup": pickle_seconds / shm_seconds,
-    }
-    _report_section("shm_transport", payload)
-    benchmark.extra_info.update(experiment="raw_speed_shm", **payload)
-
-    # Gate: shipping descriptors must beat shipping pickled chunk bytes.
-    # At the quick scale the per-shard slices are ~50 KiB, so decomposition
-    # compute dominates and the transport delta sits inside scheduler noise
-    # on a shared runner — there the gate is "no regression"; the strict
-    # "shm wins" claim is asserted at paper scale, where chunks are 10x.
-    bound = 1.0 if SCALE == "paper" else 1.10
-    assert shm_seconds < bound * pickle_seconds, (
-        f"shm transport ({shm_seconds:.2f}s) vs pickle "
-        f"({pickle_seconds:.2f}s) breached the {bound:.2f}x bound for "
-        f"{N_CHUNKS} chunks x {CHUNK} cols over 8 shards"
-    )
 
 
 def test_deferred_deep_levels_cut_p95_ingest_latency(benchmark, fleet_stream):
@@ -241,7 +117,17 @@ def test_deferred_deep_levels_cut_p95_ingest_latency(benchmark, fleet_stream):
         "deferred_catch_up_seconds": catch_up.elapsed,
         "p95_speedup": inline_p95 / deferred_p95,
     }
-    _report_section("deferred_deep_levels", payload)
+    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
+        json.dump(
+            {
+                "experiment": "raw_speed_ingest",
+                "scale": SCALE,
+                "deferred_deep_levels": payload,
+            },
+            handle,
+            indent=2,
+        )
+        handle.write("\n")
     benchmark.extra_info.update(experiment="raw_speed_deferred", **payload)
 
     # Gate: the latency-critical path must get visibly shorter.

@@ -42,7 +42,6 @@ from .tree import MrDMDNode, MrDMDTree
 
 __all__ = [
     "IncrementalMrDMD",
-    "PreparedChunk",
     "UpdateRecord",
     "TopologyChange",
     "RETENTION_POLICIES",
@@ -95,30 +94,6 @@ class UpdateRecord:
     drift: float
     stale: bool
     new_nodes: int
-
-
-@dataclass
-class PreparedChunk:
-    """First half of a split :meth:`IncrementalMrDMD.partial_fit`.
-
-    Produced by :meth:`IncrementalMrDMD.prepare_partial_fit`, consumed by
-    :meth:`IncrementalMrDMD.finish_partial_fit`.  Between the two calls the
-    caller must fold :attr:`isvd_update_block` into the model's level-1
-    iSVD (``model.level1_isvd.update(block)``) whenever it is not ``None``
-    — this is the hook the batched shard kernel
-    (:class:`repro.core.batchops.ShardBatchPlanner`) uses to run many
-    same-shape shard updates as stacked BLAS calls.  ``partial_fit`` itself
-    composes the two phases around a plain per-shard update, so the split
-    introduces no second code path.
-    """
-
-    new_data: np.ndarray
-    chunk_size: int
-    t_old: int
-    t_total: int
-    new_cols: np.ndarray | None
-    isvd_update_block: np.ndarray | None
-    t_start: float
 
 
 @dataclass
@@ -373,12 +348,6 @@ class IncrementalMrDMD:
         return self._stale
 
     @property
-    def level1_isvd(self) -> IncrementalSVD:
-        """The level-1 incremental SVD (the batched kernel's update target)."""
-        self._require_fitted()
-        return self._isvd
-
-    @property
     def deep_pending(self) -> int:
         """Number of chunks whose levels-2..L recursion is still queued."""
         return len(self._deep_pending)
@@ -563,27 +532,6 @@ class IncrementalMrDMD:
         level-1 factors, slow-mode extraction over the full (extended)
         timeline, level re-indexing of the existing tree, and a fresh
         mrDMD recursion over the appended chunk only.
-
-        The call is the composition of :meth:`prepare_partial_fit`, the
-        level-1 iSVD update, and :meth:`finish_partial_fit` — the batched
-        shard kernel (:mod:`repro.core.batchops`) runs the same two phases
-        around a stacked multi-shard update, so both paths share every
-        line of this logic.
-        """
-        prepared = self.prepare_partial_fit(new_data)
-        if prepared.isvd_update_block is not None:
-            self._isvd.update(prepared.isvd_update_block)
-        return self.finish_partial_fit(prepared)
-
-    def prepare_partial_fit(self, new_data: np.ndarray) -> PreparedChunk:
-        """Validate a chunk and extend the level-1 grid (phase one).
-
-        Everything up to — but excluding — the level-1 iSVD update: the
-        returned :class:`PreparedChunk` carries the ``(q_prev+c, c)``
-        update block (``None`` when no new grid column landed, or when the
-        chunk instead batch-initialised the factors).  The caller must
-        fold a non-``None`` block into :attr:`level1_isvd` before calling
-        :meth:`finish_partial_fit`.
         """
         self._require_fitted()
         new_data = np.asarray(new_data, dtype=float)
@@ -607,7 +555,6 @@ class IncrementalMrDMD:
         # ---- 1. extend the level-1 subsampled grid ------------------- #
         new_sub_indices = np.arange(self._next_sub_index, t_total, self._level1_stride)
         new_cols: np.ndarray | None = None
-        update_block: np.ndarray | None = None
         if new_sub_indices.size:
             new_cols = np.ascontiguousarray(new_data[:, new_sub_indices - t_old])
             old_sub_cols = self._sub.n_cols
@@ -619,38 +566,15 @@ class IncrementalMrDMD:
                 # targets Y = sub[:, 1:] gain exactly `new_cols`.
                 block = self._sub.slice(old_sub_cols - 1, self._sub.n_cols - 1)
                 if block.shape[1]:
-                    update_block = block
+                    self._isvd.update(block)
+                    if self._level1_cross is not None:
+                        self._level1_cross = self._advance_cross(
+                            self._level1_cross, new_cols
+                        )
             elif self._sub.n_cols >= 2:
                 self._isvd.initialize(self._sub.slice(0, self._sub.n_cols - 1))
                 if self.level1_path == "projected":
                     self._level1_cross = self._initial_cross(self._sub.view())
-        return PreparedChunk(
-            new_data=new_data,
-            chunk_size=t1,
-            t_old=t_old,
-            t_total=t_total,
-            new_cols=new_cols,
-            isvd_update_block=update_block,
-            t_start=t_phase,
-        )
-
-    def finish_partial_fit(self, prepared: PreparedChunk) -> UpdateRecord:
-        """Complete a chunk update whose iSVD phase has already run.
-
-        Phase two of the split :meth:`partial_fit`: advance the level-1
-        cross product through the iSVD's freshly issued right-factor ops,
-        recompute the level-1 DMD, re-index the tree, and run (or defer)
-        the mrDMD recursion over the appended chunk.
-        """
-        new_data = prepared.new_data
-        t1 = prepared.chunk_size
-        t_old = prepared.t_old
-        t_total = prepared.t_total
-        new_cols = prepared.new_cols
-        if prepared.isvd_update_block is not None and self._level1_cross is not None:
-            self._level1_cross = self._advance_cross(self._level1_cross, new_cols)
-
-        t_phase = prepared.t_start
         if OBS.enabled:
             OBS.record("core.grid_extend", now() - t_phase, cols=int(t1))
             t_phase = now()

@@ -94,9 +94,7 @@ def blockwise_rotate(u_blocks: list[np.ndarray], rotation: np.ndarray) -> list[n
 
     This is the "spatially parallel" half of the reference algorithm: each
     distributed row block ``U_b`` is updated as ``U_b @ rotation`` with no
-    communication beyond the (tiny) shared rotation matrix.  Used by the
-    process-pool helper in :mod:`repro.util.parallel`; kept here so the
-    numerical contract lives next to the serial implementation.
+    communication beyond the (tiny) shared rotation matrix.
     """
     return [np.asarray(block) @ rotation for block in u_blocks]
 
@@ -278,29 +276,13 @@ class IncrementalSVD:
             return self
 
         t_start = now() if OBS.enabled else 0.0
-        u = self._u
+        u, s = self._u, self._s
+        q = s.size
+        c = c_block.shape[1]
 
         # Project onto the current subspace and extract the residual.
         l_proj = u.conj().T @ c_block              # (q, c)
         residual = c_block - u @ l_proj            # (P, c)
-        return self._finish_update(l_proj, residual, t_start)
-
-    def _finish_update(
-        self, l_proj: np.ndarray, residual: np.ndarray, t_start: float
-    ) -> "IncrementalSVD":
-        """Complete a column update from a precomputed projection/residual.
-
-        This is the tail of :meth:`update` — thin QR of the residual, core
-        re-diagonalisation, truncation, left-basis rotation, right-factor op
-        queueing and bookkeeping.  It is split out so the batched shard
-        kernel (:mod:`repro.core.batchops`) can compute the two large GEMMs
-        (``U^H C`` and ``C - U L``) for many same-shape shards as stacked
-        3-D products and then run this exact per-shard tail, keeping the
-        batched path bit-for-bit identical to :meth:`update`.
-        """
-        u, s = self._u, self._s
-        q = s.size
-        c = l_proj.shape[1]
 
         # Thin QR of the residual: J is (P, k_cols), K is (k_cols, c) with
         # k_cols = min(P, c) -- the update block may be wider than the state

@@ -57,12 +57,11 @@ def summarize(registry: MetricsRegistry) -> dict:
     mean/p50/p95/p99/max, sorted by total time descending), ``hotspots``
     (top spans by share of the busiest span's total), ``throughput``
     (overall and most-recent rows/sec where the service counters exist),
-    ``alerts_by_rule`` and ``ingest_path`` (raw-speed mechanics: batched
-    shard-kernel grouping rate, shared-memory transport placement, and
-    the deferred deep-level refresh backlog, present only when those
-    instruments fired), ``resilience`` (supervisor activity: task
-    failures by kind, retries, worker respawns, quarantine state and
-    recovery-snapshot cost, present only when a supervised monitor ran)
+    ``alerts_by_rule`` and ``ingest_path`` (the deferred deep-level
+    refresh backlog, present only when those instruments fired),
+    ``resilience`` (supervisor activity: task failures by kind, retries,
+    worker respawns, quarantine state and recovery-snapshot cost, present
+    only when a supervised monitor ran)
     and ``checkpoint`` (persistence cost: saves by format/mode, bytes
     written vs referenced from earlier entries, shards skipped as
     unchanged, ingest-side stall percentiles and writer backpressure,
@@ -125,24 +124,6 @@ def summarize(registry: MetricsRegistry) -> dict:
             alerts_by_rule[rule] = counter.value
 
     ingest_path: dict[str, float] = {}
-    batch_shards = counters.get("core.batch.shards", 0.0)
-    if batch_shards:
-        grouped = counters.get("core.batch.grouped", 0.0)
-        ingest_path["batch_rounds"] = counters.get("core.batch.rounds", 0.0)
-        ingest_path["batch_shards"] = batch_shards
-        ingest_path["batch_grouped"] = grouped
-        ingest_path["batch_fallback"] = counters.get("core.batch.fallback", 0.0)
-        ingest_path["batch_grouped_frac"] = grouped / batch_shards
-    placed = counters.get("executor.shm.placed", 0.0)
-    shm_fallback = counters.get("executor.shm.fallback", 0.0)
-    if placed or shm_fallback or counters.get("executor.shm.unavailable"):
-        ingest_path["shm_placed"] = placed
-        ingest_path["shm_fallback"] = shm_fallback
-        ingest_path["shm_unavailable"] = counters.get("executor.shm.unavailable", 0.0)
-        if "executor.shm.slab_occupancy" in gauges:
-            ingest_path["shm_slab_occupancy"] = gauges["executor.shm.slab_occupancy"]
-        if "executor.shm.slabs" in gauges:
-            ingest_path["shm_slabs"] = gauges["executor.shm.slabs"]
     scheduled = counters.get("service.deep_refresh.scheduled", 0.0)
     if scheduled or "service.deep.queue_depth" in gauges:
         ingest_path["deep_refreshes_scheduled"] = scheduled
@@ -303,25 +284,6 @@ def build_report(
     if digest["ingest_path"]:
         section = report.section("raw-speed ingest path")
         path = digest["ingest_path"]
-        if "batch_shards" in path:
-            section.add_line(
-                f"batched shard kernels: {path['batch_grouped']:.0f}/"
-                f"{path['batch_shards']:.0f} shard updates stacked "
-                f"({path['batch_grouped_frac']:.0%}) over "
-                f"{path['batch_rounds']:.0f} rounds, "
-                f"{path['batch_fallback']:.0f} per-shard fallbacks"
-            )
-        if "shm_placed" in path:
-            section.add_line(
-                f"shared-memory transport: {path['shm_placed']:.0f} chunks "
-                f"placed, {path['shm_fallback']:.0f} pickle fallbacks, "
-                f"{path.get('shm_slabs', 0.0):.0f} slabs at "
-                f"{path.get('shm_slab_occupancy', 0.0):.0%} occupancy"
-            )
-        if path.get("shm_unavailable"):
-            section.add_line(
-                "shared memory unavailable — process transport fell back to pickle"
-            )
         if "deep_refreshes_scheduled" in path:
             section.add_line(
                 f"deferred deep levels: {path['deep_refreshes_scheduled']:.0f} "

@@ -140,7 +140,7 @@ class OnlineAnalysisPipeline:
 
     # ------------------------------------------------------------------ #
     # Pickling: memoised products and weakrefs are process-local.  A copy
-    # shipped to a shard-executor worker (or a per-ingest pool) rebuilds
+    # shipped to a shard-executor worker rebuilds
     # its caches lazily against its own tree object; the baseline revision
     # itself is a plain int and travels with the (pickled) tree, so
     # staleness decisions stay bit-for-bit identical across backends.
@@ -221,38 +221,6 @@ class OnlineAnalysisPipeline:
             deep_pending=self.model.deep_pending,
             deep_stale_snapshots=self.model.deep_stale_snapshots,
         )
-
-    def prepare_ingest(self, data: np.ndarray):
-        """Phase one of a batched ingest (see ``FleetMonitor`` batching).
-
-        Returns ``None`` when this chunk is the pipeline's initial fit —
-        there is no iSVD update to batch then; the caller falls back to
-        plain :meth:`ingest`.  Otherwise returns the model's
-        :class:`~repro.core.imrdmd.PreparedChunk`, whose
-        ``isvd_update_block`` the caller feeds through the
-        :class:`~repro.core.batchops.ShardBatchPlanner` (it reaches the
-        model's iSVD via ``pipeline.model.level1_isvd``) before calling
-        :meth:`finish_ingest`.
-        """
-        data = np.asarray(data, dtype=float)
-        if self.validate_chunks:
-            self._reject_poison(data)
-        if not self.model.fitted:
-            return None
-        return self.model.prepare_partial_fit(data)
-
-    def finish_ingest(self, prepared) -> PipelineSnapshot:
-        """Phase two of a batched ingest: everything after the iSVD update.
-
-        Emits the same ``pipeline.ingest`` / ``core.partial_fit`` spans as
-        :meth:`ingest`, so per-shard span counts are identical whichever
-        dispatch path ran.
-        """
-        with OBS.span("pipeline.ingest", cols=int(prepared.chunk_size)):
-            with OBS.span("core.partial_fit"):
-                update = self.model.finish_partial_fit(prepared)
-            self._mutations += 1
-            return self._snapshot(update)
 
     def refresh_deep_levels(self, max_entries: int | None = None) -> int:
         """Drain queued deferred deep-level work (off the ingest path).

@@ -36,7 +36,6 @@ import numpy as np
 
 from ..align.zscore_map import NodeZScores
 from ..core.baseline import classify_zscores
-from ..core.batchops import ShardBatchPlanner
 from ..core.imrdmd import TopologyChange
 from ..core.spectrum import MrDMDSpectrum
 from ..hwlog.events import HardwareLog
@@ -61,7 +60,6 @@ from ..util.parallel import (
     ShardTaskError,
     ShardTimeoutError,
     make_shard_executor,
-    parallel_map,
 )
 from ..util.timer import now
 from .alerts import Alert, AlertContext, AlertEngine
@@ -308,15 +306,6 @@ def _return_pipeline(pipeline: OnlineAnalysisPipeline) -> OnlineAnalysisPipeline
     return pipeline
 
 
-def _ingest_shard(payload: tuple[OnlineAnalysisPipeline, np.ndarray]):
-    """Legacy per-ingest pool worker (kept for the deprecated ``processes``
-    path and its benchmark baseline): ingest one chunk into one shard's
-    pipeline and ship the **whole pipeline** back for reinstallation."""
-    pipeline, chunk = payload
-    snapshot = pipeline.ingest(chunk)
-    return pipeline, snapshot
-
-
 class FleetMonitor:
     """Sharded online monitoring of one machine's sensor matrix.
 
@@ -363,7 +352,8 @@ class FleetMonitor:
         them to route new rows onto the live partition.
     resilience:
         Optional :class:`~repro.resilience.ResiliencePolicy` turning the
-        monitor into a *supervisor*: :meth:`ingest_and_alert` rounds gain
+        monitor into a *supervisor*: every ingest round (:meth:`ingest` and
+        :meth:`ingest_and_alert` alike) gains
         per-task deadlines, capped-exponential retries with deterministic
         jitter, crash/hang detection with worker respawn and exact shard
         rehydration (snapshot + chunk-tail replay), and quarantine for
@@ -450,7 +440,6 @@ class FleetMonitor:
         self._max_workers = max_workers
         self._executor: ShardExecutor | None = None
         self._step = 0
-        self._batch_planner = ShardBatchPlanner()
         # Deferred deep-level bookkeeping: in-flight background refresh
         # task handles and per-shard chunk counters driving the
         # deep_refresh_every schedule.  Both are empty under
@@ -827,120 +816,106 @@ class FleetMonitor:
         )
         return values, stats
 
-    def ingest(self, values: np.ndarray, *, processes: int | None = None) -> FleetSnapshot:
+    def ingest(self, values: np.ndarray) -> FleetSnapshot:
         """Feed a ``(P, T_chunk)`` block of full-matrix snapshots.
 
         Rows are routed to shards by the partition; each shard pipeline
         does its initial fit on the first call and incremental updates
         afterwards.  Fan-out runs on the monitor's persistent executor
         (see the ``executor`` constructor argument); results are identical
-        across backends.  On the serial backend the per-shard iSVD
-        updates additionally share stacked BLAS kernels (see
-        :mod:`repro.core.batchops`) — a pure dispatch change, bit-for-bit
-        identical to the fanned-out path.
-
-        ``processes > 1`` is the **deprecated** one-shot-pool path kept for
-        comparison benchmarks: it spawns a fresh process pool for this
-        single call and pickles each shard's entire pipeline state to the
-        workers and back.  Prefer ``executor="process"``, which ships the
-        state once and keeps it resident.
+        across backends.  The round is the one :meth:`ingest_and_alert`
+        runs, minus the scoring — including supervision when the monitor
+        has a resilience policy.
         """
-        values, stats = self._validated(values)
-        if processes is not None and processes < 1:
-            # Mirror parallel_map's validation: invalid values must not
-            # silently fall back to the serial/executor path.
-            raise ValueError(f"processes must be None or >= 1, got {processes!r}")
-        t_start = now()
-        with OBS.span("service.ingest", chunk=stats.chunk_columns):
-            if processes is not None and processes > 1:
-                snapshot = self._ingest_pooled(values, processes, stats)
-            else:
-                executor = self._ensure_executor()
-                if executor.backend == "serial":
-                    snapshots = self._ingest_batched(values)
-                else:
-                    snapshots = executor.map(
-                        _shard_ingest,
-                        {
-                            spec.shard_id: (spec.take(values),)
-                            for spec in self.shards
-                            if spec.shard_id not in self._quarantined
-                        },
-                    )
-                snapshot = self._finish_ingest(values, snapshots, stats)
-            if self.resilience is not None:
-                # Plain ingest rounds feed the recovery store too: the
-                # initial fit in particular must be snapshotted before the
-                # first supervised round can promise exact rehydration.
-                self._record_recovery(
-                    {
-                        spec.shard_id: spec.take(values)
-                        for spec in self.shards
-                        if spec.shard_id in snapshot.shard_snapshots
-                    }
-                )
-            self._schedule_deep_refreshes(snapshot.shard_snapshots)
-        self._finalize_round(snapshot, stats, now() - t_start)
+        snapshot, _ = self._run_round(values, alerting=False)
         return snapshot
 
-    def _ingest_batched(self, values: np.ndarray) -> dict[str, PipelineSnapshot]:
-        """Serial-backend ingest round through the stacked shard kernels.
+    def _run_round(
+        self,
+        values: np.ndarray,
+        *,
+        alerting: bool,
+        hwlog: HardwareLog | None = None,
+        window: int = 200,
+    ) -> tuple[FleetSnapshot, list[Alert]]:
+        """The one ingest round behind :meth:`ingest` and
+        :meth:`ingest_and_alert`.
 
-        Each shard's update is split into its prepare / level-1-iSVD /
-        finish phases; the iSVD phases of shards whose shapes agree run as
-        stacked 3-D GEMMs via :class:`~repro.core.batchops.ShardBatchPlanner`
-        (shards that diverge — mid initial fit, fresh ``add_shard`` /
-        ``add_sensors`` growth — fall back to the plain per-shard path
-        inside the planner).  Snapshots are bit-for-bit identical to the
-        ``executor.map`` fan-out, which the parity tests assert.
+        Slices each live shard's chunk (applying any planned poison),
+        submits the shard ingests, gathers them (:meth:`_gather_ingests`),
+        books the round and queues deep-level refreshes.  With
+        ``alerting`` it also scores each shard's recent window and
+        evaluates the alert engine.  A shard's score task queues right
+        behind its own ingest — overlapping the other shards' updates —
+        only when nothing can invalidate it: the monitor is unsupervised
+        (no retry or rehydration will replace the shard's state) and deep
+        levels are inline (the tree is final once the update ran).
+        Otherwise scoring is submitted after the gather and the refresh
+        scheduling, exactly what :meth:`evaluate_alerts` after a plain
+        :meth:`ingest` would observe.
         """
-        active = [
-            spec for spec in self.shards if spec.shard_id not in self._quarantined
-        ]
-        prepared: dict[str, object | None] = {}
-        pending: list[tuple] = []
-        for spec in active:
-            pipeline = self._pipelines[spec.shard_id]
-            prep = pipeline.prepare_ingest(spec.take(values))
-            prepared[spec.shard_id] = prep
-            if prep is not None and prep.isvd_update_block is not None:
-                pending.append((pipeline.model.level1_isvd, prep.isvd_update_block))
-        if pending:
-            self._batch_planner.run(pending)
-        snapshots: dict[str, PipelineSnapshot] = {}
-        for spec in active:
-            pipeline = self._pipelines[spec.shard_id]
-            prep = prepared[spec.shard_id]
-            if prep is None:
-                # Initial fit — not an incremental update; the plain path
-                # handles it whole.
-                snapshots[spec.shard_id] = pipeline.ingest(spec.take(values))
-            else:
-                snapshots[spec.shard_id] = pipeline.finish_ingest(prep)
-        return snapshots
-
-    def _ingest_pooled(
-        self, values: np.ndarray, processes: int, stats: IngestStats
-    ) -> FleetSnapshot:
-        """Legacy per-ingest pool: full pipeline pickled out and back."""
-        if self._executor is not None and self._executor.backend != "serial":
-            raise ValueError(
-                "per-ingest 'processes' pools cannot be combined with a "
-                "persistent thread/process executor; drop the processes "
-                "argument (the executor already fans shards out)"
+        values, stats = self._validated(values)
+        t_start = now()
+        score = alerting and self.alert_engine is not None
+        overlap = (
+            score
+            and self.resilience is None
+            and self.config.deep_levels == "inline"
+        )
+        alerts: list[Alert] = []
+        span = "service.ingest_and_alert" if alerting else "service.ingest"
+        with OBS.span(span, chunk=stats.chunk_columns):
+            executor = self._ensure_executor()
+            new_step = self._step + values.shape[1]
+            round_index = self._chunk_index + 1
+            chunks: dict[str, np.ndarray] = {}
+            for spec in self.shards:
+                if spec.shard_id in self._quarantined:
+                    continue
+                chunk = spec.take(values)
+                if self.fault_plan is not None and self.fault_plan.poisons(
+                    spec.shard_id, round_index
+                ):
+                    chunk = FaultPlan.poison(chunk)
+                chunks[spec.shard_id] = chunk
+            tasks = {
+                shard_id: self._submit_ingest(
+                    executor, shard_id, chunk, round_index, 1
+                )
+                for shard_id, chunk in chunks.items()
+            }
+            score_tasks = (
+                self._submit_score_tasks(executor, new_step, window)
+                if overlap
+                else []
             )
-        work = [
-            (self._pipelines[spec.shard_id], spec.take(values)) for spec in self.shards
-        ]
-        results = parallel_map(_ingest_shard, work, processes=processes)
-        snapshots: dict[str, PipelineSnapshot] = {}
-        for spec, (pipeline, snapshot) in zip(self.shards, results):
-            # Reinstall: a process-pool worker returns a pickled copy.
-            self._pipelines[spec.shard_id] = pipeline
-            if self._executor is not None:
-                self._executor.install(spec.shard_id, pipeline)
-            snapshots[spec.shard_id] = snapshot
-        return self._finish_ingest(values, snapshots, stats)
+            snapshots = self._gather_ingests(executor, chunks, tasks, round_index)
+            snapshot = self._finish_ingest(values, snapshots, stats)
+            self._schedule_deep_refreshes(snapshots)
+            if score:
+                if not overlap:
+                    score_tasks = self._submit_score_tasks(
+                        executor, new_step, window
+                    )
+                per_shard: dict[str, NodeZScores] = {}
+                for shard_id, task in score_tasks:
+                    scores = self._gather_score(executor, shard_id, task)
+                    if scores is not None:
+                        per_shard[shard_id] = scores
+                context = AlertContext(
+                    step=self._step,
+                    node_zscores=self._merge_node_scores(per_shard, reducer="mean"),
+                    updates={sid: snap.update for sid, snap in snapshots.items()},
+                    hwlog=hwlog,
+                    window=window,
+                    deep_stale=self._deep_stale_ages(),
+                    degraded_shards=self.quarantined_shards,
+                )
+                alerts = self.alert_engine.evaluate(context)
+        for alert in alerts:
+            FLIGHT.record_alert(alert)
+        self._finalize_round(snapshot, stats, now() - t_start)
+        return snapshot, alerts
 
     def _finish_ingest(
         self,
@@ -1224,7 +1199,7 @@ class FleetMonitor:
                     lambda sid=shard_id: self.shard_state_dict(sid),
                 )
 
-    def _submit_supervised(
+    def _submit_ingest(
         self,
         executor: ShardExecutor,
         shard_id: str,
@@ -1232,8 +1207,8 @@ class FleetMonitor:
         round_index: int,
         attempt: int,
     ):
-        """Submit one supervised ingest task, attaching any planned fault
-        for this ``(shard, round, attempt)`` coordinate."""
+        """Submit one shard ingest task, attaching any planned fault for
+        this ``(shard, round, attempt)`` coordinate."""
         fault = None
         if self.fault_plan is not None:
             fault = self.fault_plan.task_fault(shard_id, round_index, attempt)
@@ -1241,12 +1216,20 @@ class FleetMonitor:
             return executor.submit(shard_id, _shard_ingest, chunk)
         return executor.submit(shard_id, _shard_ingest_supervised, chunk, fault)
 
-    def _supervised_round(
-        self, executor: ShardExecutor, values: np.ndarray
+    def _gather_ingests(
+        self,
+        executor: ShardExecutor,
+        chunks: dict[str, np.ndarray],
+        tasks: dict,
+        round_index: int,
     ) -> dict[str, PipelineSnapshot]:
-        """One supervised ingest round: fan out, detect, retry, recover.
+        """Gather one round's shard ingests: detect, retry, recover.
 
-        Each non-quarantined shard gets up to ``max_attempts`` tries with
+        Unsupervised (``resilience=None``) each shard gets one attempt
+        with no deadline, and the first failure re-raises as a
+        :class:`ShardTaskError` naming the shard.
+
+        Under a policy each shard gets up to ``max_attempts`` tries with
         capped-exponential deterministically-jittered backoff.  A missed
         deadline or crash-class failure means the *worker* is gone: it is
         force-terminated and respawned, and every resident shard is
@@ -1255,41 +1238,38 @@ class FleetMonitor:
         co-resident shards whose round results died with the worker are
         transparently resubmitted without burning their retry budget.
         Shards that exhaust their budget are quarantined and excluded from
-        this and later rounds.
+        this and later rounds.  The round's ingested chunks then feed the
+        recovery store.
         """
         policy = self.resilience
-        round_index = self._chunk_index + 1
-        chunks: dict[str, np.ndarray] = {}
-        for spec in self.shards:
-            if spec.shard_id in self._quarantined:
-                continue
-            chunk = spec.take(values)
-            if self.fault_plan is not None and self.fault_plan.poisons(
-                spec.shard_id, round_index
-            ):
-                chunk = FaultPlan.poison(chunk)
-            chunks[spec.shard_id] = chunk
-        tasks = {
-            shard_id: self._submit_supervised(
-                executor, shard_id, chunk, round_index, 1
-            )
-            for shard_id, chunk in chunks.items()
-        }
+        deadline = None if policy is None else policy.task_deadline
         attempts = dict.fromkeys(chunks, 1)
         snapshots: dict[str, PipelineSnapshot] = {}
-        pending = [spec.shard_id for spec in self.shards if spec.shard_id in chunks]
+        pending = list(chunks)
         while pending:
             shard_id = pending.pop(0)
             if shard_id in snapshots or shard_id in self._quarantined:
                 continue  # settled while re-queued after a worker recovery
             try:
                 t_task = now()
-                snapshots[shard_id] = tasks[shard_id].result(
-                    timeout=policy.task_deadline
-                )
-                self._note_shard_latency(shard_id, now() - t_task)
+                snapshots[shard_id] = tasks[shard_id].result(timeout=deadline)
+                if policy is not None:
+                    self._note_shard_latency(shard_id, now() - t_task)
                 continue
             except Exception as exc:  # noqa: BLE001 — supervisor boundary
+                if policy is None:
+                    if isinstance(exc, ShardTaskError):
+                        raise
+                    # One shard's worker exception must not surface as a
+                    # raw traceback with no fleet context: name the shard
+                    # and keep the original as the cause chain.
+                    raise ShardTaskError(
+                        f"shard {shard_id!r} failed during ingest at step "
+                        f"{self._step}: {exc}",
+                        shard_id=shard_id,
+                        attempts=1,
+                        cause=exc,
+                    ) from exc
                 attempt = attempts[shard_id]
                 if OBS.enabled:
                     OBS.inc(
@@ -1310,7 +1290,7 @@ class FleetMonitor:
                         ):
                             continue
                         snapshots.pop(rsid, None)
-                        tasks[rsid] = self._submit_supervised(
+                        tasks[rsid] = self._submit_ingest(
                             executor, rsid, chunks[rsid],
                             round_index, attempts[rsid],
                         )
@@ -1327,25 +1307,27 @@ class FleetMonitor:
                 attempts[shard_id] = attempt + 1
                 if OBS.enabled:
                     OBS.inc("service.resilience.retries", shard=shard_id)
-                tasks[shard_id] = self._submit_supervised(
+                tasks[shard_id] = self._submit_ingest(
                     executor, shard_id, chunks[shard_id],
                     round_index, attempts[shard_id],
                 )
                 pending.append(shard_id)
-        self._record_recovery(
-            {sid: chunk for sid, chunk in chunks.items() if sid in snapshots}
-        )
+        if policy is not None:
+            self._record_recovery(
+                {sid: chunk for sid, chunk in chunks.items() if sid in snapshots}
+            )
         return snapshots
 
     def _gather_score(self, executor: ShardExecutor, shard_id: str, task):
-        """Gather one supervised scoring result; a failure degrades to
-        "no score this round" (scores are presentation, not model state)
-        after recovering the worker/pipeline for the next round."""
+        """Gather one scoring result.  Unsupervised, a failure re-raises;
+        supervised, it degrades to "no score this round" (scores are
+        presentation, not model state) after recovering the
+        worker/pipeline for the next round."""
         policy = self.resilience
+        if policy is None:
+            return task.result()
         try:
-            return task.result(
-                timeout=None if policy is None else policy.task_deadline
-            )
+            return task.result(timeout=policy.task_deadline)
         except Exception as exc:  # noqa: BLE001 — supervisor boundary
             if OBS.enabled:
                 OBS.inc(
@@ -1659,89 +1641,7 @@ class FleetMonitor:
         and the drift records are taken from the ingest results instead of
         a second query round-trip.
         """
-        values, stats = self._validated(values)
-        t_start = now()
-        deferred = self.config.deep_levels == "deferred"
-        with OBS.span("service.ingest_and_alert", chunk=stats.chunk_columns):
-            executor = self._ensure_executor()
-            new_step = self._step + values.shape[1]
-            if self.resilience is not None:
-                snapshots = self._supervised_round(executor, values)
-                snapshot = self._finish_ingest(values, snapshots, stats)
-                self._schedule_deep_refreshes(snapshots)
-                per_shard: dict[str, NodeZScores] = {}
-                if self.alert_engine is not None:
-                    # Supervised rounds submit scoring only after the
-                    # ingest gather: retries, recoveries and quarantines
-                    # must settle (and, under deferred deep levels, the
-                    # refreshes be queued) before a shard's tree is worth
-                    # scoring.
-                    for shard_id, task in self._submit_score_tasks(
-                        executor, new_step, window
-                    ):
-                        scores = self._gather_score(executor, shard_id, task)
-                        if scores is not None:
-                            per_shard[shard_id] = scores
-            else:
-                ingest_tasks = [
-                    (spec.shard_id, executor.submit(spec.shard_id, _shard_ingest, spec.take(values)))
-                    for spec in self.shards
-                    if spec.shard_id not in self._quarantined
-                ]
-                score_tasks = []
-                if self.alert_engine is not None and not deferred:
-                    # Inline deep levels: a shard's tree is final once its
-                    # update ran, so scoring overlaps the other shards'
-                    # updates (per-shard FIFO keeps each score behind its own
-                    # shard's ingest).
-                    score_tasks = self._submit_score_tasks(executor, new_step, window)
-                snapshots = {}
-                for shard_id, task in ingest_tasks:
-                    try:
-                        snapshots[shard_id] = task.result()
-                    except ShardTaskError:
-                        raise
-                    except Exception as exc:
-                        # One shard's worker exception must not surface as
-                        # a raw traceback with no fleet context: name the
-                        # shard and keep the original as the cause chain.
-                        raise ShardTaskError(
-                            f"shard {shard_id!r} failed during "
-                            f"ingest_and_alert at step {self._step}: {exc}",
-                            shard_id=shard_id,
-                            attempts=1,
-                            cause=exc,
-                        ) from exc
-                snapshot = self._finish_ingest(values, snapshots, stats)
-                self._schedule_deep_refreshes(snapshots)
-                if self.alert_engine is not None and deferred:
-                    # Deferred deep levels: scoring must observe the
-                    # post-refresh trees — exactly what evaluate_alerts()
-                    # after a plain ingest() sees — so the score tasks are
-                    # submitted after the refresh tasks and queue behind them.
-                    score_tasks = self._submit_score_tasks(executor, new_step, window)
-                per_shard = {
-                    shard_id: scores
-                    for shard_id, task in score_tasks
-                    if (scores := task.result()) is not None
-                }
-            if self.alert_engine is None:
-                alerts: list[Alert] = []
-            else:
-                context = AlertContext(
-                    step=self._step,
-                    node_zscores=self._merge_node_scores(per_shard, reducer="mean"),
-                    updates={sid: snap.update for sid, snap in snapshots.items()},
-                    hwlog=hwlog,
-                    window=window,
-                    deep_stale=self._deep_stale_ages(),
-                    degraded_shards=self.quarantined_shards,
-                )
-                alerts = self.alert_engine.evaluate(context)
-        for alert in alerts:
-            FLIGHT.record_alert(alert)
-        self._finalize_round(snapshot, stats, now() - t_start)
-        return snapshot, alerts
+        return self._run_round(values, alerting=True, hwlog=hwlog, window=window)
 
     def _submit_score_tasks(
         self, executor: ShardExecutor, new_step: int, window: int

@@ -320,10 +320,6 @@ class ScenarioRunner:
         ``"thread"``, ``"process"``), held open across the whole run and
         closed before returning; every backend produces identical
         products.
-    processes:
-        Deprecated one-shot-pool fan-out forwarded to
-        :meth:`FleetMonitor.ingest`; kept for comparison benchmarks.
-        Mutually exclusive with a non-serial ``executor``.
     deep_levels:
         When set (``"inline"``/``"deferred"``), overrides the scenario
         config's deep-level mode — the CLI's ``--deep-levels`` switch for
@@ -351,7 +347,6 @@ class ScenarioRunner:
         checkpoint_dir: str | None = None,
         executor: str | None = None,
         max_workers: int | None = None,
-        processes: int | None = None,
         deep_levels: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_mode: str = "sync",
@@ -373,8 +368,6 @@ class ScenarioRunner:
             raise ValueError(
                 f"grow_after_chunk must be in [1, {scenario.n_chunks}]"
             )
-        if processes is not None and executor not in (None, "serial"):
-            raise ValueError("pass either executor or processes, not both")
         if checkpoint_every is not None:
             if checkpoint_every < 1:
                 raise ValueError(
@@ -399,7 +392,6 @@ class ScenarioRunner:
         self.checkpoint_dir = checkpoint_dir
         self.executor = executor
         self.max_workers = max_workers
-        self.processes = processes
         self.checkpoint_every = checkpoint_every
         self.checkpoint_mode = checkpoint_mode
         self.checkpoint_format = checkpoint_format
@@ -466,18 +458,10 @@ class ScenarioRunner:
         # executor's workers (the restart path rebinds `monitor`, so the
         # finally closes whichever one is current).
         try:
-            monitor.ingest(
-                replay.initial()[:n_live_rows], processes=self.processes
-            )
+            monitor.ingest(replay.initial()[:n_live_rows])
             for index, chunk in enumerate(replay.chunks(), start=1):
-                if self.processes is not None:
-                    monitor.ingest(chunk[:n_live_rows], processes=self.processes)
-                    alerts.extend(monitor.evaluate_alerts(hwlog=hwlog))
-                else:
-                    _, fired = monitor.ingest_and_alert(
-                        chunk[:n_live_rows], hwlog=hwlog
-                    )
-                    alerts.extend(fired)
+                _, fired = monitor.ingest_and_alert(chunk[:n_live_rows], hwlog=hwlog)
+                alerts.extend(fired)
                 if scenario.grows_mid_run and scenario.grow_after_chunk == index:
                     monitor.add_sensors(
                         np.asarray(stream.sensor_names)[n_live_rows:],

@@ -10,7 +10,6 @@ from .parallel import (
     ShardTaskError,
     ThreadShardExecutor,
     make_shard_executor,
-    parallel_map,
 )
 from .stats import rolling_mean, running_moments, RunningMoments
 from .timer import Timer, TimingTable, now, timeit
@@ -27,7 +26,6 @@ __all__ = [
     "split_columns",
     "GrowableMatrix",
     "RingBuffer",
-    "parallel_map",
     "ShardExecutor",
     "SerialShardExecutor",
     "ThreadShardExecutor",

@@ -1,21 +1,15 @@
-"""Parallel execution helpers: one-shot maps and persistent shard executors.
+"""Persistent shard executors.
 
 The paper notes that refreshing levels 2..L of a previously computed mrDMD
 tree "is an embarrassingly parallel problem" (Sec. III-A-1): every window at
-every level can be recomputed independently.  Two tools expose that
-structure:
-
-* :func:`parallel_map` — a one-shot map with a serial fallback, for
-  stateless work items that are cheap to pickle.  Every call that opts into
-  processes pays a full pool spawn, so it only pays off when the per-item
-  work is large.
-* :class:`ShardExecutor` — a *persistent* executor for stateful shards
-  (e.g. one online pipeline per rack).  Workers are created once, receive
-  their shard objects once, and keep them **resident**: subsequent calls
-  ship only ``(shard_id, payload)`` and small results travel back.  This is
-  the streaming-service shape — a per-chunk pool would re-pickle the entire
-  pipeline state (mode tree, iSVD factors, baselines) to the workers and
-  back on every ingest, which is routinely slower than running serially.
+every level can be recomputed independently.  :class:`ShardExecutor` exposes
+that structure for stateful shards (e.g. one online pipeline per rack).
+Workers are created once, receive their shard objects once, and keep them
+**resident**: subsequent calls ship only ``(shard_id, payload)`` and small
+results travel back.  This is the streaming-service shape — a per-chunk
+pool would re-pickle the entire pipeline state (mode tree, iSVD factors,
+baselines) to the workers and back on every ingest, which is routinely
+slower than running serially.
 
 Three interchangeable backends implement the same API:
 
@@ -40,20 +34,10 @@ assert.
 Process-backend transport
 -------------------------
 
-Two optimisations keep the process backend's per-chunk wire cost flat:
-
-* **Shared-memory chunk transport** — large ndarray arguments are written
-  once into a refcounted ring of ``multiprocessing.shared_memory`` slabs
-  and shipped as tiny ``(slab, offset, shape, dtype)`` descriptors instead
-  of being pickled per task; workers map the slab read-only and copy the
-  array out.  Slabs recycle as soon as their in-flight tasks complete.
-  Falls back to plain pickling per array when the ring is exhausted, and
-  per executor when shared memory is unavailable (or disabled via the
-  ``REPRO_DISABLE_SHM`` environment variable / ``transport="pickle"``).
-* **Broadcast payload dedup** — :meth:`ShardExecutor.broadcast` ships the
-  ``(fn, args, kwargs)`` payload once per worker *process* and then one
-  tiny ``(shard_id, payload_id)`` task per shard, instead of re-pickling
-  the full payload for every shard.
+Task arguments travel to process workers by pickle.
+:meth:`ShardExecutor.broadcast` ships its ``(fn, args, kwargs)`` payload
+once per worker *process* and then one tiny ``(shard_id, payload_id)``
+task per shard, instead of re-pickling the full payload for every shard.
 """
 
 from __future__ import annotations
@@ -64,13 +48,7 @@ import queue
 import threading
 import time
 from abc import ABC, abstractmethod
-from multiprocessing import shared_memory
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
-
-import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Any, Callable, Mapping
 
 # repro.obs imports repro.util.timer/growbuf, and this module is imported by
 # repro.util.__init__ — a top-level obs import here would be circular.  The
@@ -117,7 +95,6 @@ def _worker_set_trace_context(obj=None, trace_id=None, clock_offset=0.0) -> bool
 
 
 __all__ = [
-    "parallel_map",
     "ShardExecutor",
     "SerialShardExecutor",
     "ThreadShardExecutor",
@@ -126,63 +103,8 @@ __all__ = [
     "ShardTaskError",
     "ShardTimeoutError",
     "make_shard_executor",
-    "shm_available",
     "SHARD_EXECUTOR_BACKENDS",
 ]
-
-
-def parallel_map(
-    func: Callable[[T], R],
-    items: Sequence[T] | Iterable[T],
-    *,
-    processes: int | None = None,
-    chunksize: int = 1,
-) -> list[R]:
-    """Map ``func`` over ``items``, optionally with a one-shot process pool.
-
-    Parameters
-    ----------
-    func:
-        A picklable callable (top-level function or functools.partial of
-        one) applied to each item.
-    items:
-        The work items.  They are materialised into a list first so the
-        serial and parallel paths see identical inputs.
-    processes:
-        ``None`` requests the serial path explicitly; otherwise the value
-        must be ``>= 1`` (a pool of that many workers).  See the fallback
-        rules below for when a pool is actually created.
-    chunksize:
-        Forwarded to ``Pool.map`` to batch small tasks; must be ``>= 1``.
-
-    Serial-fallback rules (the single source of truth, also relied on by
-    the tests):
-
-    * ``processes is None`` — serial by request;
-    * ``processes == 1`` — a one-worker pool is pointless, so the work
-      runs serially in-process;
-    * ``len(items) <= 1`` — nothing to fan out, runs serially regardless
-      of ``processes``.
-
-    Anything else spawns a pool of ``min(processes, len(items))`` workers.
-    Invalid values (``processes < 1``, ``chunksize < 1``) raise
-    ``ValueError`` instead of being silently clamped.
-
-    Returns
-    -------
-    list
-        Results in the same order as ``items``.
-    """
-    if processes is not None and processes < 1:
-        raise ValueError(f"processes must be None or >= 1, got {processes!r}")
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize!r}")
-    work = list(items)
-    if processes is None or processes == 1 or len(work) <= 1:
-        return [func(item) for item in work]
-    n_workers = min(processes, len(work))
-    with mp.get_context("spawn").Pool(processes=n_workers) as pool:
-        return pool.map(func, work, chunksize=chunksize)
 
 
 # --------------------------------------------------------------------------- #
@@ -729,198 +651,16 @@ class ThreadShardExecutor(ShardExecutor):
 
 
 # --------------------------------------------------------------------------- #
-# Shared-memory chunk transport (process backend)
+# Process backend
 # --------------------------------------------------------------------------- #
-_SHM_MIN_BYTES = 1024  # below this, pickling the array is cheaper than a slab trip
-_SHM_ALIGN = 64
-
-
-class _ShmArrayRef:
-    """Wire descriptor of an ndarray parked in a shared-memory slab.
-
-    This is what travels instead of the array's pickled bytes: the worker
-    attaches the named slab, views ``(offset, shape, dtype)`` and copies
-    the array out (a view would alias the slab after it recycles).
-    """
-
-    __slots__ = ("slab_name", "offset", "shape", "dtype_str")
-
-    def __init__(self, slab_name: str, offset: int, shape: tuple, dtype_str: str) -> None:
-        self.slab_name = slab_name
-        self.offset = offset
-        self.shape = shape
-        self.dtype_str = dtype_str
-
-    def __getstate__(self):
-        return (self.slab_name, self.offset, self.shape, self.dtype_str)
-
-    def __setstate__(self, state):
-        self.slab_name, self.offset, self.shape, self.dtype_str = state
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<_ShmArrayRef {self.slab_name}+{self.offset} "
-                f"{self.shape} {self.dtype_str}>")
-
-
-class _SlabRing:
-    """Parent-side ring of shared-memory slabs with bump allocation.
-
-    Arrays are packed head-to-tail into the active slab; each placement
-    takes one reference on its slab and :meth:`release` (called when the
-    carrying task's result lands) drops it.  A slab whose references hit
-    zero rewinds to empty and is eligible as the next active slab, so in
-    steady state the ring cycles through a handful of slabs no matter how
-    many chunks stream through.  When every slab is still referenced and
-    the ring is at ``max_slabs``, :meth:`place` returns ``None`` and the
-    caller falls back to pickling that array — slow, never wrong.
-    """
-
-    def __init__(self, slab_bytes: int = 1 << 20, max_slabs: int = 8) -> None:
-        if slab_bytes < _SHM_ALIGN or max_slabs < 1:
-            raise ValueError("slab_bytes/max_slabs too small")
-        self._slab_bytes = int(slab_bytes)
-        self._max_slabs = int(max_slabs)
-        self._slabs: list[shared_memory.SharedMemory] = []
-        self._refs: list[int] = []
-        self._offsets: list[int] = []
-        self._active = 0
-        self._closed = False
-
-    @property
-    def n_slabs(self) -> int:
-        return len(self._slabs)
-
-    def occupancy(self) -> float:
-        """Fraction of the ring's bytes currently holding in-flight data."""
-        total = sum(slab.size for slab in self._slabs)
-        if total == 0:
-            return 0.0
-        return sum(self._offsets) / total
-
-    def place(self, array: np.ndarray) -> tuple[_ShmArrayRef, int] | None:
-        """Copy ``array`` into a slab; returns (descriptor, slab index).
-
-        ``None`` means "could not place" (ring closed, empty array, or
-        every slab busy at capacity) — the caller ships the array by
-        pickle instead.
-        """
-        nbytes = int(array.nbytes)
-        if self._closed or nbytes == 0:
-            return None
-        index = self._claim(nbytes)
-        if index is None:
-            return None
-        slab = self._slabs[index]
-        offset = self._offsets[index]
-        dst = np.ndarray(array.shape, dtype=array.dtype, buffer=slab.buf,
-                         offset=offset)
-        np.copyto(dst, array)
-        aligned = nbytes + (-nbytes) % _SHM_ALIGN
-        self._offsets[index] = offset + aligned
-        self._refs[index] += 1
-        ref = _ShmArrayRef(slab.name, offset, tuple(array.shape), array.dtype.str)
-        return ref, index
-
-    def _claim(self, nbytes: int) -> int | None:
-        if self._slabs:
-            index = self._active
-            if self._offsets[index] + nbytes <= self._slabs[index].size:
-                return index
-            for index, refs in enumerate(self._refs):
-                # Recycle: a drained slab rewinds to empty.
-                if refs == 0 and self._slabs[index].size >= nbytes:
-                    self._offsets[index] = 0
-                    self._active = index
-                    return index
-        if len(self._slabs) < self._max_slabs:
-            try:
-                slab = shared_memory.SharedMemory(
-                    create=True, size=max(self._slab_bytes, nbytes)
-                )
-            except Exception:
-                return None
-            self._slabs.append(slab)
-            self._refs.append(0)
-            self._offsets.append(0)
-            self._active = len(self._slabs) - 1
-            return self._active
-        return None
-
-    def release(self, index: int) -> None:
-        """Drop one placement reference (its task's result landed)."""
-        self._refs[index] -= 1
-        if self._refs[index] <= 0:
-            self._refs[index] = 0
-            self._offsets[index] = 0
-
-    def close(self) -> None:
-        """Unlink every slab (workers have already copied out / shut down)."""
-        self._closed = True
-        for slab in self._slabs:
-            try:
-                slab.close()
-                slab.unlink()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-        self._slabs, self._refs, self._offsets = [], [], []
-
-
-def shm_available() -> bool:
-    """Whether POSIX shared memory actually works here (probe allocation)."""
-    try:
-        probe = shared_memory.SharedMemory(create=True, size=_SHM_ALIGN)
-    except Exception:
-        return False
-    probe.close()
-    probe.unlink()
-    return True
-
-
-def _shm_disabled_by_env() -> bool:
-    return bool(os.environ.get("REPRO_DISABLE_SHM", ""))
-
-
-def _shm_attach(name: str) -> shared_memory.SharedMemory:
-    """Worker-side attach to a parent-owned slab.
-
-    Spawned workers inherit the parent's resource tracker, so the
-    attach-side registration is a set no-op against the parent's own and
-    the single entry is retired when the parent unlinks the slab at
-    shutdown — no extra bookkeeping needed (explicitly unregistering here
-    would instead remove the *parent's* registration from the shared
-    tracker).
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
-def _resolve_shm_value(value: Any, cache: dict[str, shared_memory.SharedMemory]) -> Any:
-    if isinstance(value, _ShmArrayRef):
-        seg = cache.get(value.slab_name)
-        if seg is None:
-            seg = _shm_attach(value.slab_name)
-            cache[value.slab_name] = seg
-        view = np.ndarray(value.shape, dtype=np.dtype(value.dtype_str),
-                          buffer=seg.buf, offset=value.offset)
-        # Copy out: the parent recycles the slab as soon as this task's
-        # result lands, so a view must never escape this call.
-        return np.array(view)
-    return value
-
-
 def _process_worker_main(conn) -> None:
     """Loop of one spawned shard worker: install / task / payload / ptask /
     close commands."""
     objects: dict[str, Any] = {}
     payloads: dict[int, list] = {}  # payload_id -> [fn, args, kwargs, uses left]
-    shm_cache: dict[str, shared_memory.SharedMemory] = {}
 
     def run_one(task_id, shard_id, fn, args, kwargs, ctx=None) -> None:
         try:
-            args = tuple(_resolve_shm_value(value, shm_cache) for value in args)
-            kwargs = {
-                key: _resolve_shm_value(value, shm_cache)
-                for key, value in kwargs.items()
-            }
             # The worker interpreter's own provider: disabled unless the
             # parent turned it on via repro.obs.worker_enable_metrics.
             # Adopting the shipped context parents this span under the
@@ -979,18 +719,13 @@ def _process_worker_main(conn) -> None:
         elif kind == "close":
             conn.send(("closed",))
             break
-    for seg in shm_cache.values():
-        try:
-            seg.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
     conn.close()
 
 
 class _ProcessWorker:
     """Parent-side handle of one spawned worker (duplex pipe + pending set)."""
 
-    def __init__(self, ctx, index: int, ring: _SlabRing | None = None) -> None:
+    def __init__(self, ctx, index: int) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
@@ -999,9 +734,7 @@ class _ProcessWorker:
         )
         self.process.start()
         child_conn.close()
-        self._ring = ring
         self._pending: dict[int, ShardTask] = {}
-        self._slab_refs: dict[int, tuple[int, ...]] = {}
         self._next_task_id = 0
         self._next_payload_id = 0
 
@@ -1013,17 +746,14 @@ class _ProcessWorker:
             raise ShardTaskError(f"unexpected install ack {ack!r}")
 
     def submit(self, task: ShardTask, fn: Callable, args, kwargs,
-               slab_indices: tuple[int, ...] = (), ctx=None) -> None:
+               ctx=None) -> None:
         task_id = self._next_task_id
         self._next_task_id += 1
         self._pending[task_id] = task
-        if slab_indices:
-            self._slab_refs[task_id] = slab_indices
         try:
             self.conn.send(("task", task_id, task.shard_id, fn, args, kwargs, ctx))
         except Exception as exc:
             del self._pending[task_id]
-            self._release_slabs(task_id)
             raise ShardTaskError(
                 f"could not ship task for shard {task.shard_id!r} to worker: {exc!r}",
                 shard_id=task.shard_id, kind="crash",
@@ -1077,19 +807,14 @@ class _ProcessWorker:
                 return False
         return True
 
-    def _release_slabs(self, task_id: int) -> None:
-        for index in self._slab_refs.pop(task_id, ()):
-            self._ring.release(index)
-
     def _fail_pending(self, reason: str) -> tuple[str, ...]:
         """Resolve every in-flight task with a crash-kind error."""
         lost = self.pending_shards
-        for task_id, pending in list(self._pending.items()):
+        for pending in self._pending.values():
             pending._resolve(None, ShardTaskError(
                 f"{reason} (in-flight task for shard {pending.shard_id!r} lost)",
                 shard_id=pending.shard_id, kind="crash",
             ))
-            self._release_slabs(task_id)
         self._pending.clear()
         return lost
 
@@ -1104,7 +829,6 @@ class _ProcessWorker:
             return True
         kind, task_id, result, error = message
         assert kind == "result", message
-        self._release_slabs(task_id)
         self._pending.pop(task_id)._resolve(result, error)
         return True
 
@@ -1160,58 +884,24 @@ class ProcessShardExecutor(ShardExecutor):
     call payloads.  Parent-side state in ``self._objects`` is the *initial*
     copy and goes stale as workers mutate their residents — always query
     through the executor, or :meth:`pull` to resynchronise.
-
-    ``transport`` selects how large ndarray arguments travel: ``"auto"``
-    (default) uses the shared-memory slab ring when the platform supports
-    it and falls back to pickling otherwise, ``"shm"`` requires shared
-    memory (raises at :meth:`start` if unavailable), ``"pickle"`` disables
-    it.  Setting the ``REPRO_DISABLE_SHM`` environment variable forces
-    pickling regardless.  The transport changes only how bytes move —
-    workers observe identical arrays either way, which the parity tests
-    assert.
     """
 
     backend = "process"
 
     def __init__(self, max_workers: int | None = None, *,
-                 transport: str = "auto", close_timeout: float = 30.0) -> None:
+                 close_timeout: float = 30.0) -> None:
         super().__init__()
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(
-                f"transport must be 'auto', 'shm' or 'pickle', got {transport!r}"
-            )
         if close_timeout <= 0:
             raise ValueError(f"close_timeout must be positive, got {close_timeout!r}")
         self._max_workers = max_workers
-        self._requested_transport = transport
         self._close_timeout = float(close_timeout)
-        self._ring: _SlabRing | None = None
         self._workers: list[_ProcessWorker] = []
         self._worker_of_shard: dict[str, int] = {}
 
-    @property
-    def transport(self) -> str:
-        """The transport actually in effect once started."""
-        return "shm" if self._ring is not None else "pickle"
-
     def _start(self) -> None:
-        if self._requested_transport != "pickle" and not _shm_disabled_by_env():
-            if shm_available():
-                self._ring = _SlabRing()
-            elif self._requested_transport == "shm":
-                raise RuntimeError(
-                    "transport='shm' requested but shared memory is "
-                    "unavailable on this platform"
-                )
-            else:
-                obs = _get_obs()
-                if obs.enabled:
-                    obs.inc("executor.shm.unavailable")
         ctx = mp.get_context("spawn")
         n_workers = _default_max_workers(self._max_workers, len(self._objects))
-        self._workers = [
-            _ProcessWorker(ctx, index, ring=self._ring) for index in range(n_workers)
-        ]
+        self._workers = [_ProcessWorker(ctx, index) for index in range(n_workers)]
         for index, (shard_id, obj) in enumerate(self._objects.items()):
             worker = self._workers[index % n_workers]
             self._worker_of_shard[shard_id] = index % n_workers
@@ -1220,54 +910,12 @@ class ProcessShardExecutor(ShardExecutor):
         # no-op unless the provider is enabled.
         self.calibrate_clocks()
 
-    def _prepare_call(self, args: tuple, kwargs: dict) -> tuple[tuple, dict, tuple]:
-        """Swap large ndarray arguments for slab descriptors.
-
-        Returns the (possibly rewritten) args/kwargs plus the slab indices
-        the resulting task must release when its result lands.  Only
-        top-level positional/keyword values are inspected — that is where
-        the ingest path passes its chunks.
-        """
-        ring = self._ring
-        if ring is None or not (
-            any(isinstance(v, np.ndarray) and v.nbytes >= _SHM_MIN_BYTES
-                for v in args)
-            or any(isinstance(v, np.ndarray) and v.nbytes >= _SHM_MIN_BYTES
-                   for v in kwargs.values())
-        ):
-            return args, kwargs, ()
-        obs = _get_obs()
-        indices: list[int] = []
-
-        def convert(value):
-            if isinstance(value, np.ndarray) and value.nbytes >= _SHM_MIN_BYTES:
-                placed = ring.place(np.ascontiguousarray(value))
-                if placed is None:
-                    if obs.enabled:
-                        obs.inc("executor.shm.fallback")
-                    return value
-                ref, index = placed
-                indices.append(index)
-                return ref
-            return value
-
-        with obs.span("executor.shm.place"):
-            new_args = tuple(convert(value) for value in args)
-            new_kwargs = {key: convert(value) for key, value in kwargs.items()}
-        if obs.enabled:
-            obs.inc("executor.shm.placed", len(indices))
-            obs.gauge("executor.shm.slab_occupancy", ring.occupancy())
-            obs.gauge("executor.shm.slabs", ring.n_slabs)
-        return new_args, new_kwargs, tuple(indices)
-
     def submit(self, shard_id: str, fn: Callable, /, *args, **kwargs) -> ShardTask:
         self._check_ready(shard_id)
         worker = self._workers[self._worker_of_shard[shard_id]]
         self._record_submit(shard_id, depth=len(worker._pending))
-        args, kwargs, slab_indices = self._prepare_call(args, kwargs)
         task = ShardTask(shard_id, worker=worker)
-        worker.submit(task, fn, args, kwargs, slab_indices=slab_indices,
-                      ctx=_current_trace_context())
+        worker.submit(task, fn, args, kwargs, ctx=_current_trace_context())
         return task
 
     def broadcast(self, fn: Callable, /, *args, **kwargs) -> dict[str, Any]:
@@ -1384,7 +1032,7 @@ class ProcessShardExecutor(ShardExecutor):
             )
         old = self._workers[index]
         old.kill(f"respawning shard worker {old.process.name}")
-        worker = _ProcessWorker(mp.get_context("spawn"), index, ring=self._ring)
+        worker = _ProcessWorker(mp.get_context("spawn"), index)
         self._workers[index] = worker
         for sid in resident:
             worker.install(sid, objects[sid])
@@ -1423,12 +1071,6 @@ class ProcessShardExecutor(ShardExecutor):
             # undercount rather than silently presenting partial totals.
             obs.inc("obs.metrics.lost_registries", lost_workers,
                     backend=self.backend)
-        if self._ring is not None:
-            # Workers have drained and exited (or were force-terminated):
-            # no live worker can still dereference a slab, so the ring
-            # unlinks safely.
-            self._ring.close()
-            self._ring = None
         if lost:
             raise ShardTaskError(
                 "executor closed with unresponsive workers; in-flight tasks "
@@ -1454,33 +1096,22 @@ def make_shard_executor(
     backend: str | ShardExecutor | None = None,
     *,
     max_workers: int | None = None,
-    transport: str | None = None,
 ) -> ShardExecutor:
     """Build (or pass through) a :class:`ShardExecutor`.
 
     ``backend`` may be a backend name (``"serial"``/``"thread"``/
     ``"process"``), ``None`` (serial), or an existing un-started executor
     instance, which is returned as-is (``max_workers`` must then be
-    ``None`` — the instance already carries its sizing).  ``transport``
-    (``"auto"``/``"shm"``/``"pickle"``) applies to the process backend
-    only — the in-process backends ship no bytes at all.
+    ``None`` — the instance already carries its sizing).
     """
     if isinstance(backend, ShardExecutor):
         if max_workers is not None:
             raise ValueError("max_workers cannot be combined with an executor instance")
-        if transport is not None:
-            raise ValueError("transport cannot be combined with an executor instance")
         if backend.started or backend.closed:
             raise ValueError("executor instance must be fresh (not started or closed)")
         return backend
     if backend == "process":
-        return ProcessShardExecutor(
-            max_workers=max_workers, transport=transport or "auto"
-        )
-    if transport is not None:
-        raise ValueError(
-            f"transport applies to the process backend only, not {backend!r}"
-        )
+        return ProcessShardExecutor(max_workers=max_workers)
     if backend is None or backend == "serial":
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")

@@ -52,8 +52,12 @@ from repro.service import (
     save_checkpoint,
     validate_partition,
 )
-from repro.service.scenarios import _default_config, _default_machine
-from repro.telemetry import TelemetryGenerator
+from repro.service.scenarios import (
+    _default_config,
+    _default_machine,
+    _row_prefix_stream,
+)
+from repro.telemetry import HotNodes, TelemetryGenerator, theta_machine
 from repro.util import make_shard_executor
 
 BACKENDS = ["serial", "thread", "process"]
@@ -519,6 +523,82 @@ class TestFleetElastic:
         )
         monitor.close()
         restored.close()
+
+
+# --------------------------------------------------------------------------- #
+# Plain ingest rounds: serial == thread, with and without mid-run growth
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def parity_stream():
+    machine = theta_machine(racks_per_row=1, n_rows=2, node_limit=64)
+    generator = TelemetryGenerator(machine, seed=23, utilization_target=0.3)
+    return generator.generate(
+        560,
+        sensors=["cpu_temp", "node_power"],
+        anomalies=[HotNodes(node_indices=(10, 11), start=260, delta=12.0)],
+    )
+
+
+def _drive_plain(stream, backend, *, grow_at=None):
+    """Ingest the stream with plain ``ingest`` rounds; with ``grow_at`` the
+    second sensor's rows join at that chunk, so shard shapes diverge."""
+    n_rows = stream.n_rows
+    live = n_rows // 2 if grow_at is not None else n_rows
+    monitor = FleetMonitor.from_stream(
+        _row_prefix_stream(stream, live) if grow_at is not None else stream,
+        policy=RackSharding(),
+        config=PipelineConfig(
+            mrdmd=MrDMDConfig(max_levels=3), baseline_range=(40.0, 75.0)
+        ),
+        executor=backend,
+        max_workers=2,
+    )
+    snapshots = []
+    with monitor:
+        monitor.ingest(stream.values[:live, :240])
+        for index, (lo, hi) in enumerate(
+            ((240, 320), (320, 400), (400, 480), (480, 560)), start=1
+        ):
+            snapshots.append(monitor.ingest(stream.values[:live, lo:hi]))
+            if grow_at == index:
+                monitor.add_sensors(
+                    np.asarray(stream.sensor_names)[live:],
+                    np.asarray(stream.node_indices)[live:],
+                    policy=RackSharding(),
+                    machine=stream.machine,
+                )
+                live = n_rows
+        rack_values = monitor.rack_values()
+    return snapshots, rack_values
+
+
+def _assert_plain_parity(run_a, run_b):
+    snaps_a, racks_a = run_a
+    snaps_b, racks_b = run_b
+    assert racks_a == racks_b
+    for snap_a, snap_b in zip(snaps_a, snaps_b):
+        assert snap_a.step == snap_b.step
+        assert snap_a.total_modes == snap_b.total_modes
+        for shard_id, pipe_a in snap_a.shard_snapshots.items():
+            pipe_b = snap_b.shard_snapshots[shard_id]
+            assert pipe_a.n_modes == pipe_b.n_modes
+            if pipe_a.update is not None:
+                assert pipe_a.update.drift == pipe_b.update.drift
+
+
+def test_plain_ingest_serial_matches_thread(parity_stream):
+    """Fleet products are bitwise identical on the serial and thread backends."""
+    _assert_plain_parity(
+        _drive_plain(parity_stream, "serial"), _drive_plain(parity_stream, "thread")
+    )
+
+
+def test_plain_ingest_mid_run_growth_serial_matches_thread(parity_stream):
+    """add_sensors mid-run diverges shard shapes; parity must survive."""
+    _assert_plain_parity(
+        _drive_plain(parity_stream, "serial", grow_at=2),
+        _drive_plain(parity_stream, "thread", grow_at=2),
+    )
 
 
 # --------------------------------------------------------------------------- #

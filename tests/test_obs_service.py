@@ -85,16 +85,12 @@ def _parity_totals(totals: dict) -> dict:
     executor-level ones carry a ``backend=`` label (and the process backend
     adds enable/drain round trips), ``service.rows_per_sec`` is wall-clock,
     and ``core.isvd.rank`` is a last-writer-wins gauge shared by all shards
-    of the fleet, so which shard wrote last depends on scheduling.
-    ``core.batch.*`` instruments only fire on the serial backend, whose
-    ingest dispatches through the stacked shard kernels."""
+    of the fleet, so which shard wrote last depends on scheduling."""
     dropped = ("service.rows_per_sec", "core.isvd.rank")
     return {
         key: value
         for key, value in totals.items()
-        if "executor." not in key
-        and "core.batch" not in key
-        and key not in dropped
+        if "executor." not in key and key not in dropped
     }
 
 

@@ -1,108 +1,13 @@
-"""Shared-memory chunk transport for the process backend.
+"""Process-backend wire contract: pickled chunks, deduplicated broadcasts.
 
-Covers the slab ring's bump-allocate / refcount / recycle lifecycle in
-isolation, then the executor-level contract: ``transport="shm"`` and
-``transport="pickle"`` return identical results (shm changes how bytes
-move, never what arrives), the ``REPRO_DISABLE_SHM`` kill switch forces
-the pickle fallback, and broadcast payloads are deduplicated per worker.
+Arrays travel to process workers by pickle, so the products of a process
+fleet must match the serial fleet's bit for bit; broadcast payloads are
+shipped once per worker rather than once per shard.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.util.parallel import (
-    ProcessShardExecutor,
-    _SlabRing,
-    _resolve_shm_value,
-    make_shard_executor,
-    shm_available,
-)
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable here"
-)
-
-
-# --------------------------------------------------------------------------- #
-# Slab ring
-# --------------------------------------------------------------------------- #
-class TestSlabRing:
-    def test_place_roundtrips_bitwise(self):
-        ring = _SlabRing(slab_bytes=1 << 16)
-        try:
-            array = np.random.default_rng(0).standard_normal((64, 32))
-            ref, index = ring.place(array)
-            cache = {}
-            out = _resolve_shm_value(ref, cache)
-            assert np.array_equal(out, array) and out.dtype == array.dtype
-            # The resolved array is a copy, not a view into the slab.
-            assert out.base is None
-            ring.release(index)
-            for seg in cache.values():
-                seg.close()
-        finally:
-            ring.close()
-
-    def test_refcounted_recycling_bounds_the_ring(self):
-        ring = _SlabRing(slab_bytes=1 << 12, max_slabs=4)
-        try:
-            array = np.ones(400)  # 3200 bytes: one per slab
-            for _ in range(16):  # 4x the capacity — recycling must kick in
-                placed = ring.place(array)
-                assert placed is not None
-                ring.release(placed[1])
-            assert ring.n_slabs <= 2
-            assert ring.occupancy() == 0.0
-        finally:
-            ring.close()
-
-    def test_exhaustion_returns_none_for_pickle_fallback(self):
-        ring = _SlabRing(slab_bytes=1 << 12, max_slabs=2)
-        try:
-            held = [ring.place(np.ones(200)) for _ in range(2 * 2)]  # 2 per slab
-            assert all(p is not None for p in held)
-            # Every slab holds live references: nothing left to claim.
-            assert ring.place(np.ones(200)) is None
-            ring.release(held[0][1])
-        finally:
-            ring.close()
-
-    def test_oversized_array_gets_a_dedicated_slab(self):
-        ring = _SlabRing(slab_bytes=1 << 12, max_slabs=2)
-        try:
-            big = np.arange(1 << 16, dtype=np.float64)  # 512 KiB >> 4 KiB slab
-            ref, index = ring.place(big)
-            cache = {}
-            assert np.array_equal(_resolve_shm_value(ref, cache), big)
-            for seg in cache.values():
-                seg.close()
-            ring.release(index)
-        finally:
-            ring.close()
-
-    def test_empty_array_and_closed_ring_place_nothing(self):
-        ring = _SlabRing()
-        assert ring.place(np.empty(0)) is None
-        ring.close()
-        assert ring.place(np.ones(16)) is None
-
-
-# --------------------------------------------------------------------------- #
-# Executor transport
-# --------------------------------------------------------------------------- #
-def _total(obj, values):
-    return float(np.asarray(values).sum()) + obj["offset"]
-
-
-def _shapes(obj, a, scale=None, b=None):
-    parts = [np.asarray(a).shape]
-    if scale is not None:
-        parts.append(np.asarray(scale).shape)
-    if b is not None:
-        parts.append(np.asarray(b).shape)
-    return parts
+from repro.util.parallel import ProcessShardExecutor
 
 
 def _describe(obj):
@@ -112,104 +17,19 @@ def _describe(obj):
 OBJECTS = {"a": {"offset": 1.0}, "b": {"offset": 2.0}, "c": {"offset": 3.0}}
 
 
-def _run_workload(executor):
-    """A chunk-shaped workload: big arrays positional, keyword, broadcast."""
-    gen = np.random.default_rng(5)
-    chunk = gen.standard_normal((48, 512))  # ~196 KiB, well above _SHM_MIN_BYTES
-    with executor:
-        executor.start(dict(OBJECTS))
-        totals = [
-            executor.call(shard, _total, chunk + i)
-            for i, shard in enumerate(("a", "b", "c"))
-        ]
-        shapes = executor.call(
-            "a", _shapes, chunk, scale=gen.standard_normal(2048), b=np.ones(4)
-        )
-        broadcast = executor.broadcast(_total, chunk)
-    return totals, shapes, broadcast
-
-
-def test_shm_and_pickle_transports_agree():
-    shm = _run_workload(ProcessShardExecutor(max_workers=2, transport="shm"))
-    pickled = _run_workload(ProcessShardExecutor(max_workers=2, transport="pickle"))
-    assert shm == pickled
-    totals, shapes, broadcast = shm
-    assert shapes == [(48, 512), (2048,), (4,)]
-    assert set(broadcast) == set(OBJECTS)
-
-
-def test_transport_property_reflects_the_ring():
-    with ProcessShardExecutor(max_workers=1, transport="shm") as executor:
-        executor.start({"a": {"offset": 0.0}})
-        assert executor.transport == "shm"
-    with ProcessShardExecutor(max_workers=1, transport="pickle") as executor:
-        executor.start({"a": {"offset": 0.0}})
-        assert executor.transport == "pickle"
-
-
-def test_env_kill_switch_forces_pickle(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-    with ProcessShardExecutor(max_workers=1, transport="auto") as executor:
-        executor.start({"a": {"offset": 0.5}})
-        assert executor.transport == "pickle"
-        chunk = np.random.default_rng(3).standard_normal((32, 256))
-        assert executor.call("a", _total, chunk) == pytest.approx(chunk.sum() + 0.5)
-
-
-def test_env_kill_switch_overrides_strict_shm(monkeypatch):
-    """The operator escape hatch wins even over transport="shm"."""
-    monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-    with ProcessShardExecutor(max_workers=1, transport="shm") as executor:
-        executor.start({"a": {"offset": 0.0}})
-        assert executor.transport == "pickle"
-
-
-def test_strict_shm_raises_when_platform_lacks_it(monkeypatch):
-    import repro.util.parallel as parallel
-
-    monkeypatch.setattr(parallel, "shm_available", lambda: False)
-    executor = ProcessShardExecutor(max_workers=1, transport="shm")
-    with pytest.raises(RuntimeError, match="shared memory"):
-        executor.start({"a": {}})
-    executor.close()
-
-    with pytest.raises(ValueError, match="transport"):
-        ProcessShardExecutor(transport="mmap")
-
-
-def test_make_shard_executor_threads_transport_through():
-    executor = make_shard_executor("process", max_workers=1, transport="pickle")
-    try:
-        assert isinstance(executor, ProcessShardExecutor)
-        executor.start({"a": {"offset": 0.0}})
-        assert executor.transport == "pickle"
-    finally:
-        executor.close()
-    with pytest.raises(ValueError, match="transport"):
-        make_shard_executor("thread", transport="shm")
-
-
 def test_broadcast_dedup_ships_one_payload_per_worker():
     """Shards co-resident on a worker reuse one broadcast payload."""
-    with ProcessShardExecutor(max_workers=2, transport="shm") as executor:
+    with ProcessShardExecutor(max_workers=2) as executor:
         executor.start(dict(OBJECTS))  # 3 shards on 2 workers
         for _ in range(3):  # repeated rounds: payload cleanup must not leak
             result = executor.broadcast(_describe)
             assert result == {"a": 1.0, "b": 2.0, "c": 3.0}
 
 
-def test_small_arguments_skip_the_slab():
-    """Tiny arrays ride the pickle path even under transport="shm"."""
-    with ProcessShardExecutor(max_workers=1, transport="shm") as executor:
-        executor.start({"a": {"offset": 0.0}})
-        small = np.arange(8.0)  # 64 bytes < _SHM_MIN_BYTES
-        assert executor.call("a", _total, small) == pytest.approx(small.sum())
-
-
 # --------------------------------------------------------------------------- #
-# Fleet-level parity: the transport must be invisible in the products
+# Fleet-level parity: shipping chunks to workers must be invisible
 # --------------------------------------------------------------------------- #
-def _drive_fleet(transport: str):
+def _drive_fleet(executor):
     from repro.core import MrDMDConfig
     from repro.pipeline import PipelineConfig
     from repro.service import FleetMonitor, RackSharding
@@ -228,7 +48,7 @@ def _drive_fleet(transport: str):
         config=PipelineConfig(
             mrdmd=MrDMDConfig(max_levels=3), baseline_range=(40.0, 75.0)
         ),
-        executor=ProcessShardExecutor(max_workers=2, transport=transport),
+        executor=executor,
     )
     snapshots = []
     with monitor:
@@ -240,10 +60,11 @@ def _drive_fleet(transport: str):
 
 
 def test_fleet_products_identical_across_transports():
-    snaps_shm, racks_shm = _drive_fleet("shm")
-    snaps_pickle, racks_pickle = _drive_fleet("pickle")
-    assert racks_shm == racks_pickle
-    for a, b in zip(snaps_shm, snaps_pickle):
+    """A process fleet (pickled chunks) matches the in-process serial one."""
+    snaps_process, racks_process = _drive_fleet(ProcessShardExecutor(max_workers=2))
+    snaps_serial, racks_serial = _drive_fleet("serial")
+    assert racks_process == racks_serial
+    for a, b in zip(snaps_process, snaps_serial):
         assert a.step == b.step and a.total_modes == b.total_modes
         for shard_id, pa in a.shard_snapshots.items():
             pb = b.shard_snapshots[shard_id]

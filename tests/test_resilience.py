@@ -283,6 +283,28 @@ class TestSupervisedMonitor:
         assert quarantined_nodes  # non-empty: the fleet still answers
         assert not any(32 <= node < 48 for node in quarantined_nodes)
 
+    def test_plain_ingest_rounds_are_supervised(self, fleet_stream):
+        """ingest() runs the same supervised round as ingest_and_alert():
+        a planned persistent fault fires there and ends in quarantine."""
+        monitor = FleetMonitor.from_stream(
+            fleet_stream,
+            policy=RackSharding(),
+            config=CONFIG,
+            resilience=ResiliencePolicy(
+                max_attempts=2, backoff_base=0.001, backoff_cap=0.002, seed=8
+            ),
+            fault_plan=FaultPlan(
+                [FaultSpec(FaultKind.EXCEPTION, "rack-1", 2, attempt=None)], seed=8
+            ),
+        )
+        with monitor:
+            first = monitor.ingest(fleet_stream.values[:, :INITIAL])
+            snapshot = monitor.ingest(fleet_stream.values[:, CHUNKS[0]])
+        assert first.degraded_shards == ()
+        assert snapshot.degraded_shards == ("rack-1",)
+        assert "rack-1" not in snapshot.shard_snapshots
+        assert "InjectedFaultError" in monitor.quarantine_info["rack-1"]["reason"]
+
     def test_reinstate_rejoins_from_last_recovered_state(self, fleet_stream):
         monitor, _, _, _ = _drive(
             fleet_stream,

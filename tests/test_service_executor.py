@@ -208,33 +208,3 @@ def test_ingest_and_alert_without_engine(fleet_stream):
         snapshot, alerts = monitor.ingest_and_alert(fleet_stream.values[:, :240])
         assert snapshot.step == 240
         assert alerts == []
-
-
-def test_pooled_ingest_conflicts_with_persistent_executor(fleet_stream):
-    with FleetMonitor.from_stream(
-        fleet_stream, policy=RackSharding(), config=CONFIG, executor="thread"
-    ) as monitor:
-        monitor.ingest(fleet_stream.values[:, :240])
-        with pytest.raises(ValueError, match="persistent"):
-            monitor.ingest(fleet_stream.values[:, 240:], processes=2)
-
-
-def test_ingest_rejects_invalid_processes(fleet_stream):
-    monitor = FleetMonitor.from_stream(fleet_stream, policy=RackSharding(), config=CONFIG)
-    with pytest.raises(ValueError, match="processes"):
-        monitor.ingest(fleet_stream.values[:, :240], processes=0)
-    with pytest.raises(ValueError, match="processes"):
-        monitor.ingest(fleet_stream.values[:, :240], processes=-2)
-
-
-def test_legacy_pooled_ingest_matches_serial(fleet_stream):
-    """The deprecated per-ingest pool still produces identical products."""
-    serial = FleetMonitor.from_stream(fleet_stream, policy=RackSharding(), config=CONFIG)
-    serial.ingest(fleet_stream.values[:, :240])
-    serial.ingest(fleet_stream.values[:, 240:])
-
-    pooled = FleetMonitor.from_stream(fleet_stream, policy=RackSharding(), config=CONFIG)
-    pooled.ingest(fleet_stream.values[:, :240])
-    pooled.ingest(fleet_stream.values[:, 240:], processes=2)
-
-    assert pooled.rack_values() == serial.rack_values()

@@ -15,7 +15,6 @@ from repro.util import (
     ensure_probability,
     iter_chunks,
     make_shard_executor,
-    parallel_map,
     require,
     rolling_mean,
     running_moments,
@@ -104,36 +103,6 @@ class TestChunking:
             split_columns(data, 7)
         with pytest.raises(ValueError):
             split_columns(np.ones(4), 2)
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_serial_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, processes=1) == [i * i for i in items]
-
-    def test_process_pool_path(self):
-        result = parallel_map(_square, list(range(8)), processes=2)
-        assert result == [i * i for i in range(8)]
-
-    def test_single_item_never_spawns(self):
-        assert parallel_map(_square, [5], processes=4) == [25]
-
-    def test_invalid_processes_rejected(self):
-        for bad in (0, -1, -8):
-            with pytest.raises(ValueError, match="processes"):
-                parallel_map(_square, [1, 2, 3], processes=bad)
-
-    def test_invalid_chunksize_rejected(self):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="chunksize"):
-                parallel_map(_square, [1, 2, 3], chunksize=bad)
 
 
 # --------------------------------------------------------------------------- #
