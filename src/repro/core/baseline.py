@@ -22,8 +22,7 @@ the alignment with hardware/job logs (:mod:`repro.align`).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 __all__ = [
     "ZScoreCategory",
     "BaselineSpec",
+    "BaselineMoments",
     "BaselineModel",
     "ZScoreResult",
     "select_baseline_mask",
@@ -104,6 +104,107 @@ def select_baseline_mask(data: np.ndarray, spec: BaselineSpec) -> np.ndarray:
         row_mask[np.asarray(spec.row_indices, dtype=int)] = True
         mask &= row_mask[:, None]
     return mask
+
+
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """``(count, mean, M2)`` of a 1-D sample, as ``np.mean``/``np.std`` do."""
+    if values.size == 0:
+        return (0, np.nan, 0.0)
+    mean = values.mean()
+    dev = values - mean
+    return (int(values.size), float(mean), float(np.sum(dev * dev)))
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Chan et al.'s pairwise merge of two ``(count, mean, M2)`` triples.
+
+    Works on scalars and elementwise on per-row arrays; an empty side
+    passes the other through unchanged, so merging into an empty
+    accumulator is exact.
+    """
+    na, ma, qa = a
+    nb, mb, qb = b
+    if np.ndim(na) == 0:
+        if not na or not nb:
+            return b if not na else a
+        n = na + nb
+        delta = mb - ma
+        return (n, ma + delta * (nb / n), qa + qb + delta * delta * (na * nb / n))
+    n = na + nb
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = mb - ma
+        mean = ma + delta * (nb / n)
+        m2 = qa + qb + delta * delta * (na * nb / n)
+    mean = np.where(na == 0, mb, np.where(nb == 0, ma, mean))
+    m2 = np.where(na == 0, qb, np.where(nb == 0, qa, m2))
+    return (n, mean, m2)
+
+
+@dataclass(frozen=True)
+class BaselineMoments:
+    """Mergeable sufficient statistics of a baseline fit.
+
+    Per row: the count, mean and M2 (sum of squared deviations) of the
+    samples the spec selects.  ``pooled`` holds the same triple over every
+    selected sample and ``overall`` over every sample (the global
+    fallbacks of :meth:`BaselineModel.from_moments`); ``selected_cols``
+    counts the columns the spec's ``time_range`` keeps, the denominator
+    of ``min_fraction``.  :meth:`of_block` summarises one column block and
+    :meth:`merge` combines two adjacent blocks, so a baseline over a
+    growing timeline folds block by block instead of rescanning it.
+    """
+
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+    selected_cols: int
+    pooled: tuple[int, float, float]
+    overall: tuple[int, float, float]
+
+    @classmethod
+    def of_block(
+        cls, block: np.ndarray, spec: BaselineSpec, *, start: int = 0
+    ) -> "BaselineMoments":
+        """Moments of the ``(P, L)`` columns ``[start, start + L)`` of a
+        timeline; ``spec.time_range`` is in timeline columns."""
+        block = np.asarray(block, dtype=float)
+        local = spec
+        if spec.time_range is not None:
+            lo, hi = (max(edge, 0) - start for edge in spec.time_range)
+            local = replace(spec, time_range=(lo, max(lo, hi)))
+        mask = select_baseline_mask(block, local)
+        selected = block.shape[1]
+        if spec.time_range is not None:
+            selected = max(0, min(hi, selected) - max(lo, 0))
+        count = mask.sum(axis=1)
+        # nanmean / nanstd over the selected samples, written out so the
+        # one-block case reproduces them exactly.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.sum(np.where(mask, block, 0.0), axis=1) / count
+            dev = np.where(mask, block - mean[:, None], 0.0)
+        m2 = np.sum(dev * dev, axis=1)
+        return cls(
+            count=count,
+            mean=mean,
+            m2=m2,
+            selected_cols=selected,
+            pooled=_moments(block[mask]),
+            overall=_moments(block.ravel()),
+        )
+
+    def merge(self, later: "BaselineMoments") -> "BaselineMoments":
+        """Moments of this block followed by ``later`` (same rows)."""
+        count, mean, m2 = _merge(
+            (self.count, self.mean, self.m2), (later.count, later.mean, later.m2)
+        )
+        return BaselineMoments(
+            count=count,
+            mean=mean,
+            m2=m2,
+            selected_cols=self.selected_cols + later.selected_cols,
+            pooled=_merge(self.pooled, later.pooled),
+            overall=_merge(self.overall, later.overall),
+        )
 
 
 def compute_zscores(
@@ -235,28 +336,34 @@ class BaselineModel:
         mrDMD reconstruction, so the statistics describe the underlying
         dynamics rather than sensor noise.
         """
-        data = np.asarray(data, dtype=float)
-        mask = select_baseline_mask(data, spec)
-        counts = mask.sum(axis=1)
-        n_cols = data.shape[1]
+        return cls.from_moments(
+            BaselineMoments.of_block(data, spec), spec, near=near, extreme=extreme
+        )
 
-        masked = np.where(mask, data, np.nan)
-        # Rows with no baseline samples produce all-NaN slices; NumPy warns
-        # about those even though the fallback below replaces the result.
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            row_mean = np.nanmean(masked, axis=1)
-            row_std = np.nanstd(masked, axis=1)
+    @classmethod
+    def from_moments(
+        cls,
+        moments: BaselineMoments,
+        spec: BaselineSpec,
+        *,
+        near: float = 1.5,
+        extreme: float = 2.0,
+    ) -> "BaselineModel":
+        """Finalise per-row statistics from (merged) :class:`BaselineMoments`.
 
-        # Global fallback for rows with no (or too few) baseline samples.
-        if np.any(mask):
-            global_mean = float(data[mask].mean())
-            global_std = float(data[mask].std())
-        else:
-            global_mean = float(data.mean())
-            global_std = float(data.std())
-        min_count = max(1, int(np.ceil(spec.min_fraction * n_cols)))
-        insufficient = counts < min_count
+        Rows with fewer selected samples than ``min_fraction`` of the
+        columns the spec selects, or with a zero spread, fall back to the
+        statistics pooled over every selected sample (over every sample
+        when nothing was selected).
+        """
+        count = moments.count
+        with np.errstate(invalid="ignore", divide="ignore"):
+            row_mean = moments.mean
+            row_std = np.sqrt(moments.m2 / count)
+        n, global_mean, m2 = moments.pooled if moments.pooled[0] else moments.overall
+        global_std = float(np.sqrt(m2 / n)) if n else np.nan
+        min_count = max(1, int(np.ceil(spec.min_fraction * moments.selected_cols)))
+        insufficient = count < min_count
         row_mean = np.where(insufficient | ~np.isfinite(row_mean), global_mean, row_mean)
         row_std = np.where(insufficient | ~np.isfinite(row_std) | (row_std == 0.0),
                            max(global_std, 1e-8), row_std)

@@ -800,7 +800,7 @@ class IncrementalMrDMD:
           so this form is O(T) by necessity.
 
         Either way the mode-tree revision is bumped exactly once, so every
-        derived cache (mode tables, reconstruction windows, power-quantile
+        derived cache (mode tables, reconstruction buffers, power-quantile
         thresholds) and every revision-tracking baseline invalidates
         correctly, and subsequent :meth:`partial_fit` chunks must carry the
         grown row count.  Returns the :class:`TopologyChange` record (also
@@ -1091,17 +1091,30 @@ class IncrementalMrDMD:
         self._require_fitted()
         return self._tree.reconstruct(self._n_snapshots, **kwargs)
 
-    def retained_data(self) -> np.ndarray | None:
+    def retained_data(
+        self, time_range: tuple[int, int] | None = None
+    ) -> np.ndarray | None:
         """Copy of the retained raw snapshots (``None`` under ``"none"``).
 
         Under ``retain_data="window"`` this is the trailing window only;
         :meth:`retained_range` gives its absolute snapshot indices.
+        ``time_range`` copies only the absolute columns ``[start, stop)``,
+        which must lie inside that range.
         """
         if self._data is None:
             return None
-        if isinstance(self._data, GrowableMatrix):
-            return self._data.materialize()
-        return self._data.copy()
+        growable = isinstance(self._data, GrowableMatrix)
+        if time_range is None:
+            return self._data.materialize() if growable else self._data.copy()
+        data = self._data.view() if growable else self._data
+        first, last = self.retained_range()
+        start, stop = time_range
+        if not first <= start <= stop <= last:
+            raise IndexError(
+                f"time_range {time_range!r} outside the retained range "
+                f"{(first, last)!r}"
+            )
+        return np.ascontiguousarray(data[:, start - first : stop - first])
 
     def retained_range(self) -> tuple[int, int] | None:
         """Absolute ``[start, stop)`` snapshot range of the retained data."""

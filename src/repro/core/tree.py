@@ -23,6 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..util.growbuf import GrowableMatrix
+
 __all__ = ["MrDMDNode", "MrDMDTree", "ModeTable"]
 
 
@@ -258,6 +260,14 @@ class MrDMDTree:
         self._min_node_features = int(n_features)
         self._nodes: list[MrDMDNode] = []
         self._revision = 0
+        # Contribution window [lo, hi) of every node, in insertion order:
+        # windowed reconstruct selects the overlapping nodes with one
+        # vectorised compare.  Node windows are fixed once added.
+        self._bounds = GrowableMatrix(2, dtype=np.int64)
+        # (revision, earliest column the edit touched), one entry per edit
+        # that can change the reconstruction (see touched_since).
+        self._touches: list[tuple[int, int]] = []
+        self._total_modes = 0
         # mode_table() output memoised per revision: spectrum/threshold
         # queries between structural edits cost a tuple compare instead of
         # re-concatenating every node's mode arrays.
@@ -274,6 +284,16 @@ class MrDMDTree:
         state["_mode_table_revision"] = -1
         return state
 
+    def _reindex(self) -> None:
+        """Rebuild the per-node index after nodes were removed."""
+        self._bounds = GrowableMatrix(2, dtype=np.int64)
+        for node in self._nodes:
+            self._bounds.append(np.array(node.contribution_window, dtype=np.int64))
+        self._total_modes = sum(n.n_modes for n in self._nodes)
+
+    def _touch(self, column: int) -> None:
+        self._touches.append((self._revision, int(column)))
+
     @property
     def revision(self) -> int:
         """Counter bumped on every structural edit (add/shift/replace).
@@ -283,6 +303,24 @@ class MrDMDTree:
         tree actually changed.
         """
         return self._revision
+
+    def touched_since(self, revision: int) -> int | None:
+        """Earliest column whose reconstruction an edit after ``revision``
+        may have changed (``None`` when no such edit happened).
+
+        :meth:`add` touches from the node's contribution start,
+        :meth:`add_features` and :meth:`replace_level` from column 0, and
+        :meth:`shift_levels` touches nothing (levels do not enter the
+        summed reconstruction).  An incremental update only adds nodes
+        over the appended chunk, so consumers that keep a reconstruction
+        of older columns need to recompute only from here on.
+        """
+        earliest = None
+        for rev, column in reversed(self._touches):
+            if rev <= revision:
+                break
+            earliest = column if earliest is None else min(earliest, column)
+        return earliest
 
     # ------------------------------------------------------------------ #
     # Collection protocol
@@ -307,8 +345,12 @@ class MrDMDTree:
                     else ""
                 )
             )
+        window = node.contribution_window
         self._nodes.append(node)
+        self._bounds.append(np.array(window, dtype=np.int64))
+        self._total_modes += node.n_modes
         self._revision += 1
+        self._touch(window[0])
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -337,7 +379,7 @@ class MrDMDTree:
     @property
     def total_modes(self) -> int:
         """Total number of slow modes stored in the tree."""
-        return int(sum(n.n_modes for n in self._nodes))
+        return self._total_modes
 
     def nodes_at_level(self, level: int) -> list[MrDMDNode]:
         """Nodes at the given 1-based level, ordered by window start."""
@@ -378,7 +420,9 @@ class MrDMDTree:
     def replace_level(self, level: int, new_nodes: list[MrDMDNode]) -> None:
         """Drop all nodes at ``level`` and insert ``new_nodes`` instead."""
         self._nodes = [n for n in self._nodes if n.level != level]
+        self._reindex()
         self._revision += 1
+        self._touch(0)
         for node in new_nodes:
             self.add(node)
 
@@ -392,8 +436,9 @@ class MrDMDTree:
         they existed.  That makes the topology event O(1) in the tree
         size, so onboarding cost stays independent of how long the stream
         has been running (the node count grows with the timeline).  Bumps
-        the revision so every derived cache (mode tables, reconstruction
-        windows, baselines keyed on the revision) invalidates.
+        the revision and touches from column 0 (see :meth:`touched_since`)
+        so every derived product (mode tables, reconstruction buffers,
+        baselines keyed on the revision) invalidates.
         """
         if n_new < 0:
             raise ValueError(f"n_new must be non-negative, got {n_new!r}")
@@ -401,6 +446,7 @@ class MrDMDTree:
             return
         self.n_features += n_new
         self._revision += 1
+        self._touch(0)
 
     # ------------------------------------------------------------------ #
     # Analysis products
@@ -512,15 +558,19 @@ class MrDMDTree:
             window_lo = min(max(int(start), 0), total)
             window_hi = min(max(int(stop), 0), total)
         out = np.zeros((self.n_features, window_hi - window_lo), dtype=float)
+        if not self._nodes or window_hi <= window_lo:
+            return out
+        bounds = self._bounds.view()
+        lo_all = np.maximum(bounds[0], window_lo)
+        hi_all = np.minimum(bounds[1], window_hi)
         level_set = set(levels) if levels is not None else None
-        for node in self._nodes:
+        # Overlapping nodes in insertion order, so the sum is the same
+        # whichever window asked for a column.
+        for index in np.flatnonzero(hi_all > lo_all).tolist():
+            node = self._nodes[index]
             if level_set is not None and node.level not in level_set:
                 continue
-            lo, hi = node.contribution_window
-            lo = max(lo, window_lo)
-            hi = min(hi, window_hi)
-            if hi <= lo:
-                continue
+            lo, hi = int(lo_all[index]), int(hi_all[index])
             use = node
             if frequency_range is not None or min_power > 0.0:
                 mask = np.ones(node.n_modes, dtype=bool)

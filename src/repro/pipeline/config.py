@@ -44,7 +44,10 @@ class PipelineConfig:
         decomposition grows.  ``"stale"`` (default) refits automatically
         whenever the mode tree changed since the baseline was fitted (the
         fit is replayed with its original spec, so explicit
-        ``value_range``/``time_range`` choices are honoured); ``"never"``
+        ``value_range``/``time_range`` choices are honoured).  The refit
+        is a fold: only the blocks the update touched are re-summarised
+        and merged into the running moments, so it costs O(chunk) under
+        inline deep levels; ``"never"``
         keeps the first fitted baseline until :meth:`fit_baseline` is
         called again (the pre-fix behaviour).  Baselines fitted from
         explicit caller-supplied data are *pinned* and never auto-refit

@@ -18,7 +18,9 @@ the case-study examples — can pull what they need after any update.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from ..align.report import AlignmentReport, build_alignment_report
 from ..align.zscore_map import NodeZScores, map_zscores_to_nodes
-from ..core.baseline import BaselineModel, BaselineSpec, ZScoreResult
+from ..core.baseline import BaselineModel, BaselineMoments, BaselineSpec, ZScoreResult
 from ..core.imrdmd import IncrementalMrDMD, TopologyChange, UpdateRecord
 from ..core.reconstruction import evaluate_reconstruction, ReconstructionReport
 from ..core.spectrum import MrDMDSpectrum
@@ -34,15 +36,10 @@ from ..hwlog.events import HardwareLog
 from ..obs import OBS
 from ..joblog.jobs import JobLog
 from ..telemetry.generator import TelemetryStream
+from ..util.growbuf import GrowableMatrix
 from .config import PipelineConfig
 
 __all__ = ["OnlineAnalysisPipeline", "PipelineSnapshot"]
-
-#: Bound on the number of memoised reconstruction windows per pipeline.
-#: Rack-view queries cycle through a handful of recent windows (plus the
-#: full timeline for baseline fits); a small LRU keeps the win without
-#: letting week-scale streams accumulate stale windows.
-RECONSTRUCTION_CACHE_SIZE = 8
 
 #: Process-wide source of pipeline stamp tokens (see ``state_stamp``).
 _STAMP_TOKENS = itertools.count(1)
@@ -66,6 +63,144 @@ class PipelineSnapshot:
     reconstruction_error: float | None
     deep_pending: int = 0
     deep_stale_snapshots: int = 0
+
+
+class _BlockFold:
+    """The pipeline's read half, kept one ingest block at a time.
+
+    Blocks are the initial fit and every ``partial_fit`` chunk (their
+    boundaries come from the model's update history).  An incremental
+    update only adds tree nodes over its own chunk, so the reconstruction
+    of older blocks is frozen; :meth:`MrDMDTree.touched_since` says when
+    an edit broke that (deferred deep levels landing on an older chunk,
+    a topology event).  Three products are kept per block, each valid
+    for a prefix of the blocks:
+
+    * ``recon`` — the append-only reconstruction buffer;
+    * ``moments`` — in-band baseline moments, Chan-merged in block order
+      (entry ``k`` covers blocks ``0..k``);
+    * ``sq_errors`` — squared residual norms against the retained data,
+      summed in block order.
+
+    Every block product comes from the same call on the same block
+    shape, and every merge runs in block order, so the products depend
+    only on the current tree — a pipeline restored from ``state_dict`` or
+    a pickle recomputes them bit-for-bit.
+    """
+
+    def __init__(self) -> None:
+        self.tree_ref: weakref.ref | None = None
+        self.revision = -1
+        self.min_power = 0.0
+        self.edges: list[int] = []
+        self.recon: GrowableMatrix | None = None
+        self.filled = 0
+        self.moments: list[BaselineMoments] = []
+        self.moments_spec: BaselineSpec | None = None
+        self.sq_errors: list[float] = []
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.edges) - 1
+
+    def sync(self, model: IncrementalMrDMD, min_power: float) -> None:
+        """Drop every product an edit since the last sync may have changed."""
+        tree = model.tree
+        if self.tree_ref is None or self.tree_ref() is not tree:
+            # A new tree (refresh(), a restored model): start over.
+            self.__init__()
+            self.tree_ref = weakref.ref(tree)
+        if not self.edges or self.edges[-1] != model.n_snapshots:
+            history = model.history
+            if not self.edges:
+                first = history[0] if history else None
+                self.edges = [
+                    0,
+                    model.n_snapshots if first is None
+                    else first.total_snapshots - first.chunk_size,
+                ]
+            self.edges.extend(
+                record.total_snapshots for record in history[len(self.edges) - 2 :]
+            )
+        column = tree.touched_since(self.revision)
+        self.revision = tree.revision
+        if column is not None:
+            self.truncate(bisect.bisect_right(self.edges, column) - 1)
+        if min_power != self.min_power:
+            # The power filter moved: the reconstruction (and the baseline
+            # over it) changes everywhere; the unfiltered error does not.
+            self.min_power = min_power
+            self.filled = 0
+            self.moments = []
+
+    def truncate(self, block: int) -> None:
+        self.filled = min(self.filled, block)
+        del self.moments[block:]
+        del self.sq_errors[block:]
+
+    def block_range(self, k: int) -> tuple[int, int]:
+        return (self.edges[k], self.edges[k + 1])
+
+    def fill(self, model: IncrementalMrDMD, frequency_range) -> None:
+        """Reconstruct the blocks the buffer is missing."""
+        if self.filled == self.n_blocks:
+            return
+        tree = model.tree
+        start = self.filled
+        if start == 0:
+            # Full rebuild: also the point where the row count may have
+            # grown (add_features touches from column 0).
+            self.recon = GrowableMatrix(tree.n_features, capacity=model.n_snapshots)
+        with OBS.span(
+            "pipeline.read_catchup",
+            cols=self.edges[-1] - self.edges[start],
+            blocks=self.n_blocks - start,
+            full=start == 0,
+        ):
+            self.recon.truncate(self.edges[start])
+            for k in range(start, self.n_blocks):
+                self.recon.append(
+                    tree.reconstruct(
+                        model.n_snapshots,
+                        time_range=self.block_range(k),
+                        frequency_range=frequency_range,
+                        min_power=self.min_power,
+                    )
+                )
+        self.filled = self.n_blocks
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only view of buffer columns ``[lo, hi)`` (after :meth:`fill`)."""
+        return self.recon.view()[:, lo:hi]
+
+    def baseline_moments(self, spec: BaselineSpec) -> BaselineMoments:
+        """Baseline moments of the whole buffer under ``spec`` (after :meth:`fill`)."""
+        if spec != self.moments_spec:
+            self.moments = []
+            self.moments_spec = spec
+        with OBS.span("pipeline.baseline_fold", blocks=self.n_blocks - len(self.moments)):
+            for k in range(len(self.moments), self.n_blocks):
+                lo, hi = self.block_range(k)
+                block = BaselineMoments.of_block(self.window(lo, hi), spec, start=lo)
+                self.moments.append(self.moments[-1].merge(block) if k else block)
+        return self.moments[-1]
+
+    def reconstruction_error(self, model: IncrementalMrDMD, filtered: bool) -> float:
+        """``||X - X_hat||_F`` of the unfiltered reconstruction, per block.
+
+        With a spectral filter active the buffer is not the unfiltered
+        reconstruction, so the missing blocks are reconstructed here.
+        """
+        for k in range(len(self.sq_errors), self.n_blocks):
+            lo, hi = self.block_range(k)
+            if filtered:
+                recon = model.tree.reconstruct(model.n_snapshots, time_range=(lo, hi))
+            else:
+                recon = self.window(lo, hi)
+            residual = (model.retained_data(time_range=(lo, hi)) - recon).ravel()
+            sq = float(residual.dot(residual))
+            self.sq_errors.append(self.sq_errors[-1] + sq if k else sq)
+        return math.sqrt(self.sq_errors[-1])
 
 
 class OnlineAnalysisPipeline:
@@ -116,10 +251,8 @@ class OnlineAnalysisPipeline:
         self._baseline_tree_ref: weakref.ref | None = None
         # (tree weakref, tree revision, quantile) -> power threshold.
         self._min_power_cache: tuple[weakref.ref, int, float, float] | None = None
-        # (revision, window, frequency_range, min_power) -> reconstruction,
-        # in LRU order; valid only for the tree in _recon_cache_tree.
-        self._recon_cache: dict[tuple, np.ndarray] = {}
-        self._recon_cache_tree: weakref.ref | None = None
+        # Reconstruction buffer, baseline moments and error, per block.
+        self._fold = _BlockFold()
         # Off by default (one full scan per chunk): supervised fleets turn
         # this on so a poisoned chunk is rejected *before* any model
         # mutation — a rejected ingest leaves the pipeline untouched and
@@ -140,15 +273,15 @@ class OnlineAnalysisPipeline:
 
     # ------------------------------------------------------------------ #
     # Pickling: memoised products and weakrefs are process-local.  A copy
-    # shipped to a shard-executor worker rebuilds
-    # its caches lazily against its own tree object; the baseline revision
-    # itself is a plain int and travels with the (pickled) tree, so
-    # staleness decisions stay bit-for-bit identical across backends.
+    # shipped to a shard-executor worker rebuilds its read half lazily
+    # (bit-for-bit, see _BlockFold) against its own tree object; the
+    # baseline revision itself is a plain int and travels with the
+    # (pickled) tree, so staleness decisions stay bit-for-bit identical
+    # across backends.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_min_power_cache"] = None
-        state["_recon_cache"] = {}
-        state["_recon_cache_tree"] = None
+        state["_fold"] = _BlockFold()
         state["_baseline_tree_ref"] = None
         # Weakrefs cannot travel, so persist the staleness *verdict*: a
         # baseline that is stale here (including via the refresh()-swap
@@ -169,8 +302,7 @@ class OnlineAnalysisPipeline:
     def clear_caches(self) -> None:
         """Drop memoised spectra/reconstruction products (rebuilt lazily)."""
         self._min_power_cache = None
-        self._recon_cache = {}
-        self._recon_cache_tree = None
+        self._fold = _BlockFold()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -212,7 +344,12 @@ class OnlineAnalysisPipeline:
     def _snapshot(self, update: UpdateRecord | None) -> PipelineSnapshot:
         error = None
         if self.model.retain_data == "all":
-            error = self.model.reconstruction_error()
+            filtered = (
+                self.config.frequency_range is not None
+                or self.config.power_quantile > 0.0
+            )
+            fold = self._synced_fold(fill=not filtered)
+            error = fold.reconstruction_error(self.model, filtered)
         return PipelineSnapshot(
             update=update,
             n_snapshots=self.model.n_snapshots,
@@ -227,9 +364,10 @@ class OnlineAnalysisPipeline:
 
         Forwards to
         :meth:`~repro.core.imrdmd.IncrementalMrDMD.refresh_deep_levels`;
-        the nodes it attaches bump the tree revision, so every memoised
-        product (reconstruction windows, power thresholds, staleness-aware
-        baselines) invalidates exactly as an inline ingest would have.
+        the nodes it attaches bump the tree revision and mark the chunks
+        they land on, so the next read recomputes exactly those blocks of
+        the read half, and power thresholds and staleness-aware baselines
+        invalidate as an inline ingest would have.
         """
         with OBS.span("pipeline.deep_refresh"):
             refreshed = self.model.refresh_deep_levels(max_entries)
@@ -437,45 +575,21 @@ class OnlineAnalysisPipeline:
         total = self.model.n_snapshots
         return (min(max(int(start), 0), total), min(max(int(stop), 0), total))
 
+    def _synced_fold(self, *, fill: bool = True) -> _BlockFold:
+        """The read half, caught up with the tree (buffer filled if asked)."""
+        fold = self._fold
+        fold.sync(self.model, self._min_power_threshold())
+        if fill:
+            fold.fill(self.model, self.config.frequency_range)
+        return fold
+
     def _reconstruction_window(
         self, time_range: tuple[int, int] | None
     ) -> np.ndarray:
-        """Reconstruction over a (normalised) window, memoised per revision.
-
-        Only modes overlapping the window are expanded (see
-        :meth:`MrDMDTree.reconstruct`), and results are cached per
-        ``(tree revision, window, filter settings)`` so repeated rack-view
-        queries between updates cost a dict lookup.  Callers must not
-        mutate the returned array.
-        """
-        tree = self.model.tree
-        if self._recon_cache_tree is None or self._recon_cache_tree() is not tree:
-            # refresh() swapped in a new tree (or this is a fresh copy):
-            # every cached window belongs to the old one.
-            self._recon_cache = {}
-            self._recon_cache_tree = weakref.ref(tree)
-        key = (
-            tree.revision,
-            time_range,
-            self.config.frequency_range,
-            self._min_power_threshold(),
-        )
-        cached = self._recon_cache.pop(key, None)
-        if cached is None:
-            cached = tree.reconstruct(
-                self.model.n_snapshots,
-                time_range=time_range,
-                frequency_range=self.config.frequency_range,
-                min_power=key[3],
-            )
-            # Entries from earlier revisions can never hit again.
-            stale = [k for k in self._recon_cache if k[0] != tree.revision]
-            for k in stale:
-                del self._recon_cache[k]
-            while len(self._recon_cache) >= RECONSTRUCTION_CACHE_SIZE:
-                self._recon_cache.pop(next(iter(self._recon_cache)))
-        self._recon_cache[key] = cached  # (re)insert at LRU tail
-        return cached
+        """Reconstruction over a (normalised) window: a read-only slice of
+        the append-only buffer, valid until the next update."""
+        lo, hi = time_range or (0, self.model.n_snapshots)
+        return self._synced_fold().window(lo, hi)
 
     def reconstruction(
         self, *, time_range: tuple[int, int] | None = None
@@ -484,8 +598,8 @@ class OnlineAnalysisPipeline:
 
         ``time_range`` restricts the output to an absolute ``(start,
         stop)`` snapshot window — column ``j`` of the result equals column
-        ``start + j`` of the full reconstruction, but only the modes
-        overlapping the window are expanded.
+        ``start + j`` of the full reconstruction.  Both are copies out of
+        the append-only buffer (see :meth:`zscores`).
         """
         return self._reconstruction_window(
             self._normalize_time_range(time_range)
@@ -508,6 +622,11 @@ class OnlineAnalysisPipeline:
     ) -> BaselineModel:
         """Estimate the baseline statistics (from the reconstruction by default).
 
+        From the reconstruction, the statistics are the per-block in-band
+        moments of the buffer, Chan-merged in block order: equal to
+        :meth:`BaselineModel.from_data` over the whole reconstruction up
+        to summation order.
+
         A baseline fitted from the reconstruction records the tree revision
         it saw, so later scoring can detect (and, under
         ``config.baseline_refit == "stale"``, repair) staleness as more
@@ -516,14 +635,16 @@ class OnlineAnalysisPipeline:
         auto-refit.
         """
         pinned = data is not None
-        if data is None:
-            data = self._reconstruction_window(None)
         spec = BaselineSpec(
             value_range=value_range or self.config.baseline_range,
             time_range=time_range,
         )
-        self._baseline = BaselineModel.from_data(
-            data,
+        if pinned:
+            moments = BaselineMoments.of_block(data, spec)
+        else:
+            moments = self._synced_fold().baseline_moments(spec)
+        self._baseline = BaselineModel.from_moments(
+            moments,
             spec,
             near=self.config.zscore_near,
             extreme=self.config.zscore_extreme,
@@ -575,16 +696,13 @@ class OnlineAnalysisPipeline:
     ) -> ZScoreResult:
         """Row-level z-scores of (a window of) the reconstruction.
 
-        With the default ``data=None`` only the requested window of the
-        reconstruction is expanded (and cached per tree revision), so
-        repeated recent-window scoring between updates stops paying
-        O(full timeline) per call.  Note that under
-        ``config.baseline_refit == "stale"`` the first scoring call after
-        a tree update still pays one full-timeline reconstruction to
-        refit the baseline (its statistics are defined over the whole
-        stream); the reconstruction cache amortises that to once per
-        revision — the same per-update cost the pre-windowed code paid on
-        *every* call.
+        With the default ``data=None`` the window is a slice of the
+        pipeline's append-only reconstruction buffer.  The first read
+        after an update reconstructs only the blocks the update touched
+        (the appended chunk, under inline deep levels), and under
+        ``config.baseline_refit == "stale"`` the refit merges those
+        blocks' baseline moments into the running fold — so a read costs
+        O(chunk), not O(full timeline), at any stream age.
         """
         baseline = self._ensure_baseline()
         if data is None:

@@ -145,6 +145,16 @@ class GrowableMatrix:
         self._n_cols += c
         return self
 
+    def truncate(self, n_cols: int) -> "GrowableMatrix":
+        """Drop every column from ``n_cols`` on (capacity is kept), so the
+        next :meth:`append` overwrites them."""
+        if not 0 <= n_cols <= self._n_cols:
+            raise IndexError(
+                f"cannot truncate {self._n_cols} columns to {n_cols}"
+            )
+        self._n_cols = int(n_cols)
+        return self
+
     def add_rows(self, rows: np.ndarray) -> "GrowableMatrix":
         """Widen the buffer by ``(r, T)`` new *rows* covering the occupied columns.
 

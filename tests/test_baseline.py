@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.baseline import (
     BaselineModel,
+    BaselineMoments,
     BaselineSpec,
     ZScoreCategory,
     classify_zscores,
@@ -185,3 +188,71 @@ class TestBaselineModel:
         model = BaselineModel.from_data(data, BaselineSpec(value_range=(0.0, 1.0)))
         result = model.score(data)
         assert np.all(np.isfinite(result.zscores))
+
+    def test_min_fraction_counts_only_the_selected_columns(self):
+        # Regression: min_count used every column, so a 100-of-1000-column
+        # time_range with min_fraction=0.5 sent every row to the fallback.
+        gen = np.random.default_rng(1)
+        data = 50.0 + gen.standard_normal((6, 1000)) + np.arange(6)[:, None]
+        spec = BaselineSpec(value_range=(40.0, 60.0), time_range=(0, 100), min_fraction=0.5)
+        model = BaselineModel.from_data(data, spec)
+        assert np.allclose(model.mean, data[:, :100].mean(axis=1), rtol=1e-12)
+        assert np.allclose(model.std, data[:, :100].std(axis=1), rtol=1e-12)
+
+
+class TestBaselineMoments:
+    def make_data(self):
+        gen = np.random.default_rng(2)
+        data = 50.0 + 4.0 * gen.standard_normal((12, 300))
+        data[2] += 30.0  # never in band
+        data[5, 150:] = np.nan  # only reached through the mask below
+        return np.nan_to_num(data, nan=-1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            BaselineSpec(value_range=(46.0, 54.0)),
+            BaselineSpec(value_range=(46.0, 54.0), time_range=(70, 220)),
+            BaselineSpec(value_range=(46.0, 54.0), time_range=(0, 40), min_fraction=0.6),
+            BaselineSpec(value_range=(0.0, 1.0)),
+            BaselineSpec(row_indices=np.array([0, 3, 4])),
+        ],
+    )
+    def test_block_fold_matches_one_block(self, spec):
+        data = self.make_data()
+        edges = [0, 35, 100, 101, 250, 300]
+        folded = None
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            block = BaselineMoments.of_block(data[:, lo:hi], spec, start=lo)
+            folded = block if folded is None else folded.merge(block)
+        whole = BaselineMoments.of_block(data, spec)
+        assert folded.selected_cols == whole.selected_cols
+        assert np.array_equal(folded.count, whole.count)
+        fit = BaselineModel.from_moments(folded, spec)
+        reference = BaselineModel.from_data(data, spec)
+        assert np.allclose(fit.mean, reference.mean, rtol=1e-12)
+        assert np.allclose(fit.std, reference.std, rtol=1e-12)
+
+    def test_merging_an_empty_block_is_exact(self):
+        data = self.make_data()
+        spec = BaselineSpec(value_range=(46.0, 54.0), time_range=(0, 100))
+        head = BaselineMoments.of_block(data[:, :100], spec)
+        tail = BaselineMoments.of_block(data[:, 100:], spec, start=100)
+        merged = head.merge(tail)
+        assert tail.selected_cols == 0
+        assert np.array_equal(merged.mean, head.mean, equal_nan=True)
+        assert np.array_equal(merged.m2, head.m2)
+        assert merged.pooled == head.pooled
+
+    def test_one_block_reproduces_nanmean_and_nanstd(self):
+        data = self.make_data()
+        spec = BaselineSpec(value_range=(46.0, 54.0))
+        model = BaselineModel.from_data(data, spec)
+        masked = np.where(select_baseline_mask(data, spec), data, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the all-NaN row
+            mean = np.nanmean(masked, axis=1)
+            std = np.nanstd(masked, axis=1)
+        keep = np.isfinite(mean)
+        assert np.array_equal(model.mean[keep], mean[keep])
+        assert np.array_equal(model.std[keep], std[keep])

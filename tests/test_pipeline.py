@@ -195,24 +195,6 @@ class TestWindowedProductsAndBaseline:
             assert windowed.shape == (full.shape[0], hi - lo)
             assert np.allclose(windowed, full[:, lo:hi], rtol=1e-12, atol=1e-12)
 
-    def test_reconstruction_window_is_cached_per_revision(self, small_stream):
-        pipeline = self._fresh_pipeline(small_stream)
-        first = pipeline._reconstruction_window((400, 600))
-        assert pipeline._reconstruction_window((400, 600)) is first, "cache hit"
-        revision = pipeline.model.tree.revision
-        pipeline.ingest(small_stream.values[:, 300:360])
-        assert pipeline.model.tree.revision > revision
-        refreshed = pipeline._reconstruction_window((400, 600))
-        assert refreshed is not first, "tree edits must invalidate the cache"
-
-    def test_reconstruction_cache_is_bounded(self, small_stream):
-        from repro.pipeline.online import RECONSTRUCTION_CACHE_SIZE
-
-        pipeline = self._fresh_pipeline(small_stream)
-        for lo in range(0, 3 * RECONSTRUCTION_CACHE_SIZE):
-            pipeline._reconstruction_window((lo, lo + 10))
-        assert len(pipeline._recon_cache) <= RECONSTRUCTION_CACHE_SIZE
-
     def test_windowed_zscores_match_full_reconstruction_scoring(self, small_stream):
         pipeline = self._fresh_pipeline(small_stream)
         baseline = pipeline.fit_baseline()
@@ -277,7 +259,7 @@ class TestWindowedProductsAndBaseline:
         reference = pipeline.node_zscores(time_range=(450, 600))
         clone = pickle.loads(pickle.dumps(pipeline))
         assert clone._min_power_cache is None
-        assert clone._recon_cache == {}
+        assert clone._fold.recon is None, "the read half is rebuilt, not shipped"
         scores = clone.node_zscores(time_range=(450, 600))
         assert np.array_equal(scores.zscores, reference.zscores)
         assert not clone.baseline_is_stale(), "freshness survives the copy"

@@ -309,6 +309,53 @@ class TestWindowedReconstruction:
             tree.reconstruct(100, time_range=(50, 10))
 
 
+class TestTouchedColumns:
+    def test_edits_report_the_earliest_column_they_touch(self):
+        tree = MrDMDTree(dt=1.0, n_features=4)
+        tree.add(make_node(level=1, n_snapshots=100))
+        before = tree.revision
+        assert tree.touched_since(before) is None
+        tree.shift_levels(1)
+        assert tree.touched_since(before) is None, "levels do not enter the sum"
+        appended = make_node(level=1, n_snapshots=160)
+        appended.contribution_start = 100
+        tree.add(appended)
+        tree.add(make_node(level=2, start=120, n_snapshots=40))
+        assert tree.touched_since(before) == 100
+        assert tree.touched_since(tree.revision - 1) == 120
+        grown = tree.revision
+        tree.add_features(2)
+        assert tree.touched_since(grown) == 0
+        replaced = tree.revision
+        tree.replace_level(3, [])
+        assert tree.touched_since(replaced) == 0
+
+    def test_windowed_reconstruct_skips_nodes_outside_the_window(self, monkeypatch):
+        tree = TestWindowedReconstruction()._multi_node_tree()
+        expanded = []
+        original = MrDMDNode.local_reconstruction_range
+
+        def counting(node, offset, length):
+            expanded.append((node.level, node.start))
+            return original(node, offset, length)
+
+        monkeypatch.setattr(MrDMDNode, "local_reconstruction_range", counting)
+        tree.reconstruct(100, time_range=(65, 100))
+        # Insertion order: the level-1 append node, then the right level 2.
+        assert expanded == [(1, 0), (2, 60)]
+
+    def test_replace_level_reindexes_the_bounds(self):
+        tree = TestWindowedReconstruction()._multi_node_tree()
+        tree.replace_level(3, [make_node(level=3, start=10, n_snapshots=20)])
+        reference = MrDMDTree(dt=1.0, n_features=4)
+        for node in tree:
+            reference.add(node)
+        assert np.array_equal(
+            tree.reconstruct(100, time_range=(0, 40)),
+            reference.reconstruct(100, time_range=(0, 40)),
+        )
+
+
 class TestSerialization:
     def test_round_trip(self):
         tree = MrDMDTree(dt=0.5, n_features=4)
