@@ -118,19 +118,13 @@ def _moments(values: np.ndarray) -> tuple[int, float, float]:
 def _merge(a: tuple, b: tuple) -> tuple:
     """Chan et al.'s pairwise merge of two ``(count, mean, M2)`` triples.
 
-    Works on scalars and elementwise on per-row arrays; an empty side
-    passes the other through unchanged, so merging into an empty
-    accumulator is exact.
+    Works elementwise on per-row arrays and on scalars (as 0-d arrays);
+    an empty side passes the other through unchanged, so merging into an
+    empty accumulator is exact.
     """
     na, ma, qa = a
     nb, mb, qb = b
-    if np.ndim(na) == 0:
-        if not na or not nb:
-            return b if not na else a
-        n = na + nb
-        delta = mb - ma
-        return (n, ma + delta * (nb / n), qa + qb + delta * delta * (na * nb / n))
-    n = na + nb
+    n = np.add(na, nb)
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = mb - ma
         mean = ma + delta * (nb / n)
@@ -138,6 +132,12 @@ def _merge(a: tuple, b: tuple) -> tuple:
     mean = np.where(na == 0, mb, np.where(nb == 0, ma, mean))
     m2 = np.where(na == 0, qb, np.where(nb == 0, qa, m2))
     return (n, mean, m2)
+
+
+def _merge_totals(a: tuple, b: tuple) -> tuple[int, float, float]:
+    """:func:`_merge` of two scalar triples, as plain Python numbers."""
+    n, mean, m2 = _merge(a, b)
+    return (int(n), float(mean), float(m2))
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ class BaselineMoments:
             mean=mean,
             m2=m2,
             selected_cols=self.selected_cols + later.selected_cols,
-            pooled=_merge(self.pooled, later.pooled),
-            overall=_merge(self.overall, later.overall),
+            pooled=_merge_totals(self.pooled, later.pooled),
+            overall=_merge_totals(self.overall, later.overall),
         )
 
 

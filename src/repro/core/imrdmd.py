@@ -920,7 +920,7 @@ class IncrementalMrDMD:
         """
         self._require_fitted()
         if self.retain_data == "all":
-            retained = self._data.materialize()
+            retained = self._data.frozen_view()
         elif self.retain_data == "window":
             retained = self._data
         else:
@@ -950,13 +950,15 @@ class IncrementalMrDMD:
             "n_snapshots": self._n_snapshots,
             "n_features": self._n_features,
             "stale": self._stale,
-            "sub": None if self._sub is None else self._sub.materialize(),
+            "sub": None if self._sub is None else self._sub.frozen_view(),
             "level1_modes": self._level1_modes,
             "level1_cross": self._level1_cross,
             "data": retained,
             "isvd": None if self._isvd is None else self._isvd.to_dict(),
             "tree": self._tree.to_dict(),
-            "history": [asdict(record) for record in self._history],
+            # Flat records of scalars: the field dict is asdict() without
+            # its recursive copy, and this sits on checkpoint capture.
+            "history": [dict(vars(record)) for record in self._history],
             "row_birth": self._row_birth,
             "topology": [asdict(change) for change in self._topology],
         }

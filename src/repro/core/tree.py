@@ -25,7 +25,16 @@ import numpy as np
 
 from ..util.growbuf import GrowableMatrix
 
-__all__ = ["MrDMDNode", "MrDMDTree", "ModeTable"]
+__all__ = ["MrDMDNode", "MrDMDTree", "ModeTable", "NodeRecords"]
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only complex array nothing else can write to."""
+    array = np.asarray(values, dtype=complex)
+    if array.flags.writeable or array.base is not None:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -87,10 +96,17 @@ class MrDMDNode:
         # Mode data is complex by contract.  np.linalg.eig returns *real*
         # arrays when every eigenvalue happens to be real, which would
         # otherwise make node dtypes — and therefore checkpoint payloads
-        # and bit-for-bit state comparisons — depend on the data.
-        self.modes = np.asarray(self.modes, dtype=complex)
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=complex)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        # and bit-for-bit state comparisons — depend on the data.  The
+        # arrays are read-only, so state dicts may share them (see
+        # NodeRecords).
+        self.modes = _frozen(self.modes)
+        self.eigenvalues = _frozen(self.eigenvalues)
+        self.amplitudes = _frozen(self.amplitudes)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable; freeze them again.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     # ------------------------------------------------------------------ #
     @property
@@ -203,6 +219,15 @@ class MrDMDNode:
         return MrDMDNode(**fields)
 
 
+class NodeRecords(list):
+    """The ``nodes`` list of :meth:`MrDMDTree.to_dict`.
+
+    Its dicts are built per call and hold only scalars and the nodes'
+    read-only arrays, so no later edit of the live tree can change it:
+    :func:`repro.io.delta.copy_state` shares it instead of copying it.
+    """
+
+
 @dataclass
 class ModeTable:
     """Flat table of every mode in a tree (one row per mode).
@@ -264,9 +289,9 @@ class MrDMDTree:
         # windowed reconstruct selects the overlapping nodes with one
         # vectorised compare.  Node windows are fixed once added.
         self._bounds = GrowableMatrix(2, dtype=np.int64)
-        # (revision, earliest column the edit touched), one entry per edit
-        # that can change the reconstruction (see touched_since).
-        self._touches: list[tuple[int, int]] = []
+        # Revision of the last edit that touched every column (see
+        # touched_since).
+        self._reset_revision = 0
         self._total_modes = 0
         # mode_table() output memoised per revision: spectrum/threshold
         # queries between structural edits cost a tuple compare instead of
@@ -291,9 +316,6 @@ class MrDMDTree:
             self._bounds.append(np.array(node.contribution_window, dtype=np.int64))
         self._total_modes = sum(n.n_modes for n in self._nodes)
 
-    def _touch(self, column: int) -> None:
-        self._touches.append((self._revision, int(column)))
-
     @property
     def revision(self) -> int:
         """Counter bumped on every structural edit (add/shift/replace).
@@ -304,9 +326,10 @@ class MrDMDTree:
         """
         return self._revision
 
-    def touched_since(self, revision: int) -> int | None:
-        """Earliest column whose reconstruction an edit after ``revision``
-        may have changed (``None`` when no such edit happened).
+    def touched_since(self, revision: int, n_nodes: int) -> int | None:
+        """Earliest column whose reconstruction an edit may have changed
+        since the tree was at ``revision`` with ``n_nodes`` nodes (``None``
+        when no edit did).
 
         :meth:`add` touches from the node's contribution start,
         :meth:`add_features` and :meth:`replace_level` from column 0, and
@@ -315,12 +338,11 @@ class MrDMDTree:
         over the appended chunk, so consumers that keep a reconstruction
         of older columns need to recompute only from here on.
         """
-        earliest = None
-        for rev, column in reversed(self._touches):
-            if rev <= revision:
-                break
-            earliest = column if earliest is None else min(earliest, column)
-        return earliest
+        if self._reset_revision > revision:
+            return 0
+        if n_nodes >= len(self._nodes):
+            return None
+        return int(self._bounds.view()[0, n_nodes:].min())
 
     # ------------------------------------------------------------------ #
     # Collection protocol
@@ -345,12 +367,10 @@ class MrDMDTree:
                     else ""
                 )
             )
-        window = node.contribution_window
         self._nodes.append(node)
-        self._bounds.append(np.array(window, dtype=np.int64))
+        self._bounds.append(np.array(node.contribution_window, dtype=np.int64))
         self._total_modes += node.n_modes
         self._revision += 1
-        self._touch(window[0])
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -422,7 +442,7 @@ class MrDMDTree:
         self._nodes = [n for n in self._nodes if n.level != level]
         self._reindex()
         self._revision += 1
-        self._touch(0)
+        self._reset_revision = self._revision
         for node in new_nodes:
             self.add(node)
 
@@ -446,7 +466,7 @@ class MrDMDTree:
             return
         self.n_features += n_new
         self._revision += 1
-        self._touch(0)
+        self._reset_revision = self._revision
 
     # ------------------------------------------------------------------ #
     # Analysis products
@@ -604,7 +624,7 @@ class MrDMDTree:
         return {
             "dt": self.dt,
             "n_features": self.n_features,
-            "nodes": [
+            "nodes": NodeRecords(
                 {
                     "level": n.level,
                     "bin_index": n.bin_index,
@@ -621,7 +641,7 @@ class MrDMDTree:
                     "contribution_end": n.contribution_end,
                 }
                 for n in self._nodes
-            ],
+            ),
         }
 
     @classmethod

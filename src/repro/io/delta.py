@@ -47,6 +47,7 @@ import uuid
 
 import numpy as np
 
+from ..core.tree import NodeRecords
 from ..obs import OBS
 from ..obs.flight import FLIGHT
 from .storage import _flatten_state, _unflatten_state, load_state, save_state
@@ -88,12 +89,19 @@ def copy_state(obj):
     walk that copies the ndarray leaves and rebuilds the containers is
     equivalent to ``copy.deepcopy`` but without its per-object memo
     bookkeeping — this sits on the synchronous side of an asynchronous
-    save, where every millisecond is ingest stall.
+    save, where every millisecond is ingest stall.  Immutable parts are
+    shared, not copied: read-only arrays and a tree's
+    :class:`~repro.core.tree.NodeRecords` (most of a shard's entries),
+    which is passed through without a walk.
     """
     if isinstance(obj, np.ndarray):
-        return np.array(obj, copy=True)
+        # Read-only arrays in state are immutable by construction (frozen
+        # tree nodes, frozen views of append-only buffers): share them.
+        return obj if not obj.flags.writeable else np.array(obj, copy=True)
     if isinstance(obj, dict):
         return {key: copy_state(value) for key, value in obj.items()}
+    if isinstance(obj, NodeRecords):
+        return obj
     if isinstance(obj, list):
         return [copy_state(value) for value in obj]
     if isinstance(obj, tuple):

@@ -36,7 +36,6 @@ from ..hwlog.events import HardwareLog
 from ..obs import OBS
 from ..joblog.jobs import JobLog
 from ..telemetry.generator import TelemetryStream
-from ..util.growbuf import GrowableMatrix
 from .config import PipelineConfig
 
 __all__ = ["OnlineAnalysisPipeline", "PipelineSnapshot"]
@@ -73,10 +72,11 @@ class _BlockFold:
     update only adds tree nodes over its own chunk, so the reconstruction
     of older blocks is frozen; :meth:`MrDMDTree.touched_since` says when
     an edit broke that (deferred deep levels landing on an older chunk,
-    a topology event).  Three products are kept per block, each valid
-    for a prefix of the blocks:
+    a topology event).  Three products are kept per block:
 
-    * ``recon`` — the append-only reconstruction buffer;
+    * ``recon`` — the reconstruction buffer, allocated on the first read
+      and filled per block on demand (``done``), so a window read
+      computes only the blocks it overlaps;
     * ``moments`` — in-band baseline moments, Chan-merged in block order
       (entry ``k`` covers blocks ``0..k``);
     * ``sq_errors`` — squared residual norms against the retained data,
@@ -85,16 +85,18 @@ class _BlockFold:
     Every block product comes from the same call on the same block
     shape, and every merge runs in block order, so the products depend
     only on the current tree — a pipeline restored from ``state_dict`` or
-    a pickle recomputes them bit-for-bit.
+    a pickle recomputes them bit-for-bit, whichever reads it served.
     """
 
     def __init__(self) -> None:
         self.tree_ref: weakref.ref | None = None
         self.revision = -1
+        self.n_nodes = 0
+        self.frequency_range: tuple[float, float] | None = None
         self.min_power = 0.0
         self.edges: list[int] = []
-        self.recon: GrowableMatrix | None = None
-        self.filled = 0
+        self.recon: np.ndarray | None = None
+        self.done: list[bool] = []
         self.moments: list[BaselineMoments] = []
         self.moments_spec: BaselineSpec | None = None
         self.sq_errors: list[float] = []
@@ -103,13 +105,21 @@ class _BlockFold:
     def n_blocks(self) -> int:
         return len(self.edges) - 1
 
-    def sync(self, model: IncrementalMrDMD, min_power: float) -> None:
+    @property
+    def filtered(self) -> bool:
+        return self.frequency_range is not None or self.min_power > 0.0
+
+    def sync(
+        self, model: IncrementalMrDMD, frequency_range, min_power: float
+    ) -> None:
         """Drop every product an edit since the last sync may have changed."""
         tree = model.tree
         if self.tree_ref is None or self.tree_ref() is not tree:
             # A new tree (refresh(), a restored model): start over.
             self.__init__()
             self.tree_ref = weakref.ref(tree)
+            self.frequency_range = frequency_range
+            self.min_power = min_power
         if not self.edges or self.edges[-1] != model.n_snapshots:
             history = model.history
             if not self.edges:
@@ -122,81 +132,112 @@ class _BlockFold:
             self.edges.extend(
                 record.total_snapshots for record in history[len(self.edges) - 2 :]
             )
-        column = tree.touched_since(self.revision)
+            self.done.extend([False] * (self.n_blocks - len(self.done)))
+        column = tree.touched_since(self.revision, self.n_nodes)
         self.revision = tree.revision
+        self.n_nodes = len(tree)
         if column is not None:
-            self.truncate(bisect.bisect_right(self.edges, column) - 1)
-        if min_power != self.min_power:
-            # The power filter moved: the reconstruction (and the baseline
-            # over it) changes everywhere; the unfiltered error does not.
+            self.invalidate(bisect.bisect_right(self.edges, column) - 1)
+        if (frequency_range, min_power) != (self.frequency_range, self.min_power):
+            # The spectral filter moved: the reconstruction (and the
+            # baseline over it) changes everywhere; the unfiltered error
+            # does not.
+            self.frequency_range = frequency_range
             self.min_power = min_power
-            self.filled = 0
+            self.done = [False] * self.n_blocks
             self.moments = []
 
-    def truncate(self, block: int) -> None:
-        self.filled = min(self.filled, block)
+    def invalidate(self, block: int) -> None:
+        """Forget every product of blocks ``block`` onwards."""
+        self.done[block:] = [False] * (self.n_blocks - block)
         del self.moments[block:]
         del self.sq_errors[block:]
 
     def block_range(self, k: int) -> tuple[int, int]:
         return (self.edges[k], self.edges[k + 1])
 
-    def fill(self, model: IncrementalMrDMD, frequency_range) -> None:
-        """Reconstruct the blocks the buffer is missing."""
-        if self.filled == self.n_blocks:
+    def _reconstruct(
+        self, model: IncrementalMrDMD, k: int, *, apply_filter: bool
+    ) -> np.ndarray:
+        return model.tree.reconstruct(
+            model.n_snapshots,
+            time_range=self.block_range(k),
+            frequency_range=self.frequency_range if apply_filter else None,
+            min_power=self.min_power if apply_filter else 0.0,
+        )
+
+    def fill(
+        self, model: IncrementalMrDMD, first: int = 0, last: int | None = None
+    ) -> None:
+        """Reconstruct the missing blocks among ``first..last-1`` (all by default)."""
+        last = self.n_blocks if last is None else last
+        if all(self.done[first:last]):
             return
-        tree = model.tree
-        start = self.filled
-        if start == 0:
-            # Full rebuild: also the point where the row count may have
-            # grown (add_features touches from column 0).
-            self.recon = GrowableMatrix(tree.n_features, capacity=model.n_snapshots)
+        rows, cols = model.tree.n_features, self.edges[-1]
+        if self.recon is None or self.recon.shape[0] != rows:
+            # First read, or the row count grew (which touches every
+            # block anyway): a fresh buffer with nothing in it.
+            self.recon = np.empty((rows, cols))
+            self.done = [False] * self.n_blocks
+        elif self.recon.shape[1] < cols:
+            grown = np.empty((rows, max(cols, 2 * self.recon.shape[1])))
+            grown[:, : self.recon.shape[1]] = self.recon
+            self.recon = grown
+        missing = [k for k in range(first, last) if not self.done[k]]
         with OBS.span(
             "pipeline.read_catchup",
-            cols=self.edges[-1] - self.edges[start],
-            blocks=self.n_blocks - start,
-            full=start == 0,
+            cols=sum(self.edges[k + 1] - self.edges[k] for k in missing),
+            blocks=len(missing),
+            full=len(missing) == self.n_blocks,
         ):
-            self.recon.truncate(self.edges[start])
-            for k in range(start, self.n_blocks):
-                self.recon.append(
-                    tree.reconstruct(
-                        model.n_snapshots,
-                        time_range=self.block_range(k),
-                        frequency_range=frequency_range,
-                        min_power=self.min_power,
-                    )
-                )
-        self.filled = self.n_blocks
+            for k in missing:
+                lo, hi = self.block_range(k)
+                self.recon[:, lo:hi] = self._reconstruct(model, k, apply_filter=True)
+                self.done[k] = True
 
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only view of buffer columns ``[lo, hi)`` (after :meth:`fill`)."""
-        return self.recon.view()[:, lo:hi]
+    def window(self, model: IncrementalMrDMD, lo: int, hi: int) -> np.ndarray:
+        """Read-only view of the reconstruction's columns ``[lo, hi)``,
+        valid until the next update; only the blocks it overlaps are
+        reconstructed."""
+        if hi <= lo:
+            return np.zeros((model.tree.n_features, 0))
+        self.fill(
+            model,
+            bisect.bisect_right(self.edges, lo) - 1,
+            bisect.bisect_left(self.edges, hi),
+        )
+        return self.recon[:, lo:hi]
 
-    def baseline_moments(self, spec: BaselineSpec) -> BaselineMoments:
-        """Baseline moments of the whole buffer under ``spec`` (after :meth:`fill`)."""
+    def baseline_moments(
+        self, model: IncrementalMrDMD, spec: BaselineSpec
+    ) -> BaselineMoments:
+        """Baseline moments of the whole reconstruction under ``spec``."""
         if spec != self.moments_spec:
             self.moments = []
             self.moments_spec = spec
+        self.fill(model, len(self.moments))
         with OBS.span("pipeline.baseline_fold", blocks=self.n_blocks - len(self.moments)):
             for k in range(len(self.moments), self.n_blocks):
                 lo, hi = self.block_range(k)
-                block = BaselineMoments.of_block(self.window(lo, hi), spec, start=lo)
+                block = BaselineMoments.of_block(self.recon[:, lo:hi], spec, start=lo)
                 self.moments.append(self.moments[-1].merge(block) if k else block)
         return self.moments[-1]
 
-    def reconstruction_error(self, model: IncrementalMrDMD, filtered: bool) -> float:
+    def reconstruction_error(self, model: IncrementalMrDMD) -> float:
         """``||X - X_hat||_F`` of the unfiltered reconstruction, per block.
 
-        With a spectral filter active the buffer is not the unfiltered
-        reconstruction, so the missing blocks are reconstructed here.
+        Blocks come from the buffer once a read has allocated it (the
+        next read needs them too) and the buffer is unfiltered; until
+        then, or with a spectral filter active, they are reconstructed
+        here and dropped, so an ingest-only pipeline holds no buffer.
         """
         for k in range(len(self.sq_errors), self.n_blocks):
             lo, hi = self.block_range(k)
-            if filtered:
-                recon = model.tree.reconstruct(model.n_snapshots, time_range=(lo, hi))
+            if self.recon is not None and not self.filtered:
+                self.fill(model, k, k + 1)
+                recon = self.recon[:, lo:hi]
             else:
-                recon = self.window(lo, hi)
+                recon = self._reconstruct(model, k, apply_filter=False)
             residual = (model.retained_data(time_range=(lo, hi)) - recon).ravel()
             sq = float(residual.dot(residual))
             self.sq_errors.append(self.sq_errors[-1] + sq if k else sq)
@@ -344,12 +385,7 @@ class OnlineAnalysisPipeline:
     def _snapshot(self, update: UpdateRecord | None) -> PipelineSnapshot:
         error = None
         if self.model.retain_data == "all":
-            filtered = (
-                self.config.frequency_range is not None
-                or self.config.power_quantile > 0.0
-            )
-            fold = self._synced_fold(fill=not filtered)
-            error = fold.reconstruction_error(self.model, filtered)
+            error = self._synced_fold().reconstruction_error(self.model)
         return PipelineSnapshot(
             update=update,
             n_snapshots=self.model.n_snapshots,
@@ -575,21 +611,19 @@ class OnlineAnalysisPipeline:
         total = self.model.n_snapshots
         return (min(max(int(start), 0), total), min(max(int(stop), 0), total))
 
-    def _synced_fold(self, *, fill: bool = True) -> _BlockFold:
-        """The read half, caught up with the tree (buffer filled if asked)."""
+    def _synced_fold(self) -> _BlockFold:
+        """The read half, with every product an edit invalidated dropped."""
         fold = self._fold
-        fold.sync(self.model, self._min_power_threshold())
-        if fill:
-            fold.fill(self.model, self.config.frequency_range)
+        fold.sync(self.model, self.config.frequency_range, self._min_power_threshold())
         return fold
 
     def _reconstruction_window(
         self, time_range: tuple[int, int] | None
     ) -> np.ndarray:
         """Reconstruction over a (normalised) window: a read-only slice of
-        the append-only buffer, valid until the next update."""
+        the reconstruction buffer, valid until the next update."""
         lo, hi = time_range or (0, self.model.n_snapshots)
-        return self._synced_fold().window(lo, hi)
+        return self._synced_fold().window(self.model, lo, hi)
 
     def reconstruction(
         self, *, time_range: tuple[int, int] | None = None
@@ -599,7 +633,7 @@ class OnlineAnalysisPipeline:
         ``time_range`` restricts the output to an absolute ``(start,
         stop)`` snapshot window — column ``j`` of the result equals column
         ``start + j`` of the full reconstruction.  Both are copies out of
-        the append-only buffer (see :meth:`zscores`).
+        the reconstruction buffer (see :meth:`zscores`).
         """
         return self._reconstruction_window(
             self._normalize_time_range(time_range)
@@ -642,7 +676,7 @@ class OnlineAnalysisPipeline:
         if pinned:
             moments = BaselineMoments.of_block(data, spec)
         else:
-            moments = self._synced_fold().baseline_moments(spec)
+            moments = self._synced_fold().baseline_moments(self.model, spec)
         self._baseline = BaselineModel.from_moments(
             moments,
             spec,
@@ -697,9 +731,10 @@ class OnlineAnalysisPipeline:
         """Row-level z-scores of (a window of) the reconstruction.
 
         With the default ``data=None`` the window is a slice of the
-        pipeline's append-only reconstruction buffer.  The first read
-        after an update reconstructs only the blocks the update touched
-        (the appended chunk, under inline deep levels), and under
+        pipeline's reconstruction buffer.  A read reconstructs only the
+        blocks its window overlaps that an update touched (the appended
+        chunk, under inline deep levels) or that were never filled, and
+        under
         ``config.baseline_refit == "stale"`` the refit merges those
         blocks' baseline moments into the running fold — so a read costs
         O(chunk), not O(full timeline), at any stream age.

@@ -58,7 +58,6 @@ Two orthogonal switches take persistence off the ingest critical path
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import re
@@ -430,8 +429,10 @@ def _state_is_topology_bearing(state: dict) -> bool:
 def _capture_manifest(monitor: FleetMonitor) -> dict:
     """Every manifest field except the version and the shard payload list.
 
-    Deep-copied plain containers, so an asynchronous commit is decoupled
-    from alert-engine / quarantine state the live monitor keeps mutating.
+    Plain containers decoupled from the alert-engine / quarantine state
+    the live monitor keeps mutating, so an asynchronous commit can write
+    them later (the alert engine's ``state_dict`` already builds fresh
+    containers of scalars).
     """
     return {
         "step": monitor.step,
@@ -447,12 +448,12 @@ def _capture_manifest(monitor: FleetMonitor) -> dict:
         "alert_engine": (
             None
             if monitor.alert_engine is None
-            else copy.deepcopy(monitor.alert_engine.state_dict())
+            else monitor.alert_engine.state_dict()
         ),
         # Degradation is state: a restarted supervisor must keep excluding
         # the shards its predecessor quarantined (and keep annotating its
         # snapshots/alerts) rather than silently resurrecting stale rows.
-        "quarantined": copy.deepcopy(monitor.quarantine_info),
+        "quarantined": copy_state(monitor.quarantine_info),
         "chunks_ingested": monitor._chunk_index,
     }
 

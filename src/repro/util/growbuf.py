@@ -145,16 +145,6 @@ class GrowableMatrix:
         self._n_cols += c
         return self
 
-    def truncate(self, n_cols: int) -> "GrowableMatrix":
-        """Drop every column from ``n_cols`` on (capacity is kept), so the
-        next :meth:`append` overwrites them."""
-        if not 0 <= n_cols <= self._n_cols:
-            raise IndexError(
-                f"cannot truncate {self._n_cols} columns to {n_cols}"
-            )
-        self._n_cols = int(n_cols)
-        return self
-
     def add_rows(self, rows: np.ndarray) -> "GrowableMatrix":
         """Widen the buffer by ``(r, T)`` new *rows* covering the occupied columns.
 
@@ -189,6 +179,17 @@ class GrowableMatrix:
         """Zero-copy ``(P, T)`` window (read-only by contract; invalidated
         by the next :meth:`append`)."""
         return self._buffer[:, : self._n_cols]
+
+    def frozen_view(self) -> np.ndarray:
+        """Read-only :meth:`view` whose contents never change.
+
+        The buffer only ever appends past its occupied columns (growth
+        reallocates and leaves the old block intact), so nothing written
+        later reaches this view; state dicts share it instead of copying.
+        """
+        view = self._buffer[:, : self._n_cols]
+        view.flags.writeable = False
+        return view
 
     def materialize(self) -> np.ndarray:
         """Contiguous copy of the occupied columns (safe to keep/mutate)."""

@@ -543,6 +543,25 @@ def test_copy_state_decouples_arrays():
     assert copied["l"] == [1, 2]
 
 
+def test_copy_state_shares_only_immutable_state():
+    monitor, stream = _build_monitor(7)
+    live = monitor.shard_state_dict(monitor.shards[0].shard_id)
+    captured = copy_state(live)
+    model, live_model = captured["model"], live["model"]
+    # Tree nodes and the retained-data view are immutable: shared.
+    assert model["tree"]["nodes"] is live_model["tree"]["nodes"]
+    assert all(not node["modes"].flags.writeable for node in model["tree"]["nodes"])
+    assert model["data"] is live_model["data"]
+    assert not model["data"].flags.writeable
+    # Writeable arrays are copied.
+    assert live_model["level1_modes"].flags.writeable
+    assert not np.shares_memory(model["level1_modes"], live_model["level1_modes"])
+    digest = state_digest(captured)
+    monitor.ingest(stream.values[:, 240:300])
+    assert state_digest(captured) == digest
+    monitor.close()
+
+
 def test_block_store_round_trip(tmp_path):
     store = BlockStore(str(tmp_path / "blocks"))
     state = {"x": np.arange(8.0).reshape(2, 4), "s": "name"}

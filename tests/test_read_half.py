@@ -252,6 +252,44 @@ def test_one_more_chunk_expands_only_its_columns(small_stream, reconstruct_colum
     assert reconstruct_columns == [CHUNK]
 
 
+@pytest.mark.parametrize("cold", ["clear_caches", "restore"])
+def test_cold_window_read_expands_only_its_blocks(
+    small_stream, reconstruct_columns, cold
+):
+    """With a fresh baseline, the first windowed read after the buffer was
+    dropped reconstructs the blocks the window overlaps, not the timeline."""
+    pipeline = OnlineAnalysisPipeline.from_stream(small_stream, _config())
+    pipeline.ingest(small_stream.values[:, :INITIAL])
+    for chunk in _chunks(small_stream):
+        pipeline.ingest(chunk)
+    window = (pipeline.model.n_snapshots - CHUNK, pipeline.model.n_snapshots)
+    warm = pipeline.zscores(time_range=window)
+    if cold == "clear_caches":
+        pipeline.clear_caches()
+    else:
+        pipeline = _restore(pipeline)
+    reconstruct_columns.clear()
+    scores = pipeline.zscores(time_range=window)
+    assert reconstruct_columns == [CHUNK]
+    np.testing.assert_array_equal(scores.zscores, warm.zscores)
+    # A full-timeline read then fills the other blocks, once each.
+    reconstruct_columns.clear()
+    pipeline.rack_values()
+    assert sum(reconstruct_columns) == pipeline.model.n_snapshots - CHUNK
+
+
+def test_ingest_only_pipeline_holds_no_buffer(small_stream, reconstruct_columns):
+    """Snapshot errors alone reconstruct each new block and keep nothing."""
+    pipeline = OnlineAnalysisPipeline.from_stream(small_stream, _config())
+    pipeline.ingest(small_stream.values[:, :INITIAL])
+    for chunk in _chunks(small_stream):
+        reconstruct_columns.clear()
+        snapshot = pipeline.ingest(chunk)
+        assert reconstruct_columns == [CHUNK]
+    assert pipeline._fold.recon is None
+    assert snapshot.reconstruction_error == pytest.approx(_full_error(pipeline), rel=RTOL)
+
+
 def test_windows_are_slices_of_one_buffer(small_stream):
     """Replaces the per-revision window cache: a window is a view of the
     append-only buffer, and an update is visible in the next read."""

@@ -313,22 +313,23 @@ class TestTouchedColumns:
     def test_edits_report_the_earliest_column_they_touch(self):
         tree = MrDMDTree(dt=1.0, n_features=4)
         tree.add(make_node(level=1, n_snapshots=100))
-        before = tree.revision
-        assert tree.touched_since(before) is None
+        before, seen = tree.revision, len(tree)
+        assert tree.touched_since(before, seen) is None
         tree.shift_levels(1)
-        assert tree.touched_since(before) is None, "levels do not enter the sum"
+        assert tree.touched_since(before, seen) is None, "levels do not enter the sum"
         appended = make_node(level=1, n_snapshots=160)
         appended.contribution_start = 100
         tree.add(appended)
         tree.add(make_node(level=2, start=120, n_snapshots=40))
-        assert tree.touched_since(before) == 100
-        assert tree.touched_since(tree.revision - 1) == 120
+        assert tree.touched_since(before, seen) == 100
+        assert tree.touched_since(tree.revision - 1, len(tree) - 1) == 120
         grown = tree.revision
         tree.add_features(2)
-        assert tree.touched_since(grown) == 0
+        assert tree.touched_since(grown, len(tree)) == 0
         replaced = tree.revision
         tree.replace_level(3, [])
-        assert tree.touched_since(replaced) == 0
+        assert tree.touched_since(replaced, len(tree)) == 0
+        assert tree.touched_since(tree.revision, len(tree)) is None
 
     def test_windowed_reconstruct_skips_nodes_outside_the_window(self, monkeypatch):
         tree = TestWindowedReconstruction()._multi_node_tree()
