@@ -25,16 +25,34 @@ import numpy as np
 
 from ..util.growbuf import GrowableMatrix
 
-__all__ = ["MrDMDNode", "MrDMDTree", "ModeTable", "NodeRecords"]
+__all__ = ["MrDMDNode", "MrDMDTree", "ModeTable"]
+
+#: Integer node fields in the column order of :meth:`MrDMDTree.to_dict`'s
+#: ``node_ints`` table (``-1`` stands for a ``None`` contribution bound).
+#: The table then holds the mode matrix's shape and layout (1 = Fortran
+#: order, kept so a restored node sums exactly as the live one) and the
+#: eigenvalue and amplitude counts; see ``_packed_row``.
+_INT_FIELDS = (
+    "level", "bin_index", "start", "n_snapshots", "step", "svd_rank",
+    "contribution_start", "contribution_end",
+)
 
 
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only complex array nothing else can write to."""
-    array = np.asarray(values, dtype=complex)
-    if array.flags.writeable or array.base is not None:
-        array = array.copy()
-        array.flags.writeable = False
-    return array
+def _fortran(array: np.ndarray) -> int:
+    """1 when ``array`` is stored in Fortran order only (as ``np.save``
+    and pickle would keep it), else 0."""
+    return int(array.flags.f_contiguous and not array.flags.c_contiguous)
+
+
+def _packed_row(node: "MrDMDNode") -> tuple:
+    """The node's ``node_ints`` row (see ``_INT_FIELDS``)."""
+    lo, hi = node.contribution_start, node.contribution_end
+    return (
+        node.level, node.bin_index, node.start, node.n_snapshots, node.step,
+        node.svd_rank, -1 if lo is None else lo, -1 if hi is None else hi,
+        *node.modes.shape, _fortran(node.modes),
+        node.eigenvalues.size, node.amplitudes.size,
+    )
 
 
 @dataclass
@@ -96,17 +114,10 @@ class MrDMDNode:
         # Mode data is complex by contract.  np.linalg.eig returns *real*
         # arrays when every eigenvalue happens to be real, which would
         # otherwise make node dtypes — and therefore checkpoint payloads
-        # and bit-for-bit state comparisons — depend on the data.  The
-        # arrays are read-only, so state dicts may share them (see
-        # NodeRecords).
-        self.modes = _frozen(self.modes)
-        self.eigenvalues = _frozen(self.eigenvalues)
-        self.amplitudes = _frozen(self.amplitudes)
-
-    def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays come back writeable; freeze them again.
-        self.__dict__.update(state)
-        self.__post_init__()
+        # and bit-for-bit state comparisons — depend on the data.
+        self.modes = np.asarray(self.modes, dtype=complex)
+        self.eigenvalues = np.asarray(self.eigenvalues, dtype=complex)
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
 
     # ------------------------------------------------------------------ #
     @property
@@ -217,15 +228,6 @@ class MrDMDNode:
         )
         fields.update(overrides)
         return MrDMDNode(**fields)
-
-
-class NodeRecords(list):
-    """The ``nodes`` list of :meth:`MrDMDTree.to_dict`.
-
-    Its dicts are built per call and hold only scalars and the nodes'
-    read-only arrays, so no later edit of the live tree can change it:
-    :func:`repro.io.delta.copy_state` shares it instead of copying it.
-    """
 
 
 @dataclass
@@ -620,41 +622,77 @@ class MrDMDTree:
     # Serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """Serialise to plain Python/NumPy containers (for npz/JSON export)."""
-        return {
+        """Serialise to plain NumPy containers (for npz export).
+
+        Node fields are stacked into a few arrays (``node_ints``,
+        ``node_floats`` and the raveled, concatenated mode arrays) rather
+        than one dict of small arrays per node: a long stream's tree holds
+        hundreds of nodes, and every array is one more member for a
+        checkpoint to copy, hash and write.  The arrays are fresh and
+        read-only, so a checkpoint capture shares them.
+        """
+        nodes = self._nodes
+        payload = {
             "dt": self.dt,
             "n_features": self.n_features,
-            "nodes": NodeRecords(
-                {
-                    "level": n.level,
-                    "bin_index": n.bin_index,
-                    "start": n.start,
-                    "n_snapshots": n.n_snapshots,
-                    "dt": n.dt,
-                    "step": n.step,
-                    "rho": n.rho,
-                    "modes": n.modes,
-                    "eigenvalues": n.eigenvalues,
-                    "amplitudes": n.amplitudes,
-                    "svd_rank": n.svd_rank,
-                    "contribution_start": n.contribution_start,
-                    "contribution_end": n.contribution_end,
-                }
-                for n in self._nodes
-            ),
+            "node_ints": np.array([_packed_row(n) for n in nodes], dtype=np.int64)
+            .reshape(len(nodes), len(_INT_FIELDS) + 5),
+            "node_floats": np.array([(n.dt, n.rho) for n in nodes], dtype=float)
+            .reshape(len(nodes), 2),
         }
+        stacked = {
+            # order="A" ravels a Fortran-only array column-major (_fortran).
+            "modes": [n.modes.ravel(order="A") for n in nodes],
+            "eigenvalues": [n.eigenvalues for n in nodes],
+            "amplitudes": [n.amplitudes for n in nodes],
+        }
+        for name, parts in stacked.items():
+            payload[name] = np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+        for value in payload.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return payload
+
+    @staticmethod
+    def _node_records(payload: dict) -> list[dict]:
+        """Per-node field dicts of a :meth:`to_dict` payload."""
+        if "nodes" in payload:
+            # The per-node layout of checkpoints written before to_dict
+            # stacked its arrays.
+            return list(payload["nodes"])
+        records = []
+        offsets = dict.fromkeys(("modes", "eigenvalues", "amplitudes"), 0)
+        table = zip(payload["node_ints"].tolist(), payload["node_floats"].tolist())
+        for ints, floats in table:
+            record = dict(zip(_INT_FIELDS, ints))
+            record["dt"], record["rho"] = floats
+            for key in ("contribution_start", "contribution_end"):
+                if record[key] < 0:
+                    record[key] = None
+            rows, cols, fortran, n_eig, n_amp = ints[len(_INT_FIELDS):]
+            sizes = {"modes": rows * cols, "eigenvalues": n_eig, "amplitudes": n_amp}
+            for name, size in sizes.items():
+                lo = offsets[name]
+                record[name] = payload[name][lo : lo + size]
+                offsets[name] = lo + size
+            record["modes"] = record["modes"].reshape(
+                rows, cols, order="F" if fortran else "C"
+            )
+            records.append(record)
+        return records
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MrDMDTree":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict` (also reads the older per-node layout)."""
         tree = cls(dt=float(payload["dt"]), n_features=int(payload["n_features"]))
+        records = cls._node_records(payload)
         # A serialised elastic tree may hold nodes narrower than its
         # current width (they predate growth events); accept the narrowest
         # stored width as the floor while rebuilding.
-        widths = [np.asarray(nd["modes"]).shape[0] for nd in payload["nodes"]]
+        widths = [np.asarray(nd["modes"]).shape[0] for nd in records]
         if widths:
             tree._min_node_features = min(widths)
-        for nd in payload["nodes"]:
+        for nd in records:
             tree.add(
                 MrDMDNode(
                     level=int(nd["level"]),
@@ -664,9 +702,9 @@ class MrDMDTree:
                     dt=float(nd["dt"]),
                     step=int(nd["step"]),
                     rho=float(nd["rho"]),
-                    modes=np.asarray(nd["modes"], dtype=complex),
-                    eigenvalues=np.asarray(nd["eigenvalues"], dtype=complex),
-                    amplitudes=np.asarray(nd["amplitudes"], dtype=complex),
+                    modes=np.array(nd["modes"], dtype=complex),
+                    eigenvalues=np.array(nd["eigenvalues"], dtype=complex),
+                    amplitudes=np.array(nd["amplitudes"], dtype=complex),
                     svd_rank=int(nd.get("svd_rank", 0)),
                     contribution_start=nd.get("contribution_start"),
                     contribution_end=nd.get("contribution_end"),

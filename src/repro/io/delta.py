@@ -47,7 +47,6 @@ import uuid
 
 import numpy as np
 
-from ..core.tree import NodeRecords
 from ..obs import OBS
 from ..obs.flight import FLIGHT
 from .storage import _flatten_state, _unflatten_state, load_state, save_state
@@ -89,19 +88,15 @@ def copy_state(obj):
     walk that copies the ndarray leaves and rebuilds the containers is
     equivalent to ``copy.deepcopy`` but without its per-object memo
     bookkeeping — this sits on the synchronous side of an asynchronous
-    save, where every millisecond is ingest stall.  Immutable parts are
-    shared, not copied: read-only arrays and a tree's
-    :class:`~repro.core.tree.NodeRecords` (most of a shard's entries),
-    which is passed through without a walk.
+    save, where every millisecond is ingest stall.  Read-only arrays are
+    shared, not copied.
     """
     if isinstance(obj, np.ndarray):
-        # Read-only arrays in state are immutable by construction (frozen
-        # tree nodes, frozen views of append-only buffers): share them.
+        # Read-only arrays in state are immutable by construction (fresh
+        # stacked tree arrays, frozen views of append-only buffers).
         return obj if not obj.flags.writeable else np.array(obj, copy=True)
     if isinstance(obj, dict):
         return {key: copy_state(value) for key, value in obj.items()}
-    if isinstance(obj, NodeRecords):
-        return obj
     if isinstance(obj, list):
         return [copy_state(value) for value in obj]
     if isinstance(obj, tuple):

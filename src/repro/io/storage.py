@@ -267,19 +267,18 @@ def save_tree(path: str, tree: MrDMDTree) -> str:
     eigenvalues and amplitudes of every node, plus the window metadata,
     from which the denoised signal can be reconstructed at any time.
     """
-    payload = tree.to_dict()
     arrays: dict[str, np.ndarray] = {
-        "dt": np.array([payload["dt"]]),
-        "n_features": np.array([payload["n_features"]]),
-        "n_nodes": np.array([len(payload["nodes"])]),
+        "dt": np.array([tree.dt]),
+        "n_features": np.array([tree.n_features]),
+        "n_nodes": np.array([len(tree)]),
     }
     meta = []
-    for i, node in enumerate(payload["nodes"]):
-        arrays[f"modes_{i}"] = np.asarray(node["modes"], dtype=complex)
-        arrays[f"eigenvalues_{i}"] = np.asarray(node["eigenvalues"], dtype=complex)
-        arrays[f"amplitudes_{i}"] = np.asarray(node["amplitudes"], dtype=complex)
+    for i, node in enumerate(tree):
+        arrays[f"modes_{i}"] = node.modes
+        arrays[f"eigenvalues_{i}"] = node.eigenvalues
+        arrays[f"amplitudes_{i}"] = node.amplitudes
         meta.append({
-            key: node[key]
+            key: getattr(node, key)
             for key in ("level", "bin_index", "start", "n_snapshots", "dt", "step",
                         "rho", "svd_rank", "contribution_start", "contribution_end")
         })

@@ -548,9 +548,11 @@ def test_copy_state_shares_only_immutable_state():
     live = monitor.shard_state_dict(monitor.shards[0].shard_id)
     captured = copy_state(live)
     model, live_model = captured["model"], live["model"]
-    # Tree nodes and the retained-data view are immutable: shared.
-    assert model["tree"]["nodes"] is live_model["tree"]["nodes"]
-    assert all(not node["modes"].flags.writeable for node in model["tree"]["nodes"])
+    # The stacked tree arrays and the retained-data view are immutable:
+    # shared.
+    for name in ("node_ints", "node_floats", "modes", "eigenvalues", "amplitudes"):
+        assert model["tree"][name] is live_model["tree"][name]
+        assert not model["tree"][name].flags.writeable
     assert model["data"] is live_model["data"]
     assert not model["data"].flags.writeable
     # Writeable arrays are copied.

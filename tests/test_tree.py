@@ -369,4 +369,43 @@ class TestSerialization:
         assert len(restored) == len(tree)
         assert restored.dt == tree.dt
         assert restored[0].contribution_start == 10
+        assert restored[1].contribution_start is None
         assert np.allclose(restored.reconstruct(100), tree.reconstruct(100))
+
+    def test_round_trip_keeps_values_and_layout(self):
+        tree = MrDMDTree(dt=0.5, n_features=4)
+        tree.add(make_node(level=1, dt=0.5))
+        fortran = make_node(level=2, dt=0.5, bin_index=1, n_modes=3)
+        fortran.modes = np.asfortranarray(fortran.modes)
+        tree.add(fortran)
+        tree.add(make_node(level=3, dt=0.5, n_modes=0))
+        payload = tree.to_dict()
+        assert all(
+            not value.flags.writeable
+            for value in payload.values()
+            if isinstance(value, np.ndarray)
+        )
+        restored = MrDMDTree.from_dict(payload)
+        for node, back in zip(tree, restored):
+            for name in ("modes", "eigenvalues", "amplitudes"):
+                assert np.array_equal(getattr(back, name), getattr(node, name))
+            assert back.modes.flags.f_contiguous == node.modes.flags.f_contiguous
+        assert np.array_equal(restored.reconstruct(100), tree.reconstruct(100))
+
+    def test_reads_the_per_node_layout(self):
+        """Checkpoints written before to_dict stacked its arrays."""
+        tree = MrDMDTree(dt=0.5, n_features=4)
+        tree.add(make_node(level=1, dt=0.5))
+        tree.add(make_node(level=2, dt=0.5, bin_index=1))
+        fields = (
+            "level", "bin_index", "start", "n_snapshots", "dt", "step", "rho",
+            "modes", "eigenvalues", "amplitudes", "svd_rank",
+            "contribution_start", "contribution_end",
+        )
+        legacy = {
+            "dt": tree.dt,
+            "n_features": tree.n_features,
+            "nodes": [{f: getattr(n, f) for f in fields} for n in tree],
+        }
+        restored = MrDMDTree.from_dict(legacy)
+        assert np.array_equal(restored.reconstruct(100), tree.reconstruct(100))
