@@ -1,14 +1,17 @@
 """Zero-stall persistence gates: delta saves and async writer stalls.
 
-PR 10 moved checkpointing off the per-chunk critical path in two steps —
-delta entries that only serialise shards whose revision stamp moved, and
-an asynchronous writer that commits entries on a background thread.  Both
+Checkpointing stays off the per-chunk critical path in two steps —
+``format="delta"`` saves that only serialise shards whose revision stamp
+moved, and an asynchronous writer that commits entries on a background
+thread.  Every save goes through the same writer into a content-addressed
+block store; ``format="full"`` is that writer without reuse.  Both steps
 are only acceptable if they are *actually* cheap and *provably* lossless:
 
-1. **Delta save < 25 % of a full save** (gated).  An 8-shard fleet where
-   exactly one shard changed between rotations must re-serialise one
-   shard, not eight: the timed delta save (1 dirty / 8 shards) must come
-   in under a quarter of the timed full save of the same state.
+1. **Delta save < 25 % of a full save** (gated).  Reuse against no reuse
+   through one writer: in an 8-shard fleet where exactly one shard
+   changed between rotations, the timed delta save (1 dirty / 8 shards)
+   must re-serialise one shard, not eight, and come in under a quarter
+   of the timed full save of the same state, which rewrites all eight.
 
 2. **Async stall < 5 % of a chunk** (gated).  Ingesting with periodic
    ``mode="async"`` saves, the per-chunk ingest-side stall — the
@@ -19,8 +22,9 @@ are only acceptable if they are *actually* cheap and *provably* lossless:
    chunk loop pays only the snapshot copy.
 
 3. **Restore parity** (asserted, not timed).  The sync-full, sync-delta
-   and flushed async-delta checkpoints of the same monitor state must
-   all restore bit-for-bit identical shard state dicts.
+   and flushed async-delta checkpoints of the same monitor state —
+   one writer with and without reuse, on and off the critical path —
+   must all restore bit-for-bit identical shard state dicts.
 
 Results land in ``BENCH_checkpoint.json`` next to this file
 (machine-readable; uploaded as a CI artifact).
@@ -128,9 +132,10 @@ def test_checkpoint_gates(benchmark):
         # blocks with — the steady state the delta format is built for.
         save_checkpoint(delta_dir, monitor, keep_last=2, format="delta")
 
-        # Gate 1: 1 dirty shard out of 8, timed full vs timed delta of
-        # the *same* state.  Each rep dirties one shard first so the
-        # delta save has exactly one block to write.
+        # Gate 1: 1 dirty shard out of 8, timed full (no reuse: all eight
+        # blocks rewritten) vs timed delta of the *same* state through the
+        # same writer.  Each rep dirties one shard first so the delta save
+        # has exactly one block to write.
         full_seconds, delta_seconds = [], []
         reused = 0
         position = HISTORY

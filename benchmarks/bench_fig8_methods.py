@@ -109,7 +109,7 @@ def test_fig8_aligned_umap(benchmark, labelled_data):
 def _dmd_zscore_embedding(stream, incremental: bool) -> np.ndarray:
     if incremental:
         half = stream.n_timesteps // 2
-        model = IncrementalMrDMD(dt=stream.dt, config=MrDMDConfig(max_levels=5), keep_data=True)
+        model = IncrementalMrDMD(dt=stream.dt, config=MrDMDConfig(max_levels=5), retain_data="all")
         model.fit(stream.values[:, :half])
         model.partial_fit(stream.values[:, half:])
         tree = model.tree

@@ -64,7 +64,7 @@ def test_q2_incremental_vs_batch_gap(benchmark):
     chunk = (data.shape[1] - initial) // 4
 
     def run():
-        model = IncrementalMrDMD(dt=dt, config=config, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, config=config, retain_data="all")
         model.fit(data[:, :initial])
         for lo in range(initial, data.shape[1], chunk):
             model.partial_fit(data[:, lo : lo + chunk])
@@ -94,7 +94,7 @@ def test_q2_gap_grows_slowly_with_update_count(benchmark):
 
     def gap_for(n_chunks: int) -> float:
         chunk = (data.shape[1] - initial) // n_chunks
-        model = IncrementalMrDMD(dt=dt, config=config, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, config=config, retain_data="all")
         model.fit(data[:, :initial])
         for lo in range(initial, initial + n_chunks * chunk, chunk):
             model.partial_fit(data[:, lo : lo + chunk])

@@ -43,7 +43,7 @@ def main(scale: float = 0.05) -> None:
     config = PipelineConfig(
         mrdmd=MrDMDConfig(max_levels=7),
         baseline_range=scenario.window_baselines[0],
-        keep_data=True,
+        retain_data="all",
     )
     pipeline = OnlineAnalysisPipeline.from_stream(stream, config)
 

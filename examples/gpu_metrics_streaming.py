@@ -32,7 +32,7 @@ def main(n_rows: int = 400, initial_steps: int = 1_200, chunk_steps: int = 400, 
     source = ChunkedSource(generator, sensors=["gpu0_temp", "gpu1_temp", "gpu2_temp", "gpu3_temp"])
 
     config = MrDMDConfig(max_levels=7)
-    model = IncrementalMrDMD(dt=machine.dt_seconds, config=config, keep_data=True)
+    model = IncrementalMrDMD(dt=machine.dt_seconds, config=config, retain_data="all")
 
     initial = source.next_chunk(initial_steps).values[:n_rows]
     t0 = time.perf_counter()

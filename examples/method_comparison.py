@@ -78,7 +78,7 @@ def main(n_per_class: int = 20, n_timesteps: int = 1_000) -> None:
     for name, use_incremental in [("mrDMD", False), ("I-mrDMD", True)]:
         t0 = time.perf_counter()
         if use_incremental:
-            model = IncrementalMrDMD(dt=stream.dt, config=MrDMDConfig(max_levels=5), keep_data=True)
+            model = IncrementalMrDMD(dt=stream.dt, config=MrDMDConfig(max_levels=5), retain_data="all")
             model.fit(data[:, :half])
             model.partial_fit(data[:, half:])
             tree = model.tree

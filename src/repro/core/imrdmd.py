@@ -168,22 +168,18 @@ class IncrementalMrDMD:
         User-defined Frobenius-norm threshold on the level-1 slow-mode
         drift above which the previously computed levels 2..L are marked
         stale (``stale_levels``).  ``None`` disables the check.
-    keep_data:
-        Back-compat alias for ``retain_data="all"``: keep a copy of every
-        snapshot seen.  Required only for :meth:`refresh` (the
-        asynchronous full recomputation of stale levels) and for
-        :meth:`reconstruction_error` without an explicit reference; the
-        streaming deployments the paper targets leave this off to keep
-        memory bounded.
     retain_data:
-        Raw-snapshot retention policy; overrides ``keep_data`` when given.
-        ``"all"`` retains the full ``(P, T)`` timeline (in an
-        amortized-growth buffer), ``"window"`` only the trailing
+        Raw-snapshot retention policy.  ``"all"`` retains the full
+        ``(P, T)`` timeline (in an amortized-growth buffer) — required
+        only for :meth:`refresh` (the asynchronous full recomputation of
+        stale levels) and for :meth:`reconstruction_error` without an
+        explicit reference.  ``"window"`` keeps only the trailing
         ``retain_window`` snapshots (enough for recent-window diagnostics
-        at bounded memory), ``"none"`` nothing — the model then holds only
-        the mode tree, the level-1 factors and the subsampled level-1
-        grid, honouring the paper's "factors, never the raw matrix"
-        memory claim.
+        at bounded memory).  ``"none"`` (default) keeps nothing — the
+        model then holds only the mode tree, the level-1 factors and the
+        subsampled level-1 grid, honouring the paper's "factors, never
+        the raw matrix" memory claim, as the streaming deployments the
+        paper targets need.
     retain_window:
         Number of trailing snapshots kept under ``retain_data="window"``.
     level1_path:
@@ -238,8 +234,7 @@ class IncrementalMrDMD:
         config: MrDMDConfig | None = None,
         *,
         drift_threshold: float | None = None,
-        keep_data: bool = False,
-        retain_data: str | None = None,
+        retain_data: str = "none",
         retain_window: int = 4096,
         level1_path: str = "projected",
         lazy_vh: bool = True,
@@ -255,8 +250,6 @@ class IncrementalMrDMD:
             raise TypeError("pass either a config object or keyword overrides, not both")
         if drift_threshold is not None and drift_threshold < 0:
             raise ValueError("drift_threshold must be non-negative")
-        if retain_data is None:
-            retain_data = "all" if keep_data else "none"
         if retain_data not in RETENTION_POLICIES:
             raise ValueError(
                 f"retain_data must be one of {RETENTION_POLICIES}, got {retain_data!r}"
@@ -281,7 +274,6 @@ class IncrementalMrDMD:
         self.drift_threshold = drift_threshold
         self.retain_data = retain_data
         self.retain_window = int(retain_window)
-        self.keep_data = retain_data == "all"
         self.level1_path = level1_path
         self.lazy_vh = bool(lazy_vh)
         self.missing_values = missing_values
@@ -929,7 +921,6 @@ class IncrementalMrDMD:
             "dt": self.dt,
             "config": asdict(self.config),
             "drift_threshold": self.drift_threshold,
-            "keep_data": self.keep_data,
             "retain_data": self.retain_data,
             "retain_window": self.retain_window,
             "level1_path": self.level1_path,
@@ -963,39 +954,27 @@ class IncrementalMrDMD:
             "topology": [asdict(change) for change in self._topology],
         }
 
-    def is_topology_bearing(self) -> bool:
-        """Whether this state can only resume on elastic-aware code.
-
-        True once rows have joined mid-stream, the level-1 grid has been
-        shrunk to its trailing column, or deferred deep-level work is
-        queued — pre-elastic loaders would silently mis-resume such state
-        (dropping queued refreshes on the floor), so checkpoints carrying
-        it are stamped with a newer format version (see
-        :mod:`repro.service.checkpoint`).
-        """
-        return (
-            bool(self._topology)
-            or self._sub_offset > 0
-            or bool(self._deep_pending)
-        )
-
     @classmethod
     def from_state_dict(cls, state: dict) -> "IncrementalMrDMD":
         """Rebuild a fitted model from :meth:`state_dict` output.
 
-        Checkpoints written before the streaming-core overhaul lack the
-        ``retain_data`` / ``level1_cross`` keys: retention is then derived
-        from ``keep_data`` and the level-1 cross product is recomputed
-        from the stored subsampled matrix and factors, so old checkpoints
-        keep resuming (deterministically, via the same batch product the
-        initial fit uses).
+        Older states carry the retired ``keep_data`` flag, with
+        ``retain_data`` missing or ``None`` before the streaming-core
+        overhaul: retention then reads ``"all"`` when the flag was set and
+        ``"none"`` otherwise.  States that also lack ``level1_cross`` get
+        the level-1 cross product recomputed from the stored subsampled
+        matrix and factors, so old checkpoints keep resuming
+        (deterministically, via the same batch product the initial fit
+        uses).
         """
+        retain_data = state.get("retain_data")
+        if retain_data is None:
+            retain_data = "all" if state.get("keep_data") else "none"
         model = cls(
             dt=float(state["dt"]),
             config=MrDMDConfig(**state["config"]),
             drift_threshold=state["drift_threshold"],
-            keep_data=bool(state["keep_data"]),
-            retain_data=state.get("retain_data"),
+            retain_data=retain_data,
             retain_window=int(state.get("retain_window", 4096)),
             level1_path=str(state.get("level1_path", "projected")),
             lazy_vh=bool(state.get("lazy_vh", True)),
@@ -1066,15 +1045,12 @@ class IncrementalMrDMD:
 
         This is the "asynchronous recomputation of levels 2..L" the paper
         defers to operators when the drift threshold is crossed.  Requires
-        the full raw timeline (``retain_data="all"`` /
-        ``keep_data=True``).  The refreshed tree replaces the incremental
-        one and the stale flag is cleared.
+        the full raw timeline (``retain_data="all"``).  The refreshed tree
+        replaces the incremental one and the stale flag is cleared.
         """
         self._require_fitted()
         if self.retain_data != "all" or self._data is None:
-            raise RuntimeError(
-                "refresh() requires retain_data='all' (keep_data=True)"
-            )
+            raise RuntimeError("refresh() requires retain_data='all'")
         self._tree = compute_mrdmd(self._data.materialize(), self.dt, self.config)
         level1_nodes = self._tree.nodes_at_level(1)
         self._level1_modes = (
@@ -1133,7 +1109,7 @@ class IncrementalMrDMD:
         """Frobenius norm ``||X - X_hat||_F`` of the reconstruction error.
 
         ``reference`` defaults to the retained raw data (requires
-        ``keep_data=True``).  This is the quantity the paper reports for
+        ``retain_data="all"``).  This is the quantity the paper reports for
         both case studies (3958.58 and 3423.85).
         """
         self._require_fitted()
@@ -1141,7 +1117,7 @@ class IncrementalMrDMD:
             if self.retain_data != "all" or self._data is None:
                 raise RuntimeError(
                     "reconstruction_error() without a reference requires "
-                    "retain_data='all' (keep_data=True)"
+                    "retain_data='all'"
                 )
             reference = self._data.view()
         reference = np.asarray(reference, dtype=float)

@@ -5,18 +5,20 @@ A federated checkpoint is a directory::
     <dir>/
       manifest.json          # version, federated step, machine names, router state
       machines/
-        east/                # one full service checkpoint per machine
+        east/                # one service checkpoint manifest per machine
           manifest.json      #   (repro.service.checkpoint format, reused as-is)
-          shard_0.npz
-          ...
         west/
-          ...
+          manifest.json
+      blocks/                # every machine's shard blocks, one shared store
+        <digest>.npz
+        ...
 
 With ``keep_last=N`` the directory is a rotation root of step-stamped
 entries, exactly like ``save_checkpoint(..., keep_last=N)`` one layer down
 (same atomic write-then-rename protocol, same
 :func:`~repro.service.checkpoint.list_checkpoints` history helper — the
-rotation machinery is shared, not duplicated).
+rotation machinery is shared, not duplicated); the entries' machines
+share ``<root>/blocks``.
 
 Restore rebuilds the registry machine by machine through
 :func:`~repro.service.checkpoint.load_checkpoint` (so every per-machine
@@ -39,17 +41,19 @@ from ..obs import OBS
 from ..service.alerts import AlertRule, AlertSink
 from ..service.checkpoint import (
     MANIFEST_NAME,
-    STEP_DIR_PREFIX,
     CheckpointError,
-    _capture_delta,
-    _capture_full,
+    _capture,
+    _check_save_args,
     _commit_entry,
-    _sweep_blocks,
-    _write_checkpoint,
+    _drain,
+    _entry_path,
+    _place_entry,
+    _shard_state_paths,
+    _write_manifest,
     compact_checkpoint,
     load_checkpoint,
+    read_manifest,
     resolve_checkpoint_dir,
-    rotate_into,
 )
 from ..service.monitor import FleetMonitor
 from ..util.parallel import ShardExecutor
@@ -92,30 +96,43 @@ class FederatedCheckpointInfo:
 
     @property
     def total_bytes(self) -> int:
-        """On-disk size of the whole federated checkpoint."""
-        total = 0
-        for root, _dirs, files in os.walk(self.directory):
-            total += sum(os.path.getsize(os.path.join(root, name)) for name in files)
-        return total
+        """On-disk size of the whole federated checkpoint: every file in
+        the entry plus the shared blocks its machines reference."""
+        if not os.path.isdir(self.directory):
+            return 0
+        paths = {
+            os.path.join(root, name)
+            for root, _dirs, files in os.walk(self.directory)
+            for name in files
+        }
+        for name in self.machines:
+            machine_dir = os.path.join(self.directory, MACHINES_DIRNAME, name)
+            manifest = read_manifest(machine_dir)
+            paths.update(
+                _shard_state_paths(
+                    manifest, machine_dir, n_shards=len(manifest["shards"])
+                )
+            )
+        return sum(os.path.getsize(path) for path in {os.path.abspath(p) for p in paths})
 
 
-def _machine_write_full(monitor: FleetMonitor, target: str) -> None:
-    """Worker-side: write one machine's full checkpoint straight to disk."""
-    _write_checkpoint(target, monitor)
+def _machine_write(
+    monitor: FleetMonitor, target: str, blocks_dir: str, reuse: bool
+) -> None:
+    """Worker-side: capture + commit one machine's entry in place, one
+    shard at a time."""
+    base, blocks = _capture(monitor, blocks_dir, reuse=reuse, snapshot=False)
+    _commit_entry(
+        target,
+        base,
+        blocks,
+        blocks_dir,
+        rewrite=not reuse,
+        pull=monitor.shard_state_dict,
+    )
 
 
-def _machine_write_delta(monitor: FleetMonitor, target: str, blocks_dir: str) -> None:
-    """Worker-side: capture + commit one machine's delta entry in place."""
-    base, blocks, _reused = _capture_delta(monitor, blocks_dir, snapshot=False)
-    _commit_entry(target, base, blocks, blocks_dir)
-
-
-def _machine_capture_full(monitor: FleetMonitor):
-    """Worker-side: capture one machine's full state for a deferred commit."""
-    return _capture_full(monitor, snapshot=True)
-
-
-def _machine_capture_delta(monitor: FleetMonitor, blocks_dir: str):
+def _machine_capture(monitor: FleetMonitor, blocks_dir: str, reuse: bool):
     """Worker-side: capture one machine's dirty shards for a deferred commit.
 
     Digests are computed inline (``defer_digest=False``): the commit runs
@@ -123,23 +140,24 @@ def _machine_capture_delta(monitor: FleetMonitor, blocks_dir: str):
     never propagate back into the worker-resident monitor's stamp memory
     on process backends — which would disable block reuse entirely.
     """
-    base, blocks, _reused = _capture_delta(
-        monitor, blocks_dir, snapshot=True, defer_digest=False
+    return _capture(
+        monitor, blocks_dir, reuse=reuse, snapshot=True, defer_digest=False
     )
-    return base, blocks
 
 
-def _save_live_executor(federated: FederatedMonitor) -> ShardExecutor | None:
-    """The federation's fan-out pool, when one is already running.
+def _on_machines(federated: FederatedMonitor, fn, args_by_name: dict) -> dict:
+    """``fn(monitor, *args)`` per machine, keyed by name.
 
-    Saving never *starts* a pool (a federation that has not ingested yet
-    holds its machines in-process; a serial walk is exact there), but an
-    already-running pool is refreshed against the registry so membership
-    changes since start are honoured.
+    Runs on the federation's fan-out pool when one is already running
+    (refreshed against the registry so membership changes since start
+    are honoured), in-process otherwise: saving never *starts* a pool —
+    a federation that has not ingested yet holds its machines
+    in-process, where a serial walk is exact.
     """
-    if federated.executor is None or federated.executor.closed:
-        return None
-    return federated._ensure_executor()
+    if federated.executor is not None and not federated.executor.closed:
+        return federated._ensure_executor().map(fn, args_by_name)
+    monitors = federated.registry.monitors()
+    return {name: fn(monitors[name], *args) for name, args in args_by_name.items()}
 
 
 def save_federated_checkpoint(
@@ -158,85 +176,78 @@ def save_federated_checkpoint(
     resident machine straight to disk (no state ships home), falling
     back to an in-process walk otherwise — every backend produces
     identical bytes, as the parity tests assert.  The federated manifest
-    is written only after every machine save completed, and the whole
-    entry appears via the same atomic rename as before, so rotation
-    semantics and crash consistency are unchanged.
+    is written only after every machine save completed; with
+    ``keep_last`` the whole entry appears via the same atomic rename as
+    a service rotation.
 
-    ``format="delta"`` / ``mode="async"`` (both require ``keep_last``)
-    behave exactly like :func:`repro.service.checkpoint.save_checkpoint`:
-    per-machine shard blocks dedup into the root's shared ``blocks/``
-    store, and async saves capture synchronously (dirty shards only)
-    then commit on the federation's background writer —
-    ``federated.flush_checkpoints()`` is the durability/error barrier.
+    ``keep_last``, ``format``, ``mode`` and ``writer`` behave exactly
+    like :func:`repro.service.checkpoint.save_checkpoint`: every
+    machine's shard blocks go to ``<directory>/blocks``, ``"delta"``
+    re-references unchanged shards, ``mode="async"`` (requires
+    ``keep_last``) captures synchronously (dirty shards only) then
+    commits on the federation's background writer —
+    ``federated.flush_checkpoints()`` is the durability/error barrier —
+    and a sync save first drains that writer.
     """
-    if format not in ("full", "delta"):
-        raise ValueError(f"format must be 'full' or 'delta', got {format!r}")
-    if mode not in ("sync", "async"):
-        raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
-    if keep_last is None and (format == "delta" or mode == "async"):
-        raise ValueError(
-            "format='delta' and mode='async' need a rotation root: pass "
-            "keep_last=N"
-        )
+    _check_save_args(keep_last, format, mode)
     step = federated.step
     names = list(federated.machine_names)
-    blocks_dir = (
-        os.path.join(directory, BLOCKS_DIRNAME) if format == "delta" else None
-    )
+    blocks_dir = os.path.join(directory, BLOCKS_DIRNAME)
+    reuse = format == "delta"
     start = time.perf_counter()
     with OBS.span("checkpoint.federated_save", format=format, mode=mode):
         if mode == "sync":
-            def write(target: str) -> None:
-                machines_root = os.path.join(target, MACHINES_DIRNAME)
-                os.makedirs(machines_root, exist_ok=True)
-                _save_machines(federated, names, machines_root, blocks_dir)
-                _write_federated_manifest(
-                    target, step, names, federated.router.state_dict()
+            _drain(writer if writer is not None else federated._checkpoint_writer)
+            router_state = federated.router.state_dict()
+
+            def write_machines(machines_root: str) -> None:
+                _on_machines(
+                    federated,
+                    _machine_write,
+                    {
+                        name: (os.path.join(machines_root, name), blocks_dir, reuse)
+                        for name in names
+                    },
                 )
 
-            if keep_last is not None:
-                final = rotate_into(directory, step, keep_last, write)
-                if blocks_dir is not None:
-                    _sweep_blocks(directory, blocks_dir)
-            else:
-                os.makedirs(directory, exist_ok=True)
-                write(directory)
-                final = directory
-            stall = time.perf_counter() - start
-            _record_federated_save(format, mode, stall)
-            return FederatedCheckpointInfo(
-                directory=final,
-                step=step,
-                machines=tuple(names),
-                format=format,
-                mode=mode,
-                stall_seconds=stall,
+        else:
+            captures = _on_machines(
+                federated,
+                _machine_capture,
+                {name: (blocks_dir, reuse) for name in names},
             )
+            router_state = copy.deepcopy(federated.router.state_dict())
 
-        captures = _capture_machines(federated, names, blocks_dir)
-        router_state = copy.deepcopy(federated.router.state_dict())
-
-        def commit() -> None:
-            def write(target: str) -> None:
-                machines_root = os.path.join(target, MACHINES_DIRNAME)
-                os.makedirs(machines_root, exist_ok=True)
+            def write_machines(machines_root: str) -> None:
                 for name, (base, blocks) in captures.items():
                     _commit_entry(
-                        os.path.join(machines_root, name), base, blocks, blocks_dir
+                        os.path.join(machines_root, name),
+                        base,
+                        blocks,
+                        blocks_dir,
+                        rewrite=not reuse,
                     )
-                _write_federated_manifest(target, step, names, router_state)
 
-            rotate_into(directory, step, keep_last, write)
-            if blocks_dir is not None:
-                _sweep_blocks(directory, blocks_dir)
+        def write(target: str) -> None:
+            machines_root = os.path.join(target, MACHINES_DIRNAME)
+            os.makedirs(machines_root, exist_ok=True)
+            write_machines(machines_root)
+            _write_federated_manifest(target, step, names, router_state)
 
-        if writer is None:
-            writer = federated._ensure_checkpoint_writer()
-        writer.submit(commit, label=f"federation {format} step {step}")
+        if mode == "sync":
+            final = _place_entry(directory, step, keep_last, write)
+        else:
+            if writer is None:
+                writer = federated._ensure_checkpoint_writer()
+            writer.submit(
+                lambda: _place_entry(directory, step, keep_last, write),
+                label=f"federation {format} step {step}",
+            )
+            final = _entry_path(directory, step)
         stall = time.perf_counter() - start
         _record_federated_save(format, mode, stall)
         return FederatedCheckpointInfo(
-            directory=os.path.join(directory, f"{STEP_DIR_PREFIX}{step:012d}"),
+            directory=final,
             step=step,
             machines=tuple(names),
             format=format,
@@ -254,75 +265,26 @@ def _record_federated_save(format: str, mode: str, stall: float) -> None:
 def _write_federated_manifest(
     target: str, step: int, names: list[str], router_state: dict
 ) -> None:
-    manifest = {
-        "version": FEDERATION_CHECKPOINT_VERSION,
-        "kind": "federation",
-        "step": step,
-        "machines": list(names),
-        "router": router_state,
-    }
-    with open(os.path.join(target, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-
-
-def _save_machines(
-    federated: FederatedMonitor,
-    names: list[str],
-    machines_root: str,
-    blocks_dir: str | None,
-) -> None:
-    """Write every machine checkpoint, in parallel when a pool is live."""
-    executor = _save_live_executor(federated)
-    if executor is not None:
-        if blocks_dir is None:
-            executor.map(
-                _machine_write_full,
-                {name: (os.path.join(machines_root, name),) for name in names},
-            )
-        else:
-            executor.map(
-                _machine_write_delta,
-                {
-                    name: (os.path.join(machines_root, name), blocks_dir)
-                    for name in names
-                },
-            )
-        return
-    monitors = federated.registry.monitors()
-    for name in names:
-        target = os.path.join(machines_root, name)
-        if blocks_dir is None:
-            _machine_write_full(monitors[name], target)
-        else:
-            _machine_write_delta(monitors[name], target, blocks_dir)
-
-
-def _capture_machines(
-    federated: FederatedMonitor, names: list[str], blocks_dir: str | None
-) -> dict:
-    """Capture every machine's (manifest, blocks) for a deferred commit."""
-    executor = _save_live_executor(federated)
-    if executor is not None:
-        if blocks_dir is None:
-            return executor.map(_machine_capture_full, {name: () for name in names})
-        return executor.map(
-            _machine_capture_delta, {name: (blocks_dir,) for name in names}
-        )
-    monitors = federated.registry.monitors()
-    if blocks_dir is None:
-        return {name: _machine_capture_full(monitors[name]) for name in names}
-    return {
-        name: _machine_capture_delta(monitors[name], blocks_dir) for name in names
-    }
+    _write_manifest(
+        target,
+        {
+            "version": FEDERATION_CHECKPOINT_VERSION,
+            "kind": "federation",
+            "step": step,
+            "machines": list(names),
+            "router": router_state,
+        },
+    )
 
 
 def compact_federated_checkpoint(directory: str) -> str:
-    """Rewrite a federated delta entry's machines as self-contained full
-    checkpoints (in place, atomically per machine), then sweep dead blocks.
+    """Make a federated entry self-contained: each machine's referenced
+    blocks are re-stored into that machine's own ``blocks/`` (in place,
+    atomically per machine), then the shared store is swept.
 
     ``directory`` may be a concrete entry or a rotation root (newest
-    entry).  Machines already in full format are left untouched.  Returns
-    the entry path; after compaction the entry loads on pre-delta code.
+    entry).  Self-contained machines are left untouched.  Returns the
+    entry path; after compaction the entry loads wherever it is copied.
     """
     entry = resolve_checkpoint_dir(directory)
     machines_root = os.path.join(entry, MACHINES_DIRNAME)

@@ -7,10 +7,10 @@ This module supplies the two primitives that make persistence cost
 O(changed state) instead of O(total state):
 
 * :class:`BlockStore` — a directory of per-shard state blocks keyed by a
-  content digest (:func:`state_digest`).  A delta checkpoint manifest
-  lists digests; unchanged shards point at the block the previous
-  rotation entry already wrote, so only dirty shards are serialised.
-  Blocks are written tmp+rename and are immutable once named, which
+  content digest (:func:`state_digest`).  A checkpoint manifest lists
+  digests; under ``format="delta"`` unchanged shards point at the block
+  the previous save already wrote, so only dirty shards are serialised.
+  Blocks are written tmp+rename and their content never changes, which
   makes concurrent writers (parallel federated machine saves) and torn
   writes safe: the worst case is an orphan block that the next
   :meth:`BlockStore.sweep` reclaims.
@@ -40,7 +40,6 @@ import json
 import os
 import queue
 import re
-import shutil
 import threading
 import time
 import uuid
@@ -153,17 +152,21 @@ class BlockStore:
     def has(self, digest: str) -> bool:
         return os.path.isfile(self.path(digest))
 
-    def put(self, state: dict, digest: str | None = None) -> tuple[str, bool, int]:
+    def put(
+        self, state: dict, digest: str | None = None, *, replace: bool = False
+    ) -> tuple[str, bool, int]:
         """Store ``state``; returns ``(digest, created, nbytes)``.
 
         ``created`` is False when the block already existed (the write is
         skipped — content addressing makes this exact, not heuristic).
+        ``replace=True`` writes it anyway: a full checkpoint re-serialises
+        every shard, which also heals a damaged block under its digest.
         Pass ``digest`` when the caller already computed it.
         """
         if digest is None:
             digest = state_digest(state)
         final = self.path(digest)
-        if os.path.isfile(final):
+        if not replace and os.path.isfile(final):
             return digest, False, os.path.getsize(final)
         os.makedirs(self.root, exist_ok=True)
         tmp = os.path.join(
@@ -228,11 +231,6 @@ class BlockStore:
             removed += 1
             freed += size
         return removed, freed
-
-    def destroy(self) -> None:
-        """Remove the whole store directory (used by ``compact``)."""
-        if os.path.isdir(self.root):
-            shutil.rmtree(self.root, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -411,9 +409,14 @@ class AsyncCheckpointWriter:
                 f"first: {errors[0]!r}"
             ) from errors[0]
 
+    def drain(self) -> None:
+        """Block until every submitted commit finished (errors stay
+        pending for the next :meth:`flush`)."""
+        self._queue.join()
+
     def flush(self) -> None:
         """Block until every submitted commit finished; raise deferred errors."""
-        self._queue.join()
+        self.drain()
         self._raise_pending()
 
     def close(self, *, flush: bool = True) -> None:

@@ -52,17 +52,13 @@ class PipelineConfig:
         called again (the pre-fix behaviour).  Baselines fitted from
         explicit caller-supplied data are *pinned* and never auto-refit
         under either policy.
-    keep_data:
-        Retain raw snapshots inside the I-mrDMD model (needed for
-        reconstruction-error reports).
     retain_data:
         Raw-snapshot retention policy forwarded to
-        :class:`~repro.core.imrdmd.IncrementalMrDMD`: ``"all"``,
-        ``"window"`` (trailing ``retain_window`` snapshots only) or
-        ``"none"``.  ``None`` (default) derives the policy from
-        ``keep_data`` — ``"all"`` when true, ``"none"`` otherwise.
-        Per-ingest reconstruction-error reporting requires the full
-        timeline and is therefore only computed under ``"all"``.
+        :class:`~repro.core.imrdmd.IncrementalMrDMD`: ``"all"``
+        (default), ``"window"`` (trailing ``retain_window`` snapshots
+        only) or ``"none"``.  Per-ingest reconstruction-error reporting
+        requires the full timeline and is therefore only computed under
+        ``"all"``.
     retain_window:
         Trailing-snapshot count for ``retain_data="window"``.
     level1_path:
@@ -104,8 +100,7 @@ class PipelineConfig:
     zscore_extreme: float = 2.0
     zscore_reducer: str = "mean"
     baseline_refit: str = "stale"
-    keep_data: bool = True
-    retain_data: str | None = None
+    retain_data: str = "all"
     retain_window: int = 4096
     level1_path: str = "projected"
     missing_values: str = "raise"
@@ -119,9 +114,9 @@ class PipelineConfig:
             raise ValueError(
                 f"baseline_refit must be 'stale' or 'never', got {self.baseline_refit!r}"
             )
-        if self.retain_data is not None and self.retain_data not in RETENTION_POLICIES:
+        if self.retain_data not in RETENTION_POLICIES:
             raise ValueError(
-                f"retain_data must be None or one of {RETENTION_POLICIES}, "
+                f"retain_data must be one of {RETENTION_POLICIES}, "
                 f"got {self.retain_data!r}"
             )
         if self.retain_window < 1:
@@ -147,14 +142,6 @@ class PipelineConfig:
         if self.zscore_near <= 0 or self.zscore_extreme < self.zscore_near:
             raise ValueError("thresholds must satisfy 0 < near <= extreme")
 
-    @property
-    def effective_retention(self) -> str:
-        """The retention policy actually applied (``retain_data`` wins,
-        else derived from ``keep_data``)."""
-        if self.retain_data is not None:
-            return self.retain_data
-        return "all" if self.keep_data else "none"
-
     # ------------------------------------------------------------------ #
     # Serialisation (JSON-safe; used by service checkpoints)
     # ------------------------------------------------------------------ #
@@ -167,9 +154,15 @@ class PipelineConfig:
         """Inverse of :meth:`to_dict`.
 
         Tolerates the tuple→list coercion a JSON round trip applies to
-        ``frequency_range`` and ``baseline_range``.
+        ``frequency_range`` and ``baseline_range``, and reads older
+        payloads that carry the retired ``keep_data`` flag: with
+        ``retain_data`` ``None`` (or absent) retention is ``"all"`` when
+        the flag was set and ``"none"`` otherwise.
         """
         payload = dict(payload)
+        keep_data = payload.pop("keep_data", True)
+        if payload.get("retain_data") is None:
+            payload["retain_data"] = "all" if keep_data else "none"
         mrdmd = MrDMDConfig(**payload.pop("mrdmd"))
         for key in ("frequency_range", "baseline_range"):
             if payload.get(key) is not None:

@@ -271,9 +271,7 @@ class OnlineAnalysisPipeline:
             dt=dt,
             config=self.config.mrdmd,
             drift_threshold=self.config.drift_threshold,
-            # effective_retention is the single source for the
-            # keep_data -> policy derivation at the pipeline level.
-            retain_data=self.config.effective_retention,
+            retain_data=self.config.retain_data,
             retain_window=self.config.retain_window,
             level1_path=self.config.level1_path,
             missing_values=self.config.missing_values,
@@ -553,10 +551,6 @@ class OnlineAnalysisPipeline:
         if fresh and self.model.fitted:
             self._baseline_revision = self.model.tree.revision
             self._baseline_tree_ref = weakref.ref(self.model.tree)
-
-    def is_topology_bearing(self) -> bool:
-        """Whether checkpointed state needs an elastic-aware loader."""
-        return self.model.fitted and self.model.is_topology_bearing()
 
     # ------------------------------------------------------------------ #
     # Analysis products

@@ -107,9 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoint-format",
         choices=("full", "delta"),
         default="full",
-        help="periodic/rotating checkpoint format: 'delta' writes only "
-        "shards whose state changed, sharing unchanged blocks with the "
-        "previous rotation entry (default full)",
+        help="periodic/rotating checkpoint format; both write the "
+        "rotation's content-addressed block store: 'delta' re-references "
+        "the blocks of shards whose state did not change since the "
+        "previous save, 'full' rewrites every shard (default full)",
     )
     parser.add_argument(
         "--checkpoint-keep-last",

@@ -4,24 +4,26 @@ A monitoring service that watches a machine for weeks must survive its own
 restarts.  A checkpoint is a directory::
 
     <dir>/
-      manifest.json    # version, step, shard specs, alert-engine state
-      shard_0.npz      # pipeline state of shards[0] (io.storage.save_state)
-      shard_1.npz
-      ...
+      manifest.json    # version 3, step, shard specs, alert-engine state,
+                       # one content digest per shard (shard_blocks)
+      blocks/          # content-addressed shard states (io.delta.BlockStore)
+        <digest>.npz
+        ...
 
 With ``save_checkpoint(..., keep_last=N)`` the directory becomes a
 *rotation root* instead: each save lands in a step-stamped subdirectory
 (``step_000000000480/``), written to a temporary sibling first and renamed
 into place so a crash mid-write never leaves a half-checkpoint that looks
 loadable, and only the newest ``N`` are retained (older ones are renamed
-aside before removal — pruning is atomic too).  :func:`list_checkpoints`
+aside before removal — pruning is atomic too).  The entries' manifests
+share one block store at ``<root>/blocks``.  :func:`list_checkpoints`
 returns the retained history newest-first and :func:`load_checkpoint`
 accepts either a concrete checkpoint directory or a rotation root (it
 resumes from the newest entry).
 
-Each ``shard_k.npz`` holds the *complete* per-shard pipeline state — the
-I-mrDMD mode tree, the level-1 incremental-SVD factors, the subsampled
-level-1 matrix and counters, and the fitted baseline — through
+Each block holds the *complete* per-shard pipeline state — the I-mrDMD
+mode tree, the level-1 incremental-SVD factors, the subsampled level-1
+matrix and counters, and the fitted baseline — through
 ``OnlineAnalysisPipeline.state_dict()`` and the generic
 :func:`repro.io.storage.save_state` container.  Restoring therefore resumes
 the stream *bit-for-bit*: the next ingest, the resulting spectra, z-scores
@@ -32,28 +34,29 @@ Rules and sinks are code, not data: :func:`load_checkpoint` takes them as
 arguments and re-attaches the engine's persisted dedup/cooldown state so a
 restarted service does not re-fire alerts it already delivered.
 
-Two orthogonal switches take persistence off the ingest critical path
-(both require a rotation root, i.e. ``keep_last=N``):
+Every save goes through one capture and one commit; two switches choose
+how much work it does:
 
-* ``format="delta"`` writes *version-3* entries: shard states live in a
-  shared content-addressed ``blocks/`` directory next to the rotation
-  entries, and the entry manifest lists one digest per shard
-  (``shard_blocks``) instead of per-entry ``shard_files``.  Shards whose
+* ``format="delta"`` re-references the block of every shard whose
   :meth:`~repro.pipeline.online.OnlineAnalysisPipeline.state_stamp` is
-  unchanged since the previous save skip ``state_dict()`` entirely and
-  re-reference the block already on disk, so a steady-state save costs
-  O(changed state).  Blocks unreferenced by any retained entry are swept
-  after every rotation (reference counting at ``keep_last`` pruning
-  time); :func:`compact_checkpoint` rewrites a delta entry as a
-  self-contained v1/v2 full checkpoint loadable by pre-delta code.
-* ``mode="async"`` captures a decoupled snapshot synchronously (cheap:
-  stamps + dirty shards only under ``format="delta"``) and defers the
+  unchanged since this monitor's previous save to the same store,
+  skipping ``state_dict()`` entirely, so a steady-state save costs
+  O(changed state).  ``format="full"`` (default) re-serialises and
+  rewrites every shard's block.  Blocks no manifest references are swept
+  after every save; :func:`compact_checkpoint` copies the blocks an entry
+  references into the entry's own ``blocks/``, making it self-contained.
+* ``mode="async"`` (requires ``keep_last``) captures a decoupled snapshot
+  synchronously (cheap: stamps + dirty shards only) and defers the
   hash/compress/write/rotate tail to a bounded background writer
   (:class:`~repro.io.delta.AsyncCheckpointWriter`).  Crash consistency
   is unchanged — blocks land before the entry rename, so a torn async
   write leaves at worst orphan blocks and the newest *complete* entry
   keeps loading.  ``monitor.flush_checkpoints()`` (or ``close()``) is
-  the barrier that surfaces deferred write errors.
+  the barrier that surfaces deferred write errors; a sync save drains
+  pending async commits before it writes.
+
+Version-1/2 checkpoints (one ``shard_<k>.npz`` per shard inside the entry,
+listed as ``shard_files``) are still read; they are no longer written.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import re
 import shutil
 import time
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from ..io.delta import (
@@ -74,7 +77,7 @@ from ..io.delta import (
     copy_state,
     state_digest,
 )
-from ..io.storage import load_state, save_state
+from ..io.storage import load_state
 from ..obs import OBS
 from ..obs.flight import FLIGHT
 from ..pipeline.config import PipelineConfig
@@ -108,24 +111,13 @@ class CheckpointError(ValueError):
     version-mismatch error keep working.
     """
 
-#: Base manifest version — written whenever the state could also resume on
-#: pre-elastic code (every row present since the start, full level-1 grids).
-CHECKPOINT_VERSION = 1
-#: Written when the state is *topology-bearing* (rows added mid-stream, a
-#: shard minted mid-run, or a level-1 grid shrunk to its trailing column):
-#: pre-elastic loaders would silently mis-resume such state, so their
-#: ``version != 1`` check makes them refuse cleanly instead.
-ELASTIC_CHECKPOINT_VERSION = 2
-#: Written by ``format="delta"`` saves: shard state lives in a shared
-#: content-addressed block store and the manifest lists digests
-#: (``shard_blocks`` + ``blocks_dir``) instead of per-entry files.  Pre-delta
-#: loaders refuse v3 cleanly via their version check.
-DELTA_CHECKPOINT_VERSION = 3
-SUPPORTED_CHECKPOINT_VERSIONS = (
-    CHECKPOINT_VERSION,
-    ELASTIC_CHECKPOINT_VERSION,
-    DELTA_CHECKPOINT_VERSION,
-)
+#: What every save writes: shard states live in a content-addressed block
+#: store and the manifest lists digests (``shard_blocks`` + ``blocks_dir``).
+#: Pre-delta loaders refuse v3 cleanly via their version check.
+CHECKPOINT_VERSION = 3
+#: Versions 1 and 2 — one ``shard_<k>.npz`` per shard inside the entry
+#: (``shard_files``), v2 marking topology-bearing state — are still read.
+SUPPORTED_CHECKPOINT_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 MANIFEST_NAME = "manifest.json"
 
 #: Step-stamped rotation entries: ``step_<12-digit zero-padded step>``.
@@ -167,10 +159,6 @@ class RotatedCheckpoint:
 
     step: int
     path: str
-
-
-def _shard_filename(index: int) -> str:
-    return f"shard_{index}.npz"
 
 
 def _manifest_entry(manifest: dict, key: str, directory: str):
@@ -242,6 +230,11 @@ def _discard(path: str) -> None:
     shutil.rmtree(trash)
 
 
+def _entry_path(root: str, step: int) -> str:
+    """Where the rotation entry for ``step`` lives under ``root``."""
+    return os.path.join(root, f"{STEP_DIR_PREFIX}{step:012d}")
+
+
 def rotate_into(
     directory: str, step: int, keep_last: int, writer: Callable[[str], None]
 ) -> str:
@@ -265,7 +258,7 @@ def rotate_into(
     if step < 0:
         raise ValueError(f"step must be non-negative, got {step!r}")
     os.makedirs(directory, exist_ok=True)
-    final = os.path.join(directory, f"{STEP_DIR_PREFIX}{step:012d}")
+    final = _entry_path(directory, step)
     tmp = final + ".tmp"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
@@ -298,110 +291,73 @@ def save_checkpoint(
     """Write the monitor's state under ``directory`` (created if needed).
 
     Per-shard state is collected through the monitor's executor
-    (:meth:`FleetMonitor.shard_state_dicts`), so remote-resident backends
+    (:meth:`FleetMonitor.shard_state_dict`), so remote-resident backends
     ship only state dicts — identical bytes to a serial monitor's, as the
-    parity tests assert.
+    parity tests assert.  A sync save pulls, stores and drops one shard at
+    a time, so its peak memory is a single shard's state.
 
-    With ``keep_last=N`` the directory is treated as a *rotation root*:
-    the checkpoint lands in an atomic step-stamped subdirectory
-    (``step_000000000480/``) and only the newest ``N`` entries survive.
-    The returned :class:`CheckpointInfo` then points at the step
-    directory; :func:`load_checkpoint` accepts either form.
+    Without ``keep_last`` the checkpoint is written in place, its blocks
+    in ``<directory>/blocks``; a re-save sweeps the blocks its new
+    manifest no longer names.  With ``keep_last=N`` the directory is
+    treated as a *rotation root*: the checkpoint lands in an atomic
+    step-stamped subdirectory (``step_000000000480/``), only the newest
+    ``N`` entries survive, and they share ``<directory>/blocks``.  The
+    returned :class:`CheckpointInfo` then points at the step directory;
+    :func:`load_checkpoint` accepts either form.
 
-    ``format="delta"`` (requires ``keep_last``) writes a version-3 entry
-    whose shard states live in the root's shared content-addressed
-    ``blocks/`` store; shards whose state stamp is unchanged since this
-    monitor's previous save re-reference their existing block without
-    being serialised.  ``mode="async"`` (requires ``keep_last``) captures
-    a decoupled snapshot synchronously and commits on the monitor's
-    background writer (or the explicitly passed ``writer``); deferred
-    write errors surface at the next ``monitor.flush_checkpoints()`` /
-    ``close()`` barrier.  Restores are bit-for-bit identical across all
-    four format/mode combinations.
+    ``format="delta"`` re-references the stored block of every shard
+    whose state stamp is unchanged since this monitor's previous save to
+    the same store, without serialising it; ``format="full"``
+    re-serialises and rewrites every shard.  ``mode="async"`` (requires
+    ``keep_last``) captures a decoupled snapshot synchronously and commits
+    on the monitor's background writer (or the explicitly passed
+    ``writer``); deferred write errors surface at the next
+    ``monitor.flush_checkpoints()`` / ``close()`` barrier.  A sync save
+    first waits for that writer's pending commits, so a late async entry
+    never lands after (and discards) a newer sync one.  Restores are
+    bit-for-bit identical whichever format, mode and layout wrote them.
     """
-    if format not in ("full", "delta"):
-        raise ValueError(f"format must be 'full' or 'delta', got {format!r}")
-    if mode not in ("sync", "async"):
-        raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
-    if keep_last is None:
-        if format == "delta" or mode == "async":
-            raise ValueError(
-                "format='delta' and mode='async' need a rotation root: pass "
-                "keep_last=N (atomic entry renames are what keep torn or "
-                "deferred writes from corrupting the newest entry)"
-            )
-        return _write_checkpoint(directory, monitor)
-
+    _check_save_args(keep_last, format, mode)
     start = time.perf_counter()
     with OBS.span("checkpoint.save", format=format, mode=mode):
-        if mode == "sync" and format == "full":
-            final = rotate_into(
+        if mode == "sync":
+            _drain(writer if writer is not None else monitor._checkpoint_writer)
+        blocks_dir = os.path.join(directory, BLOCKS_DIRNAME)
+        step = monitor.step
+        base, blocks = _capture(
+            monitor, blocks_dir, reuse=format == "delta", snapshot=mode == "async"
+        )
+        reused = sum(block.reused for block in blocks)
+        rewrite = format == "full"
+        if mode == "sync":
+            info = _commit(
                 directory,
-                monitor.step,
+                step,
                 keep_last,
-                lambda tmp: _write_checkpoint(tmp, monitor),
-            )
-            manifest = read_manifest(final)
-            files = [os.path.join(final, name) for name in manifest["shard_files"]]
-            files.append(os.path.join(final, MANIFEST_NAME))
-            stall = time.perf_counter() - start
-            _record_save(format, mode, stall)
-            return CheckpointInfo(
-                directory=final,
-                step=monitor.step,
-                n_shards=monitor.n_shards,
-                files=tuple(files),
-                format=format,
-                mode=mode,
-                stall_seconds=stall,
-            )
-
-        blocks_dir = None
-        if format == "delta":
-            blocks_dir = os.path.join(directory, BLOCKS_DIRNAME)
-            base, blocks, reused = _capture_delta(
-                monitor, blocks_dir, snapshot=(mode == "async")
+                base,
+                blocks,
+                rewrite=rewrite,
+                pull=monitor.shard_state_dict,
             )
         else:
-            base, blocks = _capture_full(monitor, snapshot=True)
-            reused = 0
-        step = monitor.step
-        n_shards = monitor.n_shards
-
-        if mode == "sync":
-            info = _commit_rotation(
-                directory, step, keep_last, base, blocks, blocks_dir
+            if writer is None:
+                writer = monitor._ensure_checkpoint_writer()
+            writer.submit(
+                lambda: _commit(
+                    directory, step, keep_last, base, blocks, rewrite=rewrite
+                ),
+                label=f"{format} step {step}",
             )
-            stall = time.perf_counter() - start
-            _record_save(format, mode, stall)
-            return CheckpointInfo(
-                directory=info.directory,
+            info = CheckpointInfo(
+                directory=_entry_path(directory, step),
                 step=step,
-                n_shards=n_shards,
-                files=info.files,
-                format=format,
-                mode=mode,
-                shards_reused=reused,
-                bytes_written=info.bytes_written,
-                bytes_referenced=info.bytes_referenced,
-                stall_seconds=stall,
+                n_shards=len(blocks),
+                files=(),
             )
-
-        if writer is None:
-            writer = monitor._ensure_checkpoint_writer()
-        writer.submit(
-            lambda: _commit_rotation(
-                directory, step, keep_last, base, blocks, blocks_dir
-            ),
-            label=f"{format} step {step}",
-        )
         stall = time.perf_counter() - start
         _record_save(format, mode, stall)
-        return CheckpointInfo(
-            directory=os.path.join(directory, f"{STEP_DIR_PREFIX}{step:012d}"),
-            step=step,
-            n_shards=n_shards,
-            files=(),
+        return replace(
+            info,
             format=format,
             mode=mode,
             shards_reused=reused,
@@ -409,21 +365,32 @@ def save_checkpoint(
         )
 
 
+def _check_save_args(keep_last: int | None, format: str, mode: str) -> None:
+    """Validate the switches shared by the service and federated savers."""
+    if format not in ("full", "delta"):
+        raise ValueError(f"format must be 'full' or 'delta', got {format!r}")
+    if mode not in ("sync", "async"):
+        raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
+    if keep_last is not None and keep_last < 1:
+        raise ValueError(f"keep_last must be >= 1, got {keep_last!r}")
+    if mode == "async" and keep_last is None:
+        raise ValueError(
+            "mode='async' needs a rotation root: pass keep_last=N (the "
+            "atomic entry rename is what keeps deferred writes from "
+            "corrupting the newest entry)"
+        )
+
+
+def _drain(writer: AsyncCheckpointWriter | None) -> None:
+    """Wait for a writer's pending commits before a sync save commits."""
+    if writer is not None:
+        writer.drain()
+
+
 def _record_save(format: str, mode: str, stall: float) -> None:
     if OBS.enabled:
         OBS.inc("checkpoint.saves", format=format, mode=mode)
         OBS.observe("checkpoint.stall_seconds", stall)
-
-
-def _state_is_topology_bearing(state: dict) -> bool:
-    """Whether a pipeline state dict needs an elastic-aware loader."""
-    model = state.get("model")
-    if not model:
-        return False
-    if int(model.get("sub_offset") or 0) > 0:
-        return True
-    topology = model.get("topology")
-    return topology is not None and len(topology) > 0
 
 
 def _capture_manifest(monitor: FleetMonitor) -> dict:
@@ -458,50 +425,21 @@ def _capture_manifest(monitor: FleetMonitor) -> dict:
     }
 
 
-def _write_checkpoint(directory: str, monitor: FleetMonitor) -> CheckpointInfo:
-    os.makedirs(directory, exist_ok=True)
-    files = []
-    elastic = any(spec.start_step > 0 for spec in monitor.shards)
-    # One shard at a time: fetch, write, drop — peak memory stays at a
-    # single shard's state even for fleets retaining raw data.
-    for index, spec in enumerate(monitor.shards):
-        path = os.path.join(directory, _shard_filename(index))
-        state = monitor.shard_state_dict(spec.shard_id)
-        elastic = elastic or _state_is_topology_bearing(state)
-        save_state(path, state)
-        files.append(path)
-    manifest = {
-        "version": ELASTIC_CHECKPOINT_VERSION if elastic else CHECKPOINT_VERSION,
-        **_capture_manifest(monitor),
-        "shard_files": [os.path.basename(path) for path in files],
-    }
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-    files.append(manifest_path)
-    return CheckpointInfo(
-        directory=directory,
-        step=monitor.step,
-        n_shards=monitor.n_shards,
-        files=tuple(files),
-    )
-
-
 class _DigestCell:
     """A digest slot filled when the (possibly deferred) commit runs.
 
     The coordinator records ``(stamp, cell)`` in the monitor's stamp
-    memory at capture time; the writer thread assigns ``digest`` after
-    the block lands.  Attribute assignment is atomic under the GIL and
-    the value is an immutable string, so the cross-thread handoff needs
-    no lock — a reader either sees ``None`` (commit pending, shard is
-    re-captured) or the durable digest.
+    memory at capture time; the commit assigns ``digest`` after the block
+    lands.  Attribute assignment is atomic under the GIL and the value is
+    an immutable string, so the cross-thread handoff needs no lock — a
+    reader either sees ``None`` (commit pending, shard is re-captured) or
+    the durable digest.
     """
 
     __slots__ = ("digest",)
 
-    def __init__(self, digest: str | None = None) -> None:
-        self.digest = digest
+    def __init__(self) -> None:
+        self.digest: str | None = None
 
 
 def _memory_digest(entry) -> str | None:
@@ -514,213 +452,230 @@ def _memory_digest(entry) -> str | None:
 class _ShardBlock:
     """One shard's contribution to a captured checkpoint.
 
-    ``state is None`` means the shard was unchanged and its existing
-    block (``digest``) is re-referenced without serialisation.  A dirty
-    shard may carry ``digest=None``: the commit computes it while
-    storing the block (off the critical path for asynchronous saves)
-    and publishes it through ``cell``.
+    A ``reused`` shard was unchanged: its existing block (``digest``) is
+    re-referenced without serialisation.  A dirty shard carries its
+    snapshot in ``state`` when the capture took one (asynchronous saves);
+    otherwise the commit pulls the state itself.  Its ``digest`` may be
+    ``None``: the commit computes it while storing the block and
+    publishes it through ``cell``.
     """
 
     shard_id: str
-    digest: str | None
-    state: dict | None
+    digest: str | None = None
+    state: dict | None = None
     cell: _DigestCell | None = None
+    reused: bool = False
 
 
-def _capture_full(
-    monitor: FleetMonitor, *, snapshot: bool
-) -> tuple[dict, list[_ShardBlock]]:
-    """Pull every shard's state (for an asynchronous full commit)."""
-    base = _capture_manifest(monitor)
-    blocks = []
-    for spec in monitor.shards:
-        state = monitor.shard_state_dict(spec.shard_id)
-        if snapshot and not monitor._resident_remote:
-            # Serial/thread backends hand back state sharing arrays with
-            # the live pipeline; a deferred write needs its own copy.
-            # Process backends already returned a pickled-home copy.
-            state = copy_state(state)
-        blocks.append(_ShardBlock(spec.shard_id, None, state))
-    return base, blocks
-
-
-def _capture_delta(
+def _capture(
     monitor: FleetMonitor,
     blocks_dir: str,
     *,
+    reuse: bool,
     snapshot: bool,
     defer_digest: bool = True,
-) -> tuple[dict, list[_ShardBlock], int]:
-    """Pull only dirty shards; unchanged ones re-reference their block.
+) -> tuple[dict, list[_ShardBlock]]:
+    """One save's view of a monitor: manifest fields plus a block per shard.
 
-    A shard is *clean* when its state stamp equals the one recorded at
-    this monitor's previous save against the same block store **and**
-    that block still exists on disk (self-healing against swept blocks,
-    rollback-then-resave, or a failed deferred write).  The stamp is
-    recorded synchronously here; by default the digest is computed by
-    the commit while storing the block, keeping the capture's cost to
-    the state pull plus an array copy.  ``defer_digest=False`` computes
-    digests inline instead — for captures whose commit runs in another
-    process, where a deferred cell could never propagate back.
+    With ``reuse`` a shard is *clean* when its state stamp equals the one
+    recorded at this monitor's previous save against the same block store
+    **and** that block still exists on disk (self-healing against swept
+    blocks, rollback-then-resave, or a failed deferred write); a clean
+    shard re-references its block.  Every other shard is dirty.
+    ``snapshot`` pulls the dirty states now, decoupled from the live
+    pipelines, for a commit that runs later; otherwise the commit pulls
+    each one as it stores it.  The stamp is recorded here; by default the
+    digest is computed by the commit while storing the block.
+    ``defer_digest=False`` digests the snapshots inline instead — for
+    captures whose commit runs in another process, where a deferred cell
+    could never propagate back.
     """
     base = _capture_manifest(monitor)
     store = BlockStore(blocks_dir)
     memory = monitor._delta_stamp_memory(blocks_dir)
     stamps = monitor.shard_state_stamps()
     blocks = []
-    reused = 0
     for spec in monitor.shards:
         shard_id = spec.shard_id
         stamp = stamps[shard_id]
         previous = memory.get(shard_id)
-        if previous is not None and previous[0] == stamp:
+        if reuse and previous is not None and previous[0] == stamp:
             digest = _memory_digest(previous)
             if digest is not None and store.has(digest):
-                blocks.append(_ShardBlock(shard_id, digest, None))
-                reused += 1
+                blocks.append(_ShardBlock(shard_id, digest, reused=True))
                 continue
-        state = monitor.shard_state_dict(shard_id)
-        if snapshot and not monitor._resident_remote:
-            state = copy_state(state)
-        if defer_digest:
-            cell = _DigestCell()
-            memory[shard_id] = (stamp, cell)
-            blocks.append(_ShardBlock(shard_id, None, state, cell))
+        block = _ShardBlock(shard_id)
+        if snapshot:
+            block.state = monitor.shard_state_dict(shard_id)
+            if not monitor._resident_remote:
+                # Serial/thread backends hand back state sharing arrays
+                # with the live pipeline; a deferred write needs its own
+                # copy.  Process backends already returned a copy.
+                block.state = copy_state(block.state)
+        if snapshot and not defer_digest:
+            block.digest = state_digest(block.state)
+            memory[shard_id] = (stamp, block.digest)
         else:
-            digest = state_digest(state)
-            memory[shard_id] = (stamp, digest)
-            blocks.append(_ShardBlock(shard_id, digest, state))
+            block.cell = _DigestCell()
+            memory[shard_id] = (stamp, block.cell)
+        blocks.append(block)
+    reused = sum(block.reused for block in blocks)
     if OBS.enabled and reused:
         OBS.inc("checkpoint.shards_reused", reused)
-    return base, blocks, reused
+    return base, blocks
 
 
 def _commit_entry(
-    entry_dir: str, base: dict, blocks: list[_ShardBlock], blocks_dir: str | None
+    entry_dir: str,
+    base: dict,
+    blocks: list[_ShardBlock],
+    blocks_dir: str,
+    *,
+    rewrite: bool,
+    pull: Callable[[str], dict] | None = None,
 ) -> tuple[int, int]:
     """Write one checkpoint entry from captured state.
 
-    Returns ``(bytes_written, bytes_referenced)``.  With ``blocks_dir``
-    the entry is a v3 delta manifest over the shared block store (blocks
-    land *before* the manifest, and the caller renames the entry into
-    place after — so a crash at any point leaves at worst orphan blocks,
-    never a manifest naming absent state); without it, a classic v1/v2
-    full entry.
+    Stores every dirty shard's block, then a version-3 manifest naming
+    all of them.  Blocks land *before* the manifest (and, for a rotation,
+    before the caller renames the entry into place), so a crash at any
+    point leaves at worst orphan blocks, never a manifest naming absent
+    state.  A dirty shard without a snapshot is pulled through
+    ``pull(shard_id)``, stored and dropped before the next one, and a
+    snapshot is dropped once stored.  ``rewrite`` rewrites blocks that
+    already exist (``format="full"``).  Returns ``(bytes_written,
+    bytes_referenced)``.
     """
     os.makedirs(entry_dir, exist_ok=True)
-    written = referenced = 0
-    if blocks_dir is None:
-        elastic = any(
-            int(spec.get("start_step") or 0) > 0 for spec in base["shards"]
+    store = BlockStore(blocks_dir)
+    written = referenced = blocks_written = blocks_reused = 0
+    for block in blocks:
+        if block.reused:
+            try:
+                referenced += os.path.getsize(store.path(block.digest))
+            except OSError:
+                pass
+            blocks_reused += 1
+            continue
+        state = block.state if block.state is not None else pull(block.shard_id)
+        block.state = None
+        block.digest, created, nbytes = store.put(
+            state, block.digest, replace=rewrite
         )
-        shard_files = []
-        for index, block in enumerate(blocks):
-            name = _shard_filename(index)
-            elastic = elastic or _state_is_topology_bearing(block.state)
-            save_state(os.path.join(entry_dir, name), block.state)
-            written += os.path.getsize(os.path.join(entry_dir, name))
-            shard_files.append(name)
-        manifest = {
-            "version": ELASTIC_CHECKPOINT_VERSION if elastic else CHECKPOINT_VERSION,
+        del state
+        if block.cell is not None:
+            # Publish the digest to the stamp memory now the block is
+            # durable, so the next capture can reuse it.
+            block.cell.digest = block.digest
+        if created:
+            written += nbytes
+            blocks_written += 1
+        else:
+            # Stamp changed but content did not (e.g. a restored monitor
+            # with fresh counters): dedup caught it.
+            referenced += nbytes
+            blocks_reused += 1
+    _write_manifest(
+        entry_dir,
+        {
+            "version": CHECKPOINT_VERSION,
             **base,
-            "shard_files": shard_files,
-        }
-    else:
-        store = BlockStore(blocks_dir)
-        shard_blocks = []
-        blocks_written = blocks_reused = 0
-        for block in blocks:
-            if block.state is not None:
-                digest, created, nbytes = store.put(block.state, block.digest)
-                block.digest = digest
-                if block.cell is not None:
-                    # Deferred digest: publish it to the stamp memory now
-                    # the block is durable, so the next capture can reuse.
-                    block.cell.digest = digest
-                if created:
-                    written += nbytes
-                    blocks_written += 1
-                else:
-                    # Stamp changed but content did not (e.g. a restored
-                    # monitor with fresh counters): dedup caught it.
-                    referenced += nbytes
-                    blocks_reused += 1
-            else:
-                try:
-                    referenced += os.path.getsize(store.path(block.digest))
-                except OSError:
-                    pass
-                blocks_reused += 1
-            shard_blocks.append(block.digest)
-        manifest = {
-            "version": DELTA_CHECKPOINT_VERSION,
-            "format": "delta",
-            **base,
-            "shard_blocks": shard_blocks,
+            "shard_blocks": [block.digest for block in blocks],
             "blocks_dir": os.path.relpath(blocks_dir, entry_dir),
-        }
-        if OBS.enabled:
-            OBS.inc("checkpoint.blocks_written", blocks_written)
-            OBS.inc("checkpoint.blocks_referenced", blocks_reused)
-    with open(os.path.join(entry_dir, MANIFEST_NAME), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+        },
+    )
     if OBS.enabled:
+        OBS.inc("checkpoint.blocks_written", blocks_written)
+        OBS.inc("checkpoint.blocks_referenced", blocks_reused)
         OBS.inc("checkpoint.bytes_written", written)
         OBS.inc("checkpoint.bytes_referenced", referenced)
     return written, referenced
 
 
-def _commit_rotation(
-    root: str,
+def _write_manifest(directory: str, manifest: dict) -> None:
+    """Write ``manifest.json`` atomically (tmp + rename), so an in-place
+    re-save never leaves a torn manifest."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2)
+    os.replace(tmp, path)
+
+
+def _place_entry(
+    directory: str,
     step: int,
-    keep_last: int,
+    keep_last: int | None,
+    write: Callable[[str], None],
+) -> str:
+    """Have ``write`` populate an entry, then sweep ``<directory>/blocks``.
+
+    Without ``keep_last`` the entry is ``directory`` itself, written in
+    place; with it, a step entry rotated in by :func:`rotate_into`.
+    Returns the entry path.  Shared by the service and federated savers.
+    """
+    if keep_last is None:
+        os.makedirs(directory, exist_ok=True)
+        write(directory)
+        final = directory
+    else:
+        final = rotate_into(directory, step, keep_last, write)
+    _sweep_blocks(os.path.join(directory, BLOCKS_DIRNAME))
+    return final
+
+
+def _commit(
+    directory: str,
+    step: int,
+    keep_last: int | None,
     base: dict,
     blocks: list[_ShardBlock],
-    blocks_dir: str | None,
+    *,
+    rewrite: bool,
+    pull: Callable[[str], dict] | None = None,
 ) -> CheckpointInfo:
-    """Rotate a captured entry into ``root`` and sweep dead blocks."""
-    stats = {"written": 0, "referenced": 0}
+    """Commit a captured save under ``directory`` and sweep dead blocks."""
+    blocks_dir = os.path.join(directory, BLOCKS_DIRNAME)
+    stats = [0, 0]
 
-    def write(tmp: str) -> None:
-        stats["written"], stats["referenced"] = _commit_entry(
-            tmp, base, blocks, blocks_dir
+    def write(entry_dir: str) -> None:
+        stats[:] = _commit_entry(
+            entry_dir, base, blocks, blocks_dir, rewrite=rewrite, pull=pull
         )
 
-    final = rotate_into(root, step, keep_last, write)
-    if blocks_dir is not None:
-        _sweep_blocks(root, blocks_dir)
-        files = [os.path.join(final, MANIFEST_NAME)]
-        store = BlockStore(blocks_dir)
-        files.extend(store.path(block.digest) for block in blocks)
-        fmt = "delta"
-    else:
-        files = [
-            os.path.join(final, _shard_filename(index))
-            for index in range(len(blocks))
-        ]
-        files.append(os.path.join(final, MANIFEST_NAME))
-        fmt = "full"
+    final = _place_entry(directory, step, keep_last, write)
+    store = BlockStore(blocks_dir)
+    files = [os.path.join(final, MANIFEST_NAME)]
+    files.extend(store.path(block.digest) for block in blocks)
     return CheckpointInfo(
         directory=final,
         step=step,
         n_shards=len(blocks),
         files=tuple(files),
-        format=fmt,
-        bytes_written=stats["written"],
-        bytes_referenced=stats["referenced"],
+        bytes_written=stats[0],
+        bytes_referenced=stats[1],
     )
 
 
-def _collect_live_digests(root: str) -> set[str]:
-    """Digests referenced by any retained entry under a rotation root.
+def _collect_live_digests(blocks_dir: str) -> set[str]:
+    """Digests referenced by the manifests that use a block store.
 
-    Walks each entry recursively: a federated entry nests one manifest
-    per machine under ``machines/``, and those references pin blocks in
-    the root's shared store exactly like top-level ones.
+    The store's parent owns it: either a checkpoint written in place
+    (walked whole) or a rotation root (each retained entry walked).
+    Walks recurse — a federated entry nests one manifest per machine
+    under ``machines/`` — and count only manifests whose ``blocks_dir``
+    resolves to this store, so a compacted entry's own copies never pin
+    the shared blocks.
     """
+    store_root = os.path.abspath(blocks_dir)
+    owner = os.path.dirname(store_root)
+    if os.path.exists(os.path.join(owner, MANIFEST_NAME)):
+        tops = [owner]
+    else:
+        tops = [entry.path for entry in list_checkpoints(owner)]
     live: set[str] = set()
-    for entry in list_checkpoints(root):
-        for dirpath, _dirs, files in os.walk(entry.path):
+    for top in tops:
+        for dirpath, _dirs, files in os.walk(top):
             if MANIFEST_NAME not in files:
                 continue
             try:
@@ -730,16 +685,19 @@ def _collect_live_digests(root: str) -> set[str]:
                     manifest = json.load(handle)
             except (OSError, ValueError):
                 continue
-            if isinstance(manifest, dict):
+            if not isinstance(manifest, dict) or not manifest.get("blocks_dir"):
+                continue
+            uses = os.path.join(os.path.abspath(dirpath), manifest["blocks_dir"])
+            if os.path.normpath(uses) == store_root:
                 live.update(
                     str(digest) for digest in manifest.get("shard_blocks") or ()
                 )
     return live
 
 
-def _sweep_blocks(root: str, blocks_dir: str) -> tuple[int, int]:
-    """Reference-count GC: drop blocks no retained entry references."""
-    removed, freed = BlockStore(blocks_dir).sweep(_collect_live_digests(root))
+def _sweep_blocks(blocks_dir: str) -> tuple[int, int]:
+    """Reference-count GC: drop blocks no manifest using the store names."""
+    removed, freed = BlockStore(blocks_dir).sweep(_collect_live_digests(blocks_dir))
     if OBS.enabled and removed:
         OBS.inc("checkpoint.blocks_swept", removed)
         OBS.inc("checkpoint.bytes_swept", freed)
@@ -799,20 +757,20 @@ def resolve_checkpoint_dir(directory: str) -> str:
 
 
 def _checkpoint_blocks_dir(manifest: dict, directory: str) -> str:
-    """Absolute block-store directory a delta manifest references."""
-    relative = manifest.get("blocks_dir") or os.path.join(os.pardir, BLOCKS_DIRNAME)
+    """Absolute block-store directory a version-3 manifest references."""
+    relative = _manifest_entry(manifest, "blocks_dir", directory)
     return os.path.normpath(os.path.join(directory, relative))
 
 
 def _shard_state_paths(manifest: dict, directory: str, *, n_shards: int) -> list[str]:
-    """Per-shard state file paths for either checkpoint format.
+    """Per-shard state file paths for either checkpoint layout.
 
-    Full manifests name files inside the entry (``shard_files``); delta
-    manifests name content digests (``shard_blocks``) resolved against
-    the shared block store next to the rotation root.  Either way the
-    count must match the shard specs or the manifest is corrupt.
+    Version-3 manifests name content digests (``shard_blocks``) resolved
+    against the block store ``blocks_dir`` points at; legacy v1/v2
+    manifests name files inside the entry (``shard_files``).  Either way
+    the count must match the shard specs or the manifest is corrupt.
     """
-    if manifest.get("format") == "delta":
+    if manifest["version"] == CHECKPOINT_VERSION:
         digests = _manifest_entry(manifest, "shard_blocks", directory)
         store = BlockStore(_checkpoint_blocks_dir(manifest, directory))
         paths = [store.path(str(digest)) for digest in digests]
@@ -831,57 +789,58 @@ def _shard_state_paths(manifest: dict, directory: str, *, n_shards: int) -> list
 
 
 def compact_checkpoint(directory: str, target: str | None = None) -> str:
-    """Rewrite a delta checkpoint as a self-contained full checkpoint.
+    """Rewrite a checkpoint entry as a self-contained version-3 entry.
 
     ``directory`` may be a concrete entry or a rotation root (newest
-    entry).  With ``target`` the full copy is written there and the
-    original is untouched — the way to export an archival checkpoint
-    that pre-delta code can load.  Without it the entry is rewritten in
-    place (atomically, via the rotation protocol's rename-aside) and
-    blocks no longer referenced by any retained sibling are swept.
-    Already-full checkpoints are returned (or copied) unchanged.
+    entry).  Every shard state the entry references — a block in a
+    shared store, or a legacy v1/v2 shard file — is re-stored through
+    :meth:`~repro.io.delta.BlockStore.put` into the entry's own
+    ``blocks/``, so the entry loads wherever it is copied.  With
+    ``target`` the copy is written there and the original is untouched —
+    the way to export an archival checkpoint.  Without it the entry is
+    rewritten in place (atomically, via the rotation protocol's
+    rename-aside) and blocks of the shared store no remaining manifest
+    references are swept.  An entry that is already self-contained is
+    returned (or copied) unchanged.  A shard state that fails to load
+    raises :class:`CheckpointError` naming its file.
     """
     entry = resolve_checkpoint_dir(directory)
     manifest = read_manifest(entry)
-    if manifest.get("format") != "delta":
-        if target is None:
-            return entry
-        shutil.copytree(entry, target)
-        return target
-    digests = _manifest_entry(manifest, "shard_blocks", entry)
-    store = BlockStore(_checkpoint_blocks_dir(manifest, entry))
+    shards = _manifest_entry(manifest, "shards", entry)
+    paths = _shard_state_paths(manifest, entry, n_shards=len(shards))
+    shared = None
+    if manifest["version"] == CHECKPOINT_VERSION:
+        shared = _checkpoint_blocks_dir(manifest, entry)
+        if shared == os.path.join(os.path.normpath(entry), BLOCKS_DIRNAME):
+            if target is None:
+                return entry
+            shutil.copytree(entry, target)
+            return target
 
     def write(dest: str) -> None:
-        os.makedirs(dest, exist_ok=True)
-        elastic = any(
-            int(spec.get("start_step") or 0) > 0
-            for spec in manifest.get("shards") or ()
-        )
-        shard_files = []
-        for index, digest in enumerate(digests):
-            state = load_shard_state(store.path(str(digest)))
-            elastic = elastic or _state_is_topology_bearing(state)
-            name = _shard_filename(index)
-            save_state(os.path.join(dest, name), state)
-            shard_files.append(name)
-        full = {
+        store = BlockStore(os.path.join(dest, BLOCKS_DIRNAME))
+        digests = []
+        for path in paths:
+            digest, _created, _nbytes = store.put(load_shard_state(path))
+            digests.append(digest)
+        compacted = {
             key: value
             for key, value in manifest.items()
-            if key not in ("version", "format", "shard_blocks", "blocks_dir")
+            if key not in ("format", "shard_files", "shard_blocks", "blocks_dir")
         }
-        full["version"] = (
-            ELASTIC_CHECKPOINT_VERSION if elastic else CHECKPOINT_VERSION
-        )
-        full["shard_files"] = shard_files
-        with open(os.path.join(dest, MANIFEST_NAME), "w", encoding="utf-8") as handle:
-            json.dump(full, handle, indent=2)
+        compacted["version"] = CHECKPOINT_VERSION
+        compacted["shard_blocks"] = digests
+        compacted["blocks_dir"] = BLOCKS_DIRNAME
+        _write_manifest(dest, compacted)
 
     if target is not None:
+        os.makedirs(target, exist_ok=True)
         write(target)
         return target
     tmp = entry + ".compact.tmp"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
+    os.makedirs(tmp)
     try:
         write(tmp)
     except BaseException:
@@ -889,10 +848,10 @@ def compact_checkpoint(directory: str, target: str | None = None) -> str:
         raise
     _discard(entry)
     os.rename(tmp, entry)
-    # The rotation root that owns the block store (for a machine dir
-    # inside a federated entry, that is the federated root — its other
-    # entries and machines keep their references pinned).
-    _sweep_blocks(os.path.dirname(os.path.abspath(store.root)), store.root)
+    if shared is not None:
+        # For a machine inside a federated entry the shared store belongs
+        # to the federated root; its other machines keep their blocks.
+        _sweep_blocks(shared)
     return entry
 
 

@@ -36,3 +36,12 @@ def make_multiscale_signal(
         + noise * gen.standard_normal((n_sensors, n_timesteps))
     )
     return data, dt
+
+
+def shard_reprs(monitor) -> dict[str, str]:
+    """Every shard's full pipeline state as a string, keyed by shard id —
+    equal exactly when two monitors' states are bit-for-bit equal."""
+    return {
+        spec.shard_id: repr(monitor.shard_state_dict(spec.shard_id))
+        for spec in monitor.shards
+    }

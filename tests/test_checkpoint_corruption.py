@@ -5,7 +5,9 @@ hand must not surface as a bare ``KeyError``/``zipfile.BadZipFile`` three
 frames deep in NumPy — every corruption mode raises
 :class:`~repro.service.checkpoint.CheckpointError` naming the damaged file
 and pointing at the recovery path (an older rotation entry).  Covered for
-both the single-machine service checkpoint and the federated wrapper.
+both the single-machine service checkpoint — in the block-store layout
+every save writes and in the retired v1/v2 layout that still loads — and
+the federated wrapper.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from repro.service import (
 from repro.service.checkpoint import MANIFEST_NAME, read_manifest
 from repro.telemetry import MachineDescription, TelemetryGenerator
 from repro.telemetry.sensors import xc40_sensor_suite
+
+from legacy_checkpoint import save_legacy_checkpoint
 
 CONFIG = PipelineConfig(
     mrdmd=MrDMDConfig(max_levels=4),
@@ -78,10 +82,10 @@ def _build_monitor(seed: int) -> FleetMonitor:
 
 @pytest.fixture(scope="module")
 def pristine_checkpoint(tmp_path_factory):
-    """A known-good checkpoint the corruption tests copy and damage."""
+    """A known-good legacy (v1) checkpoint the corruption tests copy and
+    damage."""
     path = tmp_path_factory.mktemp("ckpt") / "good"
-    save_checkpoint(str(path), _build_monitor(seed=31))
-    return str(path)
+    return save_legacy_checkpoint(str(path), _build_monitor(seed=31))
 
 
 @pytest.fixture(scope="module")
@@ -101,9 +105,14 @@ def _damaged_copy(source: str, destination) -> str:
     return target
 
 
-def _shard_files(directory: str) -> list[str]:
+def _shard_path(directory: str, index: int) -> str:
+    """The file holding shard ``index``'s state, in either layout."""
     with open(os.path.join(directory, MANIFEST_NAME), encoding="utf-8") as fh:
-        return json.load(fh)["shard_files"]
+        manifest = json.load(fh)
+    if "shard_blocks" in manifest:
+        name = manifest["shard_blocks"][index] + ".npz"
+        return os.path.join(directory, manifest["blocks_dir"], name)
+    return os.path.join(directory, manifest["shard_files"][index])
 
 
 def _edit_manifest(directory: str, mutate) -> None:
@@ -116,38 +125,43 @@ def _edit_manifest(directory: str, mutate) -> None:
 
 
 class TestServiceCheckpointCorruption:
+    """Damage to a legacy v1 checkpoint (``shard_files`` layout)."""
+
+    #: The manifest entry listing the shards' state files.
+    SHARD_LIST = "shard_files"
+
     def test_error_type_is_a_value_error(self):
         # Callers that guarded with `except ValueError` keep working.
         assert issubclass(CheckpointError, ValueError)
 
     def test_truncated_shard_npz(self, pristine_checkpoint, tmp_path):
         target = _damaged_copy(pristine_checkpoint, tmp_path)
-        name = _shard_files(target)[0]
-        path = os.path.join(target, name)
+        path = _shard_path(target, 0)
         with open(path, "rb") as fh:
             payload = fh.read()
         with open(path, "wb") as fh:
             fh.write(payload[: len(payload) // 3])
         with pytest.raises(CheckpointError, match="corrupt or unreadable") as err:
             load_checkpoint(target, rules=default_rules())
-        assert name in str(err.value)
+        assert os.path.basename(path) in str(err.value)
         assert "older rotation entry" in str(err.value)
 
     def test_garbage_shard_npz(self, pristine_checkpoint, tmp_path):
         target = _damaged_copy(pristine_checkpoint, tmp_path)
-        name = _shard_files(target)[1]
-        with open(os.path.join(target, name), "wb") as fh:
+        path = _shard_path(target, 1)
+        with open(path, "wb") as fh:
             fh.write(b"this was never a zip archive" * 64)
-        with pytest.raises(CheckpointError, match="corrupt or unreadable"):
+        with pytest.raises(CheckpointError, match="corrupt or unreadable") as err:
             load_checkpoint(target, rules=default_rules())
+        assert os.path.basename(path) in str(err.value)
 
     def test_missing_shard_file(self, pristine_checkpoint, tmp_path):
         target = _damaged_copy(pristine_checkpoint, tmp_path)
-        name = _shard_files(target)[0]
-        os.remove(os.path.join(target, name))
+        path = _shard_path(target, 0)
+        os.remove(path)
         with pytest.raises(CheckpointError, match="missing") as err:
             load_checkpoint(target, rules=default_rules())
-        assert name in str(err.value)
+        assert os.path.basename(path) in str(err.value)
 
     @pytest.mark.parametrize("key", ["shards", "shard_files", "dt", "step"])
     def test_missing_manifest_entry(self, pristine_checkpoint, tmp_path, key):
@@ -158,8 +172,9 @@ class TestServiceCheckpointCorruption:
 
     def test_shard_file_count_mismatch(self, pristine_checkpoint, tmp_path):
         target = _damaged_copy(pristine_checkpoint, tmp_path)
-        _edit_manifest(target, lambda m: m["shard_files"].pop())
-        with pytest.raises(CheckpointError, match="shard files"):
+        _edit_manifest(target, lambda m: m[self.SHARD_LIST].pop())
+        kind = self.SHARD_LIST.replace("_", " ")  # "shard files" / "shard blocks"
+        with pytest.raises(CheckpointError, match=kind):
             load_checkpoint(target, rules=default_rules())
 
     def test_manifest_not_json(self, pristine_checkpoint, tmp_path):
@@ -181,6 +196,25 @@ class TestServiceCheckpointCorruption:
         target = _damaged_copy(pristine_checkpoint, tmp_path)
         monitor = load_checkpoint(target, rules=default_rules())
         assert monitor.step == 240
+
+
+class TestBlockStoreCheckpointCorruption(TestServiceCheckpointCorruption):
+    """The same damage to a checkpoint written in place (version 3, its
+    blocks inside it), so copying the directory copies everything."""
+
+    SHARD_LIST = "shard_blocks"
+
+    @pytest.fixture(scope="class")
+    def pristine_checkpoint(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("ckpt") / "good")
+        save_checkpoint(path, _build_monitor(seed=31))
+        return path
+
+    @pytest.mark.parametrize(
+        "key", ["shards", "shard_blocks", "blocks_dir", "dt", "step"]
+    )
+    def test_missing_manifest_entry(self, pristine_checkpoint, tmp_path, key):
+        super().test_missing_manifest_entry(pristine_checkpoint, tmp_path, key)
 
 
 class TestDeltaCheckpointCorruption:
@@ -238,16 +272,16 @@ class TestDeltaCheckpointCorruption:
         ).generate(80, sensors=["cpu_temp"])
         monitor.ingest(stream.values)
 
-        real_commit = ckpt_module._commit_rotation
+        real_commit = ckpt_module._commit
 
         def crashing_commit(*args, **kwargs):
             raise OSError("disk full during checkpoint write")
 
-        monkeypatch.setattr(ckpt_module, "_commit_rotation", crashing_commit)
+        monkeypatch.setattr(ckpt_module, "_commit", crashing_commit)
         save_checkpoint(root, monitor, keep_last=2, format="delta", mode="async")
         with pytest.raises(CheckpointWriteError, match="disk full"):
             monitor.flush_checkpoints()
-        monkeypatch.setattr(ckpt_module, "_commit_rotation", real_commit)
+        monkeypatch.setattr(ckpt_module, "_commit", real_commit)
 
         # The rotation still holds exactly the pre-crash entry and it
         # restores the pre-crash state, bit-for-bit.
@@ -299,8 +333,7 @@ class TestFederatedCheckpointCorruption:
     def test_corrupt_machine_shard(self, pristine_federated, tmp_path):
         target = _damaged_copy(pristine_federated, tmp_path)
         machine_dir = os.path.join(target, "machines", "east")
-        name = _shard_files(machine_dir)[0]
-        with open(os.path.join(machine_dir, name), "wb") as fh:
+        with open(_shard_path(machine_dir, 0), "wb") as fh:
             fh.write(b"\x00" * 100)
         with pytest.raises(CheckpointError, match="corrupt or unreadable"):
             load_federated_checkpoint(target, rules=default_rules())

@@ -1,19 +1,24 @@
-"""Delta + asynchronous checkpointing: lossless by construction.
+"""Checkpoint persistence: one writer, lossless by construction.
 
-The delta format only ever *skips* serialisation work — shards whose
-revision stamp has not moved re-reference their content-addressed block
-from the previous rotation entry — so every test here is a parity test
-at heart: whatever combination of delta, async, pruning, rollback and
+Every save — ``format="full"`` or ``"delta"``, sync or async, written in
+place or into a rotation — goes through one capture and one commit into
+a content-addressed block store.  Delta saves only ever *skip*
+serialisation work (shards whose revision stamp has not moved
+re-reference their block), so every test here is a parity test at heart:
+whatever combination of format, mode, layout, pruning, rollback and
 compaction a run goes through, the restored monitor must be bit-for-bit
-identical to one saved with the classic sync full path.  Alongside the
-parity suite: block-store garbage collection under ``keep_last``
-pruning, the in-memory refcounted store behind the resilience recovery
-snapshots, stamp-based snapshot skipping, and v1/v2 back-compat.
+identical to the live one.  Alongside the parity suite: block-store
+garbage collection under ``keep_last`` pruning and in-place re-saves,
+ordering between async and sync saves, the in-memory refcounted store
+behind the resilience recovery snapshots, stamp-based snapshot skipping,
+and reading the retired v1/v2 layout.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -47,9 +52,12 @@ from repro.service import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.service.checkpoint import read_manifest
+from repro.service.checkpoint import read_manifest, resolve_checkpoint_dir
 from repro.telemetry import MachineDescription, TelemetryGenerator
 from repro.telemetry.sensors import xc40_sensor_suite
+
+from helpers import shard_reprs as _shard_reprs
+from legacy_checkpoint import save_legacy_checkpoint
 
 CONFIG = PipelineConfig(
     mrdmd=MrDMDConfig(max_levels=4),
@@ -90,13 +98,6 @@ def _build_monitor(seed: int, initial: int = 240) -> tuple[FleetMonitor, object]
     return monitor, stream
 
 
-def _shard_reprs(monitor: FleetMonitor) -> dict[str, str]:
-    return {
-        spec.shard_id: repr(monitor.shard_state_dict(spec.shard_id))
-        for spec in monitor.shards
-    }
-
-
 def _dirty_one_shard(monitor: FleetMonitor, stream, lo: int, hi: int) -> str:
     spec = monitor.shards[0]
     monitor._pipelines[spec.shard_id].ingest(spec.take(stream.values[:, lo:hi]))
@@ -106,6 +107,69 @@ def _dirty_one_shard(monitor: FleetMonitor, stream, lo: int, hi: int) -> str:
 # --------------------------------------------------------------------------- #
 # Bit-for-bit parity
 # --------------------------------------------------------------------------- #
+#: (mode, format, keep_last) — async needs a rotation root.
+SAVE_VARIANTS = [
+    pytest.param("sync", "full", None, id="sync-full-in-place"),
+    pytest.param("sync", "delta", None, id="sync-delta-in-place"),
+    pytest.param("sync", "full", 2, id="sync-full-rotated"),
+    pytest.param("sync", "delta", 2, id="sync-delta-rotated"),
+    pytest.param("async", "full", 2, id="async-full-rotated"),
+    pytest.param("async", "delta", 2, id="async-delta-rotated"),
+]
+
+
+@pytest.mark.parametrize(("mode", "format", "keep_last"), SAVE_VARIANTS)
+def test_every_save_writes_version_3_and_restores_bit_for_bit(
+    tmp_path, mode, format, keep_last
+):
+    monitor, stream = _build_monitor(seed=80)
+    root = str(tmp_path / "ckpt")
+    save_checkpoint(root, monitor, keep_last=keep_last, format=format, mode=mode)
+    monitor.flush_checkpoints()
+    _dirty_one_shard(monitor, stream, 240, 320)
+    info = save_checkpoint(
+        root, monitor, keep_last=keep_last, format=format, mode=mode
+    )
+    monitor.flush_checkpoints()
+    expected_reuse = monitor.n_shards - 1 if format == "delta" else 0
+    assert info.shards_reused == expected_reuse
+
+    entry = resolve_checkpoint_dir(root)
+    manifest = read_manifest(entry)
+    assert manifest["version"] == 3
+    assert "shard_files" not in manifest
+    assert os.path.normpath(os.path.join(entry, manifest["blocks_dir"])) == (
+        os.path.normpath(os.path.join(root, "blocks"))
+    )
+    restored = load_checkpoint(root, rules=default_rules())
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
+    monitor.close(), restored.close()
+
+
+@pytest.mark.parametrize(("mode", "format", "keep_last"), SAVE_VARIANTS)
+def test_federated_save_variants_restore_bit_for_bit(
+    tmp_path, mode, format, keep_last
+):
+    federated, streams = _build_federation(seeds=(81, 82))
+    root = str(tmp_path / "ckpt")
+    save_federated_checkpoint(
+        root, federated, keep_last=keep_last, format=format, mode=mode
+    )
+    federated.flush_checkpoints()
+    _dirty_one_shard(federated.machine("east"), streams[0], 240, 320)
+    save_federated_checkpoint(
+        root, federated, keep_last=keep_last, format=format, mode=mode
+    )
+    federated.flush_checkpoints()
+
+    entry = resolve_checkpoint_dir(root)
+    for name in federated.machine_names:
+        assert read_manifest(os.path.join(entry, "machines", name))["version"] == 3
+    restored = load_federated_checkpoint(root)
+    assert _federated_reprs(restored) == _federated_reprs(federated)
+    federated.close(), restored.close()
+
+
 def test_delta_restore_matches_sync_full(tmp_path):
     monitor, stream = _build_monitor(seed=51)
     monitor.ingest(stream.values[:, 240:320])
@@ -191,17 +255,102 @@ def test_monitor_close_flushes_pending_async_saves(tmp_path):
     restored.close()
 
 
-def test_delta_and_async_require_keep_last(tmp_path):
+def test_async_requires_keep_last(tmp_path):
     monitor, _stream_ = _build_monitor(seed=57)
     with pytest.raises(ValueError, match="keep_last"):
-        save_checkpoint(str(tmp_path / "a"), monitor, format="delta")
+        save_checkpoint(str(tmp_path / "a"), monitor, mode="async")
     with pytest.raises(ValueError, match="keep_last"):
-        save_checkpoint(str(tmp_path / "b"), monitor, mode="async")
+        save_checkpoint(
+            str(tmp_path / "b"), monitor, format="delta", mode="async"
+        )
     with pytest.raises(ValueError, match="format"):
         save_checkpoint(
             str(tmp_path / "c"), monitor, keep_last=2, format="sparse"
         )
     monitor.close()
+
+
+def test_full_save_rewrites_every_block_and_seeds_delta_reuse(tmp_path):
+    """"full" is a delta save without reuse: nothing is re-referenced,
+    every block is rewritten, and the stamps it records let the next
+    delta save to the same store reuse everything."""
+    monitor, _stream_ = _build_monitor(seed=72)
+    root = str(tmp_path / "ckpt")
+    first = save_checkpoint(root, monitor, keep_last=2)
+    again = save_checkpoint(root, monitor, keep_last=2)
+    assert first.shards_reused == again.shards_reused == 0
+    assert again.bytes_written == first.bytes_written > 0
+    assert again.bytes_referenced == 0
+    delta = save_checkpoint(root, monitor, keep_last=2, format="delta")
+    assert delta.shards_reused == monitor.n_shards
+    assert delta.bytes_written == 0
+    restored = load_checkpoint(root, rules=default_rules())
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
+    monitor.close(), restored.close()
+
+
+def test_sync_save_waits_for_a_pending_async_commit(tmp_path):
+    """A late async commit must not land after a newer sync save.
+
+    The rotation discards entries newer than the one it writes (they
+    belong to an abandoned timeline), so an async step-240 commit that
+    ran after a sync step-320 save would delete the newer entry.
+    """
+    monitor, stream = _build_monitor(seed=83)
+    root = str(tmp_path / "ckpt")
+    release = threading.Event()
+    monitor._ensure_checkpoint_writer().submit(
+        lambda: release.wait(10), label="blocker"
+    )
+    timer = threading.Timer(0.3, release.set)
+    try:
+        save_checkpoint(root, monitor, keep_last=2, format="delta", mode="async")
+        monitor.ingest(stream.values[:, 240:320])
+        timer.start()
+        save_checkpoint(root, monitor, keep_last=2)
+        release.set()
+        monitor.flush_checkpoints()
+    finally:
+        timer.cancel()
+        release.set()
+    assert [entry.step for entry in list_checkpoints(root)] == [320, 240]
+    restored = load_checkpoint(root, rules=default_rules())
+    assert restored.step == monitor.step == 320
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
+    monitor.close(), restored.close()
+
+
+def test_federated_sync_save_waits_for_a_pending_async_commit(tmp_path):
+    federated, streams = _build_federation(seeds=(84, 85))
+    root = str(tmp_path / "ckpt")
+    release = threading.Event()
+    federated._ensure_checkpoint_writer().submit(
+        lambda: release.wait(10), label="blocker"
+    )
+    timer = threading.Timer(0.3, release.set)
+    try:
+        save_federated_checkpoint(
+            root, federated, keep_last=2, format="delta", mode="async"
+        )
+        federated.ingest(
+            {
+                "east": streams[0].values[:, 240:320],
+                "west": streams[1].values[:, 240:320],
+            }
+        )
+        timer.start()
+        save_federated_checkpoint(root, federated, keep_last=2)
+        release.set()
+        federated.flush_checkpoints()
+    finally:
+        timer.cancel()
+        release.set()
+    newest = federated.step
+    assert [entry.step for entry in list_checkpoints(root)][0] == newest
+    restored = load_federated_checkpoint(root)
+    assert restored.step == newest
+    assert _federated_reprs(restored) == _federated_reprs(federated)
+    federated.close(), restored.close()
 
 
 def test_mid_run_restart_from_delta_checkpoint(tmp_path):
@@ -297,6 +446,22 @@ def test_rollback_then_resave_is_consistent(tmp_path):
     monitor.close(), rolled_back.close(), restored.close()
 
 
+def test_in_place_resave_keeps_only_the_blocks_its_manifest_names(tmp_path):
+    monitor, stream = _build_monitor(seed=86)
+    directory = str(tmp_path / "ckpt")
+    store = BlockStore(os.path.join(directory, "blocks"))
+    save_checkpoint(directory, monitor)
+    first = store.digests()
+    monitor.ingest(stream.values[:, 240:320])
+    save_checkpoint(directory, monitor, format="delta")
+    manifest = read_manifest(directory)
+    assert store.digests() == set(manifest["shard_blocks"])
+    assert not first & store.digests(), "every shard moved; old blocks leaked"
+    restored = load_checkpoint(directory, rules=default_rules())
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
+    monitor.close(), restored.close()
+
+
 def test_compact_checkpoint_rewrites_self_contained(tmp_path):
     monitor, stream = _build_monitor(seed=62)
     root = str(tmp_path / "ckpt")
@@ -307,10 +472,39 @@ def test_compact_checkpoint_rewrites_self_contained(tmp_path):
 
     entry = compact_checkpoint(root)
     manifest = read_manifest(entry)
-    assert "shard_blocks" not in manifest
-    assert manifest.get("shard_files")
+    assert manifest["version"] == 3
+    assert manifest["blocks_dir"] == "blocks"
+    own = BlockStore(os.path.join(entry, "blocks"))
+    assert own.digests() == set(manifest["shard_blocks"])
     restored = load_checkpoint(root, rules=default_rules())
     assert _shard_reprs(restored) == live
+    # Compacting again is a no-op.
+    assert compact_checkpoint(root) == entry
+    monitor.close(), restored.close()
+
+
+def test_compacted_entry_loads_when_copied_alone(tmp_path):
+    monitor, _stream_ = _build_monitor(seed=87)
+    root = str(tmp_path / "ckpt")
+    save_checkpoint(root, monitor, keep_last=2, format="delta")
+    entry = compact_checkpoint(root)
+    elsewhere = str(tmp_path / "archive" / "entry")
+    shutil.copytree(entry, elsewhere)
+    shutil.rmtree(root)
+    restored = load_checkpoint(elsewhere, rules=default_rules())
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
+    monitor.close(), restored.close()
+
+
+def test_compact_to_target_leaves_the_rotation_untouched(tmp_path):
+    monitor, _stream_ = _build_monitor(seed=88)
+    root = str(tmp_path / "ckpt")
+    save_checkpoint(root, monitor, keep_last=2, format="delta")
+    before = sorted(BlockStore(os.path.join(root, "blocks")).digests())
+    target = compact_checkpoint(root, target=str(tmp_path / "export"))
+    assert sorted(BlockStore(os.path.join(root, "blocks")).digests()) == before
+    restored = load_checkpoint(target, rules=default_rules())
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
     monitor.close(), restored.close()
 
 
@@ -407,26 +601,30 @@ def test_compact_federated_checkpoint(tmp_path):
 # Back-compat: v1/v2 checkpoints keep loading
 # --------------------------------------------------------------------------- #
 def test_legacy_in_place_checkpoint_still_loads(tmp_path):
-    """`save_checkpoint` without keep_last is the pre-delta v1/v2 path."""
-    monitor, _stream_ = _build_monitor(seed=71)
-    root = str(tmp_path / "legacy")
-    info = save_checkpoint(root, monitor)
-    manifest = read_manifest(root)
-    assert manifest["version"] in (1, 2)
-    assert info.format == "full"
+    """A v1 checkpoint from before the block store loads, and a save over
+    it in place turns it into a version-3 checkpoint."""
+    monitor, stream = _build_monitor(seed=71)
+    root = save_legacy_checkpoint(str(tmp_path / "legacy"), monitor)
+    assert read_manifest(root)["version"] == 1
     restored = load_checkpoint(root, rules=default_rules())
     assert _shard_reprs(restored) == _shard_reprs(monitor)
-    monitor.close(), restored.close()
+
+    restored.ingest(stream.values[:, 240:320])
+    save_checkpoint(root, restored)
+    assert read_manifest(root)["version"] == 3
+    again = load_checkpoint(root, rules=default_rules())
+    assert _shard_reprs(again) == _shard_reprs(restored)
+    monitor.close(), restored.close(), again.close()
 
 
-def test_sync_full_rotation_unchanged_by_delta_machinery(tmp_path):
-    monitor, _stream_ = _build_monitor(seed=72)
-    root = str(tmp_path / "full")
-    save_checkpoint(root, monitor, keep_last=2)
-    manifest = read_manifest(list_checkpoints(root)[0].path)
-    assert manifest["version"] in (1, 2)
-    assert "shard_blocks" not in manifest
-    restored = load_checkpoint(root, rules=default_rules())
+def test_compact_upgrades_a_legacy_checkpoint(tmp_path):
+    monitor, _stream_ = _build_monitor(seed=89)
+    root = save_legacy_checkpoint(str(tmp_path / "legacy"), monitor)
+    entry = compact_checkpoint(root)
+    manifest = read_manifest(entry)
+    assert manifest["version"] == 3 and manifest["blocks_dir"] == "blocks"
+    assert not [name for name in os.listdir(entry) if name.startswith("shard_")]
+    restored = load_checkpoint(entry, rules=default_rules())
     assert _shard_reprs(restored) == _shard_reprs(monitor)
     monitor.close(), restored.close()
 

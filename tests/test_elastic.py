@@ -60,6 +60,9 @@ from repro.service.scenarios import (
 from repro.telemetry import HotNodes, TelemetryGenerator, theta_machine
 from repro.util import make_shard_executor
 
+from helpers import shard_reprs as _shard_reprs
+from legacy_checkpoint import save_legacy_checkpoint
+
 BACKENDS = ["serial", "thread", "process"]
 
 
@@ -127,7 +130,7 @@ class TestModelAddRows:
 
     def test_rows_join_with_backfilled_history(self):
         data, dt = _signal(n_rows=7)
-        model = IncrementalMrDMD(dt=dt, max_levels=3, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, max_levels=3, retain_data="all")
         model.fit(data[:6, :400])
         model.partial_fit(data[:6, 400:500])
 
@@ -252,7 +255,7 @@ class TestPipelineAddSensors:
     def test_state_roundtrip_carries_topology(self):
         pipeline, data = self._pipeline()
         pipeline.add_sensors(node_of_row=[4, 4])
-        assert pipeline.is_topology_bearing()
+        assert pipeline.model.topology_history
         restored = OnlineAnalysisPipeline.from_state_dict(pipeline.state_dict())
         chunk = np.vstack([data[:, 500:600], np.zeros((2, 100))])
         pipeline.ingest(chunk)
@@ -605,17 +608,28 @@ def test_plain_ingest_mid_run_growth_serial_matches_thread(parity_stream):
 # Checkpoint format: forward/backward compatibility
 # --------------------------------------------------------------------------- #
 class TestCheckpointVersions:
-    def test_plain_state_writes_version_1(self, channel_split, tmp_path):
+    def test_v1_fixture_restores_and_resumes_bit_for_bit(
+        self, channel_split, tmp_path
+    ):
         initial, _ = channel_split
         monitor = FleetMonitor.from_stream(
             initial, policy=RackSharding(), config=_default_config()
         )
         monitor.ingest(initial.values[:, :240])
-        info = save_checkpoint(str(tmp_path / "v1"), monitor)
-        assert read_manifest(info.directory)["version"] == 1
-        monitor.close()
+        directory = save_legacy_checkpoint(str(tmp_path / "v1"), monitor)
+        assert read_manifest(directory)["version"] == 1
 
-    def test_topology_bearing_state_writes_version_2(
+        restored = load_checkpoint(directory)
+        assert _shard_reprs(restored) == _shard_reprs(monitor)
+        chunk = initial.values[:, 240:320]
+        monitor.ingest(chunk)
+        restored.ingest(chunk)
+        assert _shard_reprs(restored) == _shard_reprs(monitor)
+        assert restored.rack_values() == monitor.rack_values()
+        monitor.close()
+        restored.close()
+
+    def test_v2_fixture_with_added_rows_restores_and_resumes_bit_for_bit(
         self, two_channel_stream, channel_split, tmp_path
     ):
         initial, n_cpu = channel_split
@@ -628,14 +642,17 @@ class TestCheckpointVersions:
             two_channel_stream.node_indices[n_cpu:],
         )
         monitor.ingest(two_channel_stream.values[:, 240:320])
-        info = save_checkpoint(str(tmp_path / "v2"), monitor)
-        assert read_manifest(info.directory)["version"] == 2
+        directory = save_legacy_checkpoint(
+            str(tmp_path / "v2"), monitor, version=2
+        )
+        assert read_manifest(directory)["version"] == 2
 
-        # Elastic checkpoints resume bit-for-bit on elastic code...
-        restored = load_checkpoint(info.directory)
+        restored = load_checkpoint(directory)
+        assert _shard_reprs(restored) == _shard_reprs(monitor)
         chunk = two_channel_stream.values[:, 320:400]
         monitor.ingest(chunk)
         restored.ingest(chunk)
+        assert _shard_reprs(restored) == _shard_reprs(monitor)
         assert monitor.rack_values() == restored.rack_values()
         monitor.close()
         restored.close()
@@ -684,17 +701,6 @@ class TestCheckpointVersions:
             load_checkpoint(info.directory)
         monitor.close()
 
-    def test_retain_none_model_state_is_topology_bearing(self):
-        # Minimal level-1 retention shrinks the grid -> pre-elastic loaders
-        # would mis-resume -> stamped version 2.
-        from repro.service.checkpoint import _state_is_topology_bearing
-
-        data, dt = _signal()
-        model = IncrementalMrDMD(dt=dt, max_levels=3, retain_data="none")
-        model.fit(data[:, :400])
-        model.partial_fit(data[:, 400:500])
-        assert model.is_topology_bearing()
-        assert _state_is_topology_bearing({"model": model.state_dict()})
 
 
 # --------------------------------------------------------------------------- #

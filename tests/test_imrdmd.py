@@ -89,7 +89,7 @@ class TestPartialFit:
 
     def test_reconstruction_covers_full_timeline(self, signal):
         data, dt = signal
-        model = IncrementalMrDMD(dt=dt, max_levels=4, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, max_levels=4, retain_data="all")
         model.fit(data[:, :800])
         model.partial_fit(data[:, 800:])
         recon = model.reconstruct()
@@ -99,7 +99,7 @@ class TestPartialFit:
 
     def test_incremental_close_to_batch_accuracy_q2(self, signal):
         data, dt = signal
-        model = IncrementalMrDMD(dt=dt, max_levels=4, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, max_levels=4, retain_data="all")
         model.fit(data[:, :800])
         model.partial_fit(data[:, 800:])
         gap = model.incremental_vs_batch_gap(data)
@@ -111,7 +111,7 @@ class TestPartialFit:
 
     def test_multiple_chunks(self, signal):
         data, dt = signal
-        model = IncrementalMrDMD(dt=dt, max_levels=3, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, max_levels=3, retain_data="all")
         model.fit(data[:, :400])
         for lo in range(400, 1600, 400):
             model.partial_fit(data[:, lo : lo + 400])
@@ -147,7 +147,7 @@ class TestPartialFit:
 class TestDriftAndRefresh:
     def test_drift_threshold_marks_stale(self, signal):
         data, dt = signal
-        model = IncrementalMrDMD(dt=dt, max_levels=3, drift_threshold=0.0, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, max_levels=3, drift_threshold=0.0, retain_data="all")
         model.fit(data[:, :800])
         record = model.partial_fit(data[:, 800:1200] + 50.0)   # large regime change
         assert record.stale
@@ -169,7 +169,7 @@ class TestDriftAndRefresh:
 
     def test_refresh_matches_batch_tree(self, signal):
         data, dt = signal
-        model = IncrementalMrDMD(dt=dt, max_levels=3, keep_data=True, drift_threshold=0.0)
+        model = IncrementalMrDMD(dt=dt, max_levels=3, retain_data="all", drift_threshold=0.0)
         model.fit(data[:, :800])
         model.partial_fit(data[:, 800:1200])
         assert model.stale_levels
@@ -192,7 +192,7 @@ class TestDriftAndRefresh:
 
     def test_reconstruction_error_shape_check(self, signal):
         data, dt = signal
-        model = IncrementalMrDMD(dt=dt, max_levels=3, keep_data=True)
+        model = IncrementalMrDMD(dt=dt, max_levels=3, retain_data="all")
         model.fit(data[:, :800])
         with pytest.raises(ValueError):
             model.reconstruction_error(data[:, :700])

@@ -39,7 +39,7 @@ class TestStreamingEndToEnd:
         machine = theta_machine(racks_per_row=1, n_rows=1, node_limit=32)
         stream = TelemetryGenerator(machine, seed=2).generate(800, sensors=["cpu_temp"])
         replay = StreamingReplay(stream, initial_size=400, chunk_size=200)
-        model = IncrementalMrDMD(dt=stream.dt, max_levels=4, keep_data=True)
+        model = IncrementalMrDMD(dt=stream.dt, max_levels=4, retain_data="all")
         model.fit(replay.initial())
         for chunk in replay.chunks():
             model.partial_fit(chunk)
@@ -52,7 +52,7 @@ class TestStreamingEndToEnd:
         machine = theta_machine(racks_per_row=1, n_rows=1, node_limit=24)
         stream = TelemetryGenerator(machine, seed=4).generate(600, sensors=["cpu_temp"])
         config = MrDMDConfig(max_levels=4)
-        incremental = IncrementalMrDMD(dt=stream.dt, config=config, keep_data=True)
+        incremental = IncrementalMrDMD(dt=stream.dt, config=config, retain_data="all")
         incremental.fit(stream.values[:, :300])
         incremental.partial_fit(stream.values[:, 300:])
         batch = compute_mrdmd(stream.values, stream.dt, config)

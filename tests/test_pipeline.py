@@ -147,7 +147,7 @@ class TestOnlinePipeline:
         from repro.core.spectrum import MrDMDSpectrum
 
         config = PipelineConfig(
-            mrdmd=MrDMDConfig(max_levels=3), power_quantile=0.5, keep_data=True
+            mrdmd=MrDMDConfig(max_levels=3), power_quantile=0.5, retain_data="all"
         )
         pipeline = OnlineAnalysisPipeline.from_stream(small_stream, config)
         pipeline.ingest(small_stream.values[:, :300])

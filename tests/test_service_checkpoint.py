@@ -218,12 +218,15 @@ def test_manifest_contents(monitored_stream, tmp_path):
     save_checkpoint(str(tmp_path / "ckpt"), monitor)
 
     manifest = read_manifest(str(tmp_path / "ckpt"))
-    assert manifest["version"] == 1
+    assert manifest["version"] == 3
     assert manifest["step"] == 240
     assert len(manifest["shards"]) == monitor.n_shards
-    assert len(manifest["shard_files"]) == monitor.n_shards
-    for filename in manifest["shard_files"]:
-        assert os.path.exists(str(tmp_path / "ckpt" / filename))
+    assert "shard_files" not in manifest
+    # A checkpoint written in place keeps its blocks inside itself.
+    assert manifest["blocks_dir"] == "blocks"
+    assert len(manifest["shard_blocks"]) == monitor.n_shards
+    for digest in manifest["shard_blocks"]:
+        assert os.path.exists(str(tmp_path / "ckpt" / "blocks" / f"{digest}.npz"))
 
 
 def test_manifest_version_check(monitored_stream, tmp_path):
@@ -231,7 +234,7 @@ def test_manifest_version_check(monitored_stream, tmp_path):
     monitor.ingest(monitored_stream.values[:, :240])
     save_checkpoint(str(tmp_path / "ckpt"), monitor)
     manifest_path = tmp_path / "ckpt" / "manifest.json"
-    manifest_path.write_text(manifest_path.read_text().replace('"version": 1', '"version": 99'))
+    manifest_path.write_text(manifest_path.read_text().replace('"version": 3', '"version": 99'))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(str(tmp_path / "ckpt"))
 
@@ -256,8 +259,13 @@ def test_rotated_checkpoints_prune_to_keep_last(monitored_stream, tmp_path):
     for entry in history:
         assert os.path.isdir(entry.path)
         assert read_manifest(entry.path)["step"] == entry.step
-    # Pruned entries are fully gone — no trash/tmp residue either.
-    assert sorted(os.listdir(root)) == ["step_000000000400", "step_000000000480"]
+    # Pruned entries are fully gone — no trash/tmp residue either; the
+    # retained entries share the root's block store.
+    assert sorted(os.listdir(root)) == [
+        "blocks",
+        "step_000000000400",
+        "step_000000000480",
+    ]
 
 
 def test_load_checkpoint_resumes_from_rotation_root(monitored_stream, tmp_path):

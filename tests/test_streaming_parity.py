@@ -337,7 +337,7 @@ class TestIncrementalMrDMDParity:
                 dt=dt,
                 config=config.mrdmd,
                 drift_threshold=config.drift_threshold,
-                keep_data=config.keep_data,
+                retain_data=config.retain_data,
                 lazy_vh=lazy,
             )
             pipeline.ingest(data[:, :600])
@@ -358,8 +358,8 @@ class TestIncrementalMrDMDParity:
         modes) and reconstructions must agree closely.
         """
         data, dt = signal
-        projected = _drive_model(signal, level1_path="projected", keep_data=True)
-        dense = _drive_model(signal, level1_path="dense", keep_data=True)
+        projected = _drive_model(signal, level1_path="projected", retain_data="all")
+        dense = _drive_model(signal, level1_path="dense", retain_data="all")
         assert len(projected.tree) == len(dense.tree)
         err_projected = projected.reconstruction_error()
         err_dense = dense.reconstruction_error()
@@ -375,7 +375,7 @@ class TestRetentionPolicies:
         # the "all" model bit for bit.
         def full_state(policy):
             state = _drive_model(signal, retain_data=policy).state_dict()
-            for key in ("keep_data", "retain_data", "data"):
+            for key in ("retain_data", "data"):
                 state[key] = None
             return state
 
@@ -401,7 +401,6 @@ class TestRetentionPolicies:
         model = _drive_model(signal, retain_data="none")
         assert model._sub.n_cols == 1
         assert model._sub_offset > 0
-        assert model.is_topology_bearing()
 
     def test_none_drops_raw_snapshots(self, signal):
         model = _drive_model(signal, retain_data="none")
@@ -426,11 +425,24 @@ class TestRetentionPolicies:
         assert model.retained_range() == (1250, 1500)
         assert np.array_equal(kept, data[:, 1250:1500])
 
-    def test_all_policy_matches_keep_data_alias(self, signal):
-        via_alias = _drive_model(signal, keep_data=True)
-        via_policy = _drive_model(signal, retain_data="all")
-        assert via_alias.keep_data and via_policy.keep_data
-        assert np.array_equal(via_alias.retained_data(), via_policy.retained_data())
+    @pytest.mark.parametrize(
+        ("keep_data", "policy"), [(True, "all"), (False, "none")]
+    )
+    def test_legacy_keep_data_reads_as_retention_policy(
+        self, signal, keep_data, policy
+    ):
+        # States and manifests written before the flag was folded into
+        # retain_data carry keep_data with retain_data=None.
+        model = _drive_model(signal, retain_data=policy)
+        state = model.state_dict()
+        state["keep_data"], state["retain_data"] = keep_data, None
+        restored = IncrementalMrDMD.from_state_dict(state)
+        assert restored.retain_data == policy
+        _assert_state_equal(restored.state_dict(), model.state_dict())
+
+        payload = PipelineConfig().to_dict()
+        payload["keep_data"], payload["retain_data"] = keep_data, None
+        assert PipelineConfig.from_dict(payload).retain_data == policy
 
     def test_checkpoint_preserves_retention(self, signal):
         data, dt = signal
@@ -455,7 +467,6 @@ class TestRetentionPolicies:
             mrdmd=MrDMDConfig(max_levels=3), retain_data="none",
             baseline_range=(40.0, 75.0),
         )
-        assert config.effective_retention == "none"
         pipeline = OnlineAnalysisPipeline(dt=dt, config=config)
         snapshot = pipeline.ingest(data[:, :600])
         assert snapshot.reconstruction_error is None
