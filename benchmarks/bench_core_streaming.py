@@ -13,9 +13,11 @@ This benchmark streams the same telemetry-shaped matrix through
 * ``projected_lazy`` — the streaming path (default): lazy ``Vh``
   rotation, growth buffers, incrementally maintained ``Y Vh^H`` cross
   product, chunk-window amplitude fit; and
-* ``dense_eager_seed`` — ``level1_path="dense"`` + ``lazy_vh=False``,
-  which reproduces the seed's per-chunk algorithm (eager rotation, full
-  factor materialisation, whole-window amplitude refit),
+* ``dense_eager_seed`` — the test-only
+  ``tests/reference_level1.py::DenseLevel1MrDMD``, which reproduces the
+  seed's per-chunk algorithm (full factor materialisation — the eager
+  rotation's ``O(q^2 T)`` on every chunk — and whole-window amplitude
+  refit),
 
 records every chunk's ``partial_fit`` wall time, and **asserts** the
 acceptance criterion: the streaming path's late-chunk cost stays within
@@ -43,6 +45,7 @@ from repro.core import IncrementalMrDMD, MrDMDConfig
 from repro.util import Timer
 
 from conftest import SCALE, scaled
+from reference_level1 import DenseLevel1MrDMD
 
 #: Where the machine-readable results land (committed + CI artifact).
 RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_core.json")
@@ -73,10 +76,8 @@ def _stream(seed: int = 7) -> np.ndarray:
     return np.vstack(rows) + 0.05 * gen.standard_normal((N_FEATURES, total))
 
 
-def _per_chunk_seconds(data: np.ndarray, *, level1_path: str, lazy_vh: bool) -> list[float]:
-    model = IncrementalMrDMD(
-        dt=0.5, config=CONFIG, level1_path=level1_path, lazy_vh=lazy_vh
-    )
+def _per_chunk_seconds(data: np.ndarray, model_cls: type) -> list[float]:
+    model = model_cls(dt=0.5, config=CONFIG)
     model.fit(data[:, :FIT_WINDOW])
     times = []
     position = FIT_WINDOW
@@ -98,10 +99,10 @@ def test_streaming_core_flat_ingest(benchmark):
     data = _stream()
 
     streaming = benchmark.pedantic(
-        lambda: _per_chunk_seconds(data, level1_path="projected", lazy_vh=True),
+        lambda: _per_chunk_seconds(data, IncrementalMrDMD),
         rounds=1, iterations=1, warmup_rounds=0,
     )
-    seed_like = _per_chunk_seconds(data, level1_path="dense", lazy_vh=False)
+    seed_like = _per_chunk_seconds(data, DenseLevel1MrDMD)
 
     early_at, late_at = 10, N_CHUNKS - 3
     report = {
@@ -183,19 +184,17 @@ def test_streaming_and_seed_paths_agree(benchmark):
     data = _stream(seed=13)
     horizon = FIT_WINDOW + 10 * CHUNK
 
-    def build(level1_path, lazy_vh):
-        model = IncrementalMrDMD(
-            dt=0.5, config=CONFIG, level1_path=level1_path, lazy_vh=lazy_vh
-        )
+    def build(model_cls):
+        model = model_cls(dt=0.5, config=CONFIG)
         model.fit(data[:, :FIT_WINDOW])
         for lo in range(FIT_WINDOW, horizon, CHUNK):
             model.partial_fit(data[:, lo : lo + CHUNK])
         return model
 
     streaming = benchmark.pedantic(
-        lambda: build("projected", True), rounds=1, iterations=1, warmup_rounds=0
+        lambda: build(IncrementalMrDMD), rounds=1, iterations=1, warmup_rounds=0
     )
-    seed_like = build("dense", False)
+    seed_like = build(DenseLevel1MrDMD)
 
     assert len(streaming.tree) == len(seed_like.tree)
     assert streaming.tree.levels() == seed_like.tree.levels()

@@ -77,7 +77,6 @@ def _grown_model(n_chunks: int):
         dt=1.0,
         config=MrDMDConfig(max_levels=4),
         retain_data="none",
-        level1_path="projected",
     )
     t = np.arange(CHUNK * (n_chunks + 1)) * 1.0
     base = np.sin(0.01 * t)[None, :] + 0.1 * rng.standard_normal(

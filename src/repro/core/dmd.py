@@ -249,10 +249,10 @@ def compute_dmd(
         Known noise level forwarded to the SVHT rule.
     svd_factors:
         Optionally, a precomputed (possibly incrementally-updated)
-        truncated SVD ``(U, s, Vh)`` of ``X = data[:, :-1]``.  This is the
-        hook the incremental mrDMD uses to avoid recomputing the SVD from
-        scratch; the factors are still re-truncated with SVHT so both
-        paths share the same rank rule.
+        truncated SVD ``(U, s, Vh)`` of ``X = data[:, :-1]``, such as
+        :meth:`~repro.core.isvd.IncrementalSVD.factors`, to avoid
+        recomputing the SVD from scratch; the factors are still
+        re-truncated with SVHT so both paths share the same rank rule.
     amplitude_method:
         How to fit the mode amplitudes ``a_i``: ``"first"`` (classic DMD,
         least squares against the first snapshot only — Eq. 6's

@@ -35,7 +35,7 @@ import numpy as np
 from ..obs import OBS
 from ..util.growbuf import GrowableMatrix
 from ..util.timer import now
-from .dmd import compute_dmd, compute_dmd_projected, slow_mode_mask
+from .dmd import DMDResult, compute_dmd, compute_dmd_projected, slow_mode_mask
 from .isvd import IncrementalSVD
 from .mrdmd import MrDMDConfig, compute_mrdmd
 from .tree import MrDMDNode, MrDMDTree
@@ -157,6 +157,13 @@ def _mode_drift(previous: np.ndarray, current: np.ndarray) -> float:
 class IncrementalMrDMD:
     """Online mrDMD with incremental level-1 updates.
 
+    Each :meth:`partial_fit` computes the updated level-1 DMD in the
+    rank-``q`` projected space: the ``Y Vh^H`` cross product is maintained
+    incrementally, the lazily rotated right factor is never materialised,
+    and the level-1 amplitudes are least-squares fitted over the appended
+    chunk (the only range the new level-1 node contributes to
+    reconstructions), so the per-chunk cost does not grow with the stream.
+
     Parameters
     ----------
     dt:
@@ -182,22 +189,6 @@ class IncrementalMrDMD:
         paper targets need.
     retain_window:
         Number of trailing snapshots kept under ``retain_data="window"``.
-    level1_path:
-        How the updated level-1 DMD is computed on each
-        :meth:`partial_fit`.  ``"projected"`` (default) works entirely in
-        the rank-``q`` projected space — the ``Y Vh^H`` cross product is
-        maintained incrementally, the lazily rotated right factor is never
-        materialised, and the level-1 amplitudes are least-squares fitted
-        over the freshly appended chunk (the only range the new level-1
-        node contributes to reconstructions) — making the per-chunk cost
-        independent of the stream length.  ``"dense"`` reproduces the
-        pre-optimisation behaviour exactly: materialise the full factors
-        and re-fit amplitudes per ``config.amplitude_method`` over the
-        whole (growing) level-1 window, at ``O(T)`` per chunk.
-    lazy_vh:
-        Forwarded to :class:`~repro.core.isvd.IncrementalSVD`
-        ``lazy_rotation``; both settings produce bit-for-bit identical
-        results (the eager mode simply pays the rotation per update).
     deep_levels:
         When the levels-2..L mrDMD recursion over an appended chunk runs.
         ``"inline"`` (default) keeps it on the ingest path — the
@@ -236,8 +227,6 @@ class IncrementalMrDMD:
         drift_threshold: float | None = None,
         retain_data: str = "none",
         retain_window: int = 4096,
-        level1_path: str = "projected",
-        lazy_vh: bool = True,
         missing_values: str = "raise",
         deep_levels: str = "inline",
         **config_overrides,
@@ -256,10 +245,6 @@ class IncrementalMrDMD:
             )
         if retain_window < 1:
             raise ValueError("retain_window must be >= 1")
-        if level1_path not in ("projected", "dense"):
-            raise ValueError(
-                f"level1_path must be 'projected' or 'dense', got {level1_path!r}"
-            )
         if missing_values not in MISSING_VALUE_POLICIES:
             raise ValueError(
                 f"missing_values must be one of {MISSING_VALUE_POLICIES}, "
@@ -274,8 +259,6 @@ class IncrementalMrDMD:
         self.drift_threshold = drift_threshold
         self.retain_data = retain_data
         self.retain_window = int(retain_window)
-        self.level1_path = level1_path
-        self.lazy_vh = bool(lazy_vh)
         self.missing_values = missing_values
         self.deep_levels = deep_levels
 
@@ -283,9 +266,9 @@ class IncrementalMrDMD:
         self._isvd: IncrementalSVD | None = None
         self._level1_stride: int = 1
         # Subsampled level-1 matrix, grown in place (O(1) amortized append).
-        # Under minimal retention (retain_data="none" + projected path) only
-        # the trailing column is stored; ``_sub_offset`` counts the leading
-        # grid columns dropped, so absolute grid indices stay recoverable.
+        # Under minimal retention (retain_data="none") only the trailing
+        # column is stored; ``_sub_offset`` counts the leading grid columns
+        # dropped, so absolute grid indices stay recoverable.
         self._sub: GrowableMatrix | None = None
         self._sub_offset: int = 0
         self._next_sub_index: int = 0                 # next absolute index to subsample
@@ -293,7 +276,8 @@ class IncrementalMrDMD:
         self._n_features: int = 0
         self._level1_modes: np.ndarray = np.zeros((0, 0), dtype=complex)
         # Y Vh^H of the shifted level-1 matrix, advanced per update from
-        # the iSVD's rotation ops (the projected path's whole view of Vh).
+        # the iSVD's rotation ops (the level-1 update's whole view of Vh);
+        # set exactly when the iSVD is initialised.
         self._level1_cross: np.ndarray | None = None
         # Retained raw snapshots: GrowableMatrix ("all"), trailing ndarray
         # ("window"), or None ("none").
@@ -437,15 +421,12 @@ class IncrementalMrDMD:
             ((t0 - 1) // self._level1_stride + 1) * self._level1_stride
         )
         self._isvd = IncrementalSVD(
-            rank=self.config.svd_rank,
-            use_svht=self.config.use_svht,
-            lazy_rotation=self.lazy_vh,
+            rank=self.config.svd_rank, use_svht=self.config.use_svht
         )
         self._level1_cross = None
         if sub.shape[1] >= 2:
             self._isvd.initialize(sub[:, :-1])
-            if self.level1_path == "projected":
-                self._level1_cross = self._initial_cross(sub)
+            self._level1_cross = self._initial_cross(sub)
 
         level1_nodes = self._tree.nodes_at_level(1)
         self._level1_modes = (
@@ -466,23 +447,15 @@ class IncrementalMrDMD:
     def _shrink_level1_grid(self) -> None:
         """Minimal level-1 retention: keep only the trailing grid column.
 
-        Under ``retain_data="none"`` with the projected level-1 path the
-        only grid reads are the trailing column (the anchor for the next
-        update block and the stride-shorter amplitude fit) — the dense
-        fallback, ``state_dict`` re-derivation and re-initialisation all
-        need the full grid, so shrinking is gated on the projected path
-        with an initialised iSVD.  This reaches the
-        ``O(P q + q T/stride)`` → ``O(P q)`` memory target for the grid;
-        ``_sub_offset`` keeps absolute column indices recoverable.
+        Under ``retain_data="none"`` the only grid reads are the trailing
+        column (the anchor for the next update block and the
+        stride-shorter amplitude fit) once the iSVD is initialised — its
+        initialisation needs the full grid, so shrinking waits for it.
+        This reaches the ``O(P q + q T/stride)`` → ``O(P q)`` memory target
+        for the grid; ``_sub_offset`` keeps absolute column indices
+        recoverable.
         """
-        if (
-            self.retain_data != "none"
-            or self.level1_path != "projected"
-            or self._sub is None
-            or self._isvd is None
-            or not self._isvd.initialized
-            or self._level1_cross is None
-        ):
+        if self.retain_data != "none" or self._level1_cross is None:
             return
         drop = self._sub.n_cols - 1
         if drop <= 0:
@@ -492,7 +465,7 @@ class IncrementalMrDMD:
         self._sub_offset += drop
 
     # ------------------------------------------------------------------ #
-    # Level-1 cross-product maintenance (projected path)
+    # Level-1 cross-product maintenance
     # ------------------------------------------------------------------ #
     def _initial_cross(self, sub: np.ndarray) -> np.ndarray:
         """Batch ``Y Vh^H`` for the freshly (re)initialised level-1 iSVD."""
@@ -559,14 +532,12 @@ class IncrementalMrDMD:
                 block = self._sub.slice(old_sub_cols - 1, self._sub.n_cols - 1)
                 if block.shape[1]:
                     self._isvd.update(block)
-                    if self._level1_cross is not None:
-                        self._level1_cross = self._advance_cross(
-                            self._level1_cross, new_cols
-                        )
+                    self._level1_cross = self._advance_cross(
+                        self._level1_cross, new_cols
+                    )
             elif self._sub.n_cols >= 2:
                 self._isvd.initialize(self._sub.slice(0, self._sub.n_cols - 1))
-                if self.level1_path == "projected":
-                    self._level1_cross = self._initial_cross(self._sub.view())
+                self._level1_cross = self._initial_cross(self._sub.view())
         if OBS.enabled:
             OBS.record("core.grid_extend", now() - t_phase, cols=int(t1))
             t_phase = now()
@@ -578,40 +549,7 @@ class IncrementalMrDMD:
         # trailing column under minimal retention (see _shrink_level1_grid).
         n_sub = self._sub_offset + self._sub.n_cols
         if self._isvd.initialized and n_sub >= 2:
-            if self.level1_path == "projected" and self._level1_cross is not None:
-                # Flat-cost path: the operator projection reads only the
-                # incrementally maintained (P, q) cross product, and the
-                # amplitudes are fitted over the appended chunk's columns
-                # (the only range this node contributes to, see
-                # `contribution_start` below) at their absolute positions.
-                if new_cols is not None and new_cols.shape[1]:
-                    amp_data = new_cols
-                    amp_powers = np.arange(n_sub - new_cols.shape[1], n_sub)
-                else:
-                    # Chunk shorter than the stride: no new grid column;
-                    # anchor the fit at the latest retained column.
-                    amp_data = self._sub.column(self._sub.n_cols - 1)[:, None]
-                    amp_powers = np.arange(n_sub - 1, n_sub)
-                dmd = compute_dmd_projected(
-                    self._isvd.u,
-                    self._isvd.s,
-                    self._level1_cross,
-                    dt=local_dt,
-                    n_snapshots=n_sub,
-                    svd_rank=self.config.svd_rank,
-                    use_svht=self.config.use_svht,
-                    amplitude_data=amp_data,
-                    amplitude_powers=amp_powers,
-                )
-            else:
-                dmd = compute_dmd(
-                    self._sub.materialize(),
-                    local_dt,
-                    svd_rank=self.config.svd_rank,
-                    use_svht=self.config.use_svht,
-                    svd_factors=self._isvd.factors(),
-                    amplitude_method=self.config.amplitude_method,
-                )
+            dmd = self._level1_dmd(new_cols, n_sub, local_dt)
         else:
             dmd = compute_dmd(
                 self._sub.materialize(),
@@ -621,8 +559,7 @@ class IncrementalMrDMD:
             )
         slow = dmd.mode_subset(slow_mode_mask(dmd, rho)) if dmd.n_modes else dmd
         if OBS.enabled:
-            OBS.record("core.level1_dmd", now() - t_phase,
-                       path=self.level1_path, rank=int(dmd.svd_rank))
+            OBS.record("core.level1_dmd", now() - t_phase, rank=int(dmd.svd_rank))
             t_phase = now()
 
         drift = _mode_drift(self._level1_modes, slow.modes)
@@ -710,6 +647,37 @@ class IncrementalMrDMD:
         self._history.append(record)
         self._shrink_level1_grid()
         return record
+
+    def _level1_dmd(
+        self, new_cols: np.ndarray | None, n_sub: int, local_dt: float
+    ) -> DMDResult:
+        """The updated level-1 DMD of the ``n_sub``-column grid, flat cost.
+
+        The operator projection reads only the incrementally maintained
+        ``(P, q)`` cross product, and the amplitudes are fitted over the
+        appended chunk's grid columns ``new_cols`` (the only range the new
+        level-1 node contributes to, see ``contribution_start`` in
+        :meth:`partial_fit`) at their absolute positions.
+        """
+        if new_cols is not None and new_cols.shape[1]:
+            amp_data = new_cols
+            amp_powers = np.arange(n_sub - new_cols.shape[1], n_sub)
+        else:
+            # Chunk shorter than the stride: no new grid column; anchor
+            # the fit at the latest retained column.
+            amp_data = self._sub.column(self._sub.n_cols - 1)[:, None]
+            amp_powers = np.arange(n_sub - 1, n_sub)
+        return compute_dmd_projected(
+            self._isvd.u,
+            self._isvd.s,
+            self._level1_cross,
+            dt=local_dt,
+            n_snapshots=n_sub,
+            svd_rank=self.config.svd_rank,
+            use_svht=self.config.use_svht,
+            amplitude_data=amp_data,
+            amplitude_powers=amp_powers,
+        )
 
     def _chunk_config(self) -> MrDMDConfig:
         """The mrDMD config for the recursion over one appended chunk."""
@@ -847,21 +815,20 @@ class IncrementalMrDMD:
             else:
                 isvd_rows = np.zeros((r, self._isvd.n_columns), dtype=float)
             self._isvd.add_rows(isvd_rows)
-            if self._level1_cross is not None:
-                cross = self._level1_cross
-                # The row-append rotates Vh (no-op on the zero fast path);
-                # advance the existing rows through the recorded ops, then
-                # append the new rows' Y Vh^H block.
-                for op in self._isvd.last_update_ops:
-                    cross = cross @ op[1].conj().T
-                if history is not None:
-                    y_rows = np.ascontiguousarray(
-                        history[:, np.arange(1, n_sub) * stride]
-                    )
-                    new_cross_rows = y_rows @ self._isvd.vh.conj().T
-                else:
-                    new_cross_rows = np.zeros((r, cross.shape[1]), dtype=cross.dtype)
-                self._level1_cross = np.vstack([cross, new_cross_rows])
+            cross = self._level1_cross
+            # The row-append rotates Vh (no-op on the zero fast path);
+            # advance the existing rows through the recorded ops, then
+            # append the new rows' Y Vh^H block.
+            for op in self._isvd.last_update_ops:
+                cross = cross @ op[1].conj().T
+            if history is not None:
+                y_rows = np.ascontiguousarray(
+                    history[:, np.arange(1, n_sub) * stride]
+                )
+                new_cross_rows = y_rows @ self._isvd.vh.conj().T
+            else:
+                new_cross_rows = np.zeros((r, cross.shape[1]), dtype=cross.dtype)
+            self._level1_cross = np.vstack([cross, new_cross_rows])
 
         # ---- 3. widen the mode tree and bookkeeping ------------------ #
         self._tree.add_features(r)
@@ -923,8 +890,6 @@ class IncrementalMrDMD:
             "drift_threshold": self.drift_threshold,
             "retain_data": self.retain_data,
             "retain_window": self.retain_window,
-            "level1_path": self.level1_path,
-            "lazy_vh": self.lazy_vh,
             "missing_values": self.missing_values,
             "deep_levels": self.deep_levels,
             "deep_pending": [
@@ -961,11 +926,13 @@ class IncrementalMrDMD:
         Older states carry the retired ``keep_data`` flag, with
         ``retain_data`` missing or ``None`` before the streaming-core
         overhaul: retention then reads ``"all"`` when the flag was set and
-        ``"none"`` otherwise.  States that also lack ``level1_cross`` get
-        the level-1 cross product recomputed from the stored subsampled
-        matrix and factors, so old checkpoints keep resuming
-        (deterministically, via the same batch product the initial fit
-        uses).
+        ``"none"`` otherwise.  Their retired ``level1_path`` and
+        ``lazy_vh`` keys are ignored.  States without a ``level1_cross``
+        (saved before the cross product existed, or under the retired
+        ``level1_path="dense"``, which kept the full grid) get it
+        recomputed from the stored subsampled matrix and factors, so old
+        checkpoints keep resuming (deterministically, via the same batch
+        product the initial fit uses).
         """
         retain_data = state.get("retain_data")
         if retain_data is None:
@@ -976,8 +943,6 @@ class IncrementalMrDMD:
             drift_threshold=state["drift_threshold"],
             retain_data=retain_data,
             retain_window=int(state.get("retain_window", 4096)),
-            level1_path=str(state.get("level1_path", "projected")),
-            lazy_vh=bool(state.get("lazy_vh", True)),
             missing_values=str(state.get("missing_values", "raise")),
             deep_levels=str(state.get("deep_levels", "inline")),
         )
@@ -1008,13 +973,7 @@ class IncrementalMrDMD:
         cross = state.get("level1_cross")
         if cross is not None:
             model._level1_cross = np.asarray(cross, dtype=float)
-        elif (
-            model.level1_path == "projected"
-            and model._isvd is not None
-            and model._isvd.initialized
-            and model._sub is not None
-            and model._sub.n_cols >= 2
-        ):
+        elif model._isvd is not None and model._isvd.initialized:
             model._level1_cross = model._initial_cross(model._sub.view())
         raw = state["data"]
         if raw is None:

@@ -33,10 +33,10 @@ full ``Vh`` is materialised only when a caller actually asks for it
 (:attr:`~IncrementalSVD.vh`, :meth:`~IncrementalSVD.factors`,
 :meth:`~IncrementalSVD.to_dict`, :meth:`~IncrementalSVD.add_rows`).
 Materialisation replays the pending rotations in their original order with
-the exact matrix products the eager scheme would have issued, so the
-result is bit-for-bit identical to eager per-update rotation
-(``lazy_rotation=False``) — it just pays the ``O(q^2 T)`` once per access
-instead of once per update.
+the exact matrix products eager per-update rotation would have issued, so
+the result is bit-for-bit identical to rotating after every update (or to
+reading :attr:`~IncrementalSVD.vh` after every update) — it just pays the
+``O(q^2 T)`` once per access instead of once per update.
 
 The "spatially parallel / temporally serial" structure of the reference
 means the row blocks of ``U`` can be updated independently once the small
@@ -118,14 +118,6 @@ class IncrementalSVD:
         every this-many updates (counting both :meth:`update` and
         :meth:`add_rows` calls) a thin QR re-orthogonalisation is applied.
         ``0`` disables it.
-    lazy_rotation:
-        When ``True`` (default) the right factor ``Vh`` is not rotated
-        during :meth:`update`; the small core rotations are queued and
-        replayed on first access, making ``update`` genuinely
-        ``O(P (q + c)^2)``.  ``False`` restores eager per-update rotation
-        (the pre-optimisation behaviour); both settings yield bit-for-bit
-        identical factors because materialisation replays the exact
-        per-update products in order.
     dtype:
         Working dtype (default ``float64``).
 
@@ -143,7 +135,6 @@ class IncrementalSVD:
         use_svht: bool = True,
         max_rank_cap: int = 512,
         reorthogonalize_every: int = 16,
-        lazy_rotation: bool = True,
         dtype: np.dtype | type = np.float64,
     ) -> None:
         if rank is not None and rank < 1:
@@ -156,7 +147,6 @@ class IncrementalSVD:
         self.use_svht = use_svht
         self.max_rank_cap = int(max_rank_cap)
         self.reorthogonalize_every = int(reorthogonalize_every)
-        self.lazy_rotation = bool(lazy_rotation)
         self.dtype = np.dtype(dtype)
         self._u: np.ndarray | None = None
         self._s: np.ndarray | None = None
@@ -319,8 +309,6 @@ class IncrementalSVD:
             ops.append(self._reorthogonalize())
             OBS.inc("core.isvd.reorth")
         self._last_update_ops = ops
-        if not self.lazy_rotation:
-            self._materialize_vh()
         if OBS.enabled:
             OBS.record("core.isvd.update", now() - t_start, cols=int(c), rank=int(r))
             OBS.gauge("core.isvd.rank", int(r))
@@ -403,8 +391,6 @@ class IncrementalSVD:
         if self.reorthogonalize_every and self._n_updates % self.reorthogonalize_every == 0:
             ops.append(self._reorthogonalize())
             OBS.inc("core.isvd.reorth")
-            if not self.lazy_rotation:
-                self._materialize_vh()
         self._last_update_ops = ops
         if OBS.enabled:
             OBS.record("core.isvd.add_rows", now() - t_start,
@@ -434,7 +420,6 @@ class IncrementalSVD:
             "use_svht": self.use_svht,
             "max_rank_cap": self.max_rank_cap,
             "reorthogonalize_every": self.reorthogonalize_every,
-            "lazy_rotation": self.lazy_rotation,
             "dtype": self.dtype.name,
             "u": None if self._u is None else self._u,
             "s": None if self._s is None else self._s,
@@ -445,13 +430,15 @@ class IncrementalSVD:
 
     @classmethod
     def from_dict(cls, state: dict) -> "IncrementalSVD":
-        """Rebuild an :class:`IncrementalSVD` from :meth:`to_dict` output."""
+        """Rebuild an :class:`IncrementalSVD` from :meth:`to_dict` output.
+
+        Older dicts carry the retired ``lazy_rotation`` flag; it is ignored.
+        """
         obj = cls(
             rank=state["rank"],
             use_svht=bool(state["use_svht"]),
             max_rank_cap=int(state["max_rank_cap"]),
             reorthogonalize_every=int(state["reorthogonalize_every"]),
-            lazy_rotation=bool(state.get("lazy_rotation", True)),
             dtype=np.dtype(state["dtype"]),
         )
         if state["u"] is not None:

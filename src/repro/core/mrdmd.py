@@ -63,12 +63,11 @@ class MrDMDConfig:
         (``"window"`` default: least squares over the whole subsampled
         window, which gives noticeably better reconstructions than the
         classic first-snapshot fit at negligible cost).  Note: the
-        incremental model's default streaming level-1 path
-        (``IncrementalMrDMD(level1_path="projected")``) overrides this at
+        incremental model's streaming level-1 update
+        (:class:`~repro.core.imrdmd.IncrementalMrDMD`) overrides this at
         level 1 only — it fits amplitudes over the appended chunk (the
         node's contribution window) to keep per-chunk cost flat; all
-        deeper levels, the batch recursion, and
-        ``level1_path="dense"`` honour this setting everywhere.
+        deeper levels and the batch recursion honour this setting.
     """
 
     max_levels: int = 6
@@ -126,21 +125,14 @@ def decompose_window(
     level: int,
     bin_index: int,
     start: int,
-    svd_factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[MrDMDNode, np.ndarray]:
     """Extract the slow modes of one window and its slow reconstruction.
 
     Returns the populated :class:`MrDMDNode` and the real ``(P, T_window)``
     slow-mode reconstruction to be subtracted before recursing.
-
-    ``svd_factors`` (of the *subsampled, shifted* matrix) may be supplied
-    by the incremental path; when given, ``data`` must already be the
-    subsampled view consistent with those factors and ``step`` is taken
-    as 1 for the factor consistency check (the caller passes the stride
-    explicitly through the node it builds).
     """
     n_features, window_length = data.shape
-    step = 1 if svd_factors is not None else config.stride_for(window_length)
+    step = config.stride_for(window_length)
     sub = data[:, ::step] if step > 1 else data
     local_dt = dt * step
     rho = config.rho_for(window_length, dt)
@@ -150,7 +142,6 @@ def decompose_window(
         local_dt,
         svd_rank=config.svd_rank,
         use_svht=config.use_svht,
-        svd_factors=svd_factors,
         amplitude_method=config.amplitude_method,
     )
     mask = slow_mode_mask(dmd, rho) if dmd.n_modes else np.zeros(0, dtype=bool)

@@ -39,19 +39,6 @@ class PipelineConfig:
         Classification thresholds (+-1.5 near baseline, +-2 extreme).
     zscore_reducer:
         How each row's time series is collapsed before scoring.
-    baseline_refit:
-        When the pipeline's fitted baseline should be refreshed as the
-        decomposition grows.  ``"stale"`` (default) refits automatically
-        whenever the mode tree changed since the baseline was fitted (the
-        fit is replayed with its original spec, so explicit
-        ``value_range``/``time_range`` choices are honoured).  The refit
-        is a fold: only the blocks the update touched are re-summarised
-        and merged into the running moments, so it costs O(chunk) under
-        inline deep levels; ``"never"``
-        keeps the first fitted baseline until :meth:`fit_baseline` is
-        called again (the pre-fix behaviour).  Baselines fitted from
-        explicit caller-supplied data are *pinned* and never auto-refit
-        under either policy.
     retain_data:
         Raw-snapshot retention policy forwarded to
         :class:`~repro.core.imrdmd.IncrementalMrDMD`: ``"all"``
@@ -61,14 +48,6 @@ class PipelineConfig:
         ``"all"``.
     retain_window:
         Trailing-snapshot count for ``retain_data="window"``.
-    level1_path:
-        Level-1 update strategy forwarded to
-        :class:`~repro.core.imrdmd.IncrementalMrDMD`: ``"projected"``
-        (default; flat per-chunk cost, amplitudes fitted over the
-        appended chunk) or ``"dense"`` (the pre-overhaul whole-timeline
-        behaviour, honouring ``mrdmd.amplitude_method`` at level 1, at
-        O(T) per chunk) — the operator-facing escape hatch when
-        pre-upgrade level-1 numerics must be preserved.
     missing_values:
         Non-finite-reading policy forwarded to
         :class:`~repro.core.imrdmd.IncrementalMrDMD`: ``"raise"``
@@ -99,10 +78,8 @@ class PipelineConfig:
     zscore_near: float = 1.5
     zscore_extreme: float = 2.0
     zscore_reducer: str = "mean"
-    baseline_refit: str = "stale"
     retain_data: str = "all"
     retain_window: int = 4096
-    level1_path: str = "projected"
     missing_values: str = "raise"
     deep_levels: str = "inline"
     deep_refresh_every: int = 8
@@ -110,10 +87,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.power_quantile <= 1.0:
             raise ValueError("power_quantile must be in [0, 1]")
-        if self.baseline_refit not in ("stale", "never"):
-            raise ValueError(
-                f"baseline_refit must be 'stale' or 'never', got {self.baseline_refit!r}"
-            )
         if self.retain_data not in RETENTION_POLICIES:
             raise ValueError(
                 f"retain_data must be one of {RETENTION_POLICIES}, "
@@ -121,10 +94,6 @@ class PipelineConfig:
             )
         if self.retain_window < 1:
             raise ValueError("retain_window must be >= 1")
-        if self.level1_path not in ("projected", "dense"):
-            raise ValueError(
-                f"level1_path must be 'projected' or 'dense', got {self.level1_path!r}"
-            )
         if self.missing_values not in MISSING_VALUE_POLICIES:
             raise ValueError(
                 f"missing_values must be one of {MISSING_VALUE_POLICIES}, "
@@ -157,9 +126,14 @@ class PipelineConfig:
         ``frequency_range`` and ``baseline_range``, and reads older
         payloads that carry the retired ``keep_data`` flag: with
         ``retain_data`` ``None`` (or absent) retention is ``"all"`` when
-        the flag was set and ``"none"`` otherwise.
+        the flag was set and ``"none"`` otherwise.  The retired
+        ``level1_path`` and ``baseline_refit`` keys are ignored: every
+        pipeline runs the projected level-1 update and refits a stale
+        baseline fitted from the reconstruction.
         """
         payload = dict(payload)
+        for key in ("level1_path", "baseline_refit"):
+            payload.pop(key, None)
         keep_data = payload.pop("keep_data", True)
         if payload.get("retain_data") is None:
             payload["retain_data"] = "all" if keep_data else "none"

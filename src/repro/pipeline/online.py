@@ -273,7 +273,6 @@ class OnlineAnalysisPipeline:
             drift_threshold=self.config.drift_threshold,
             retain_data=self.config.retain_data,
             retain_window=self.config.retain_window,
-            level1_path=self.config.level1_path,
             missing_values=self.config.missing_values,
             deep_levels=self.config.deep_levels,
         )
@@ -495,20 +494,18 @@ class OnlineAnalysisPipeline:
 
         if self._baseline is None:
             pass
-        elif self._baseline_pinned or self.config.baseline_refit == "never":
+        elif self._baseline_pinned:
             # Caller-supplied fit data cannot be replayed over the grown
-            # row space, and a "never"-refit baseline would freeze the
-            # new rows' placeholder statistics (zero mean, floored std)
-            # forever — both drop the baseline; the next scoring call
-            # fits a fresh full-width one.
+            # row space: drop the baseline; the next scoring call fits a
+            # fresh full-width one.
             self._baseline = None
             self._baseline_spec = None
             self._baseline_pinned = False
             self._baseline_revision = None
             self._baseline_tree_ref = None
         else:
-            # Under "stale" refit the extension only bridges until the
-            # next ingest bumps the revision and triggers the full refit.
+            # The extension only bridges until the next ingest bumps the
+            # revision and triggers the refit.
             self._extend_baseline(n_rows, fresh=extendable)
         self._mutations += 1
         return change
@@ -656,11 +653,13 @@ class OnlineAnalysisPipeline:
         to summation order.
 
         A baseline fitted from the reconstruction records the tree revision
-        it saw, so later scoring can detect (and, under
-        ``config.baseline_refit == "stale"``, repair) staleness as more
-        data streams in.  A baseline fitted from caller-supplied ``data``
-        is *pinned*: the pipeline cannot replay it, so it is never
-        auto-refit.
+        it saw, so later scoring can detect and repair staleness as more
+        data streams in: the fit is replayed with its original spec, so
+        explicit ``value_range``/``time_range`` choices are honoured, and
+        only the blocks an update touched are re-summarised and merged
+        into the running moments.  A baseline fitted from caller-supplied
+        ``data`` is *pinned*: the pipeline cannot replay it, so it is
+        never auto-refit.
         """
         pinned = data is not None
         spec = BaselineSpec(
@@ -700,14 +699,10 @@ class OnlineAnalysisPipeline:
         return self._baseline_revision != tree.revision
 
     def _ensure_baseline(self) -> BaselineModel:
-        """Fit the baseline lazily; refit a stale one when configured to."""
+        """Fit the baseline lazily; refit a stale unpinned one."""
         if self._baseline is None:
             self.fit_baseline()
-        elif (
-            self.config.baseline_refit == "stale"
-            and not self._baseline_pinned
-            and self.baseline_is_stale()
-        ):
+        elif not self._baseline_pinned and self.baseline_is_stale():
             spec = self._baseline_spec or BaselineSpec(
                 value_range=self.config.baseline_range
             )
@@ -728,10 +723,9 @@ class OnlineAnalysisPipeline:
         pipeline's reconstruction buffer.  A read reconstructs only the
         blocks its window overlaps that an update touched (the appended
         chunk, under inline deep levels) or that were never filled, and
-        under
-        ``config.baseline_refit == "stale"`` the refit merges those
-        blocks' baseline moments into the running fold — so a read costs
-        O(chunk), not O(full timeline), at any stream age.
+        a stale baseline's refit merges those blocks' baseline moments
+        into the running fold — so a read costs O(chunk), not O(full
+        timeline), at any stream age.
         """
         baseline = self._ensure_baseline()
         if data is None:

@@ -222,15 +222,6 @@ class TestWindowedProductsAndBaseline:
         assert pipeline._baseline is not first, "stale baseline must be refit"
         assert not pipeline.baseline_is_stale()
 
-    def test_baseline_refit_never_keeps_first_fit(self, small_stream):
-        pipeline = self._fresh_pipeline(small_stream, baseline_refit="never")
-        pipeline.zscores()
-        first = pipeline._baseline
-        pipeline.ingest(small_stream.values[:, 300:400])
-        pipeline.zscores()
-        assert pipeline._baseline is first
-        assert pipeline.baseline_is_stale(), "staleness is still reported"
-
     def test_pinned_baseline_survives_updates(self, small_stream):
         pipeline = self._fresh_pipeline(small_stream)
         pinned = pipeline.fit_baseline(small_stream.values[:, :300])
@@ -245,10 +236,6 @@ class TestWindowedProductsAndBaseline:
         pipeline.zscores()
         assert pipeline._baseline_spec.value_range == (40.0, 80.0)
         assert pipeline._baseline_spec.time_range == (0, 250)
-
-    def test_invalid_baseline_refit_rejected(self):
-        with pytest.raises(ValueError, match="baseline_refit"):
-            PipelineConfig(baseline_refit="sometimes")
 
     # -- pickling (regression: memoised weakref caches used to make a
     # queried pipeline unpicklable, breaking process fan-out) ------------ #
@@ -267,7 +254,7 @@ class TestWindowedProductsAndBaseline:
     def test_pickled_copy_preserves_staleness_verdict(self, small_stream):
         import pickle
 
-        pipeline = self._fresh_pipeline(small_stream, baseline_refit="never")
+        pipeline = self._fresh_pipeline(small_stream)
         pipeline.zscores()
         pipeline.ingest(small_stream.values[:, 300:360])
         assert pipeline.baseline_is_stale()

@@ -5,12 +5,17 @@ and the projected level-1 path:
 
 * lazy ``Vh`` rotation is **bit-for-bit** identical to eager per-update
   rotation — for the raw :class:`IncrementalSVD` (including mid-stream
-  ``to_dict``/``from_dict`` checkpoints) and against an inline
-  re-implementation of the pre-overhaul (seed) eager algorithm;
-* :class:`IncrementalMrDMD` with lazy and eager factors produces
-  bit-for-bit identical trees, checkpoints and pipeline z-scores (the
-  serial/thread/process executor parity suite in
-  ``test_service_executor.py`` extends this across backends);
+  ``to_dict``/``from_dict`` checkpoints) against an inline
+  re-implementation of the pre-overhaul (seed) eager algorithm, and
+  against a run that reads ``.vh`` after every update;
+* :class:`IncrementalMrDMD` produces bit-for-bit the trees, checkpoints
+  and pipeline z-scores of a run that materialises ``Vh`` after every
+  update (the serial/thread/process executor parity suite in
+  ``test_service_executor.py`` extends this across backends), and
+  reconstructs within 5% of the data norm of the dense whole-timeline
+  level-1 oracle (``reference_level1.DenseLevel1MrDMD``);
+* checkpoints carrying the retired ``level1_path``/``lazy_vh``/
+  ``lazy_rotation``/``baseline_refit`` keys still restore and resume;
 * growth-buffer accumulation matches ``np.hstack`` accumulation exactly;
 * per-update cost of the streaming path does not grow with the stream
   length (the regression guard for the ISSUE's O(T^2) degradation);
@@ -28,11 +33,12 @@ import pytest
 
 from repro.core.imrdmd import IncrementalMrDMD
 from repro.core.isvd import IncrementalSVD
-from repro.core.mrdmd import MrDMDConfig
+from repro.core.mrdmd import MrDMDConfig, decompose_window
 from repro.core.svht import svht_rank
 from repro.pipeline import OnlineAnalysisPipeline, PipelineConfig
 
 from helpers import make_multiscale_signal
+from reference_level1 import DenseLevel1MrDMD
 
 
 def _assert_state_equal(a, b, path=""):
@@ -127,16 +133,15 @@ class TestLazyVhParity:
     def test_lazy_equals_eager_bit_for_bit(self, use_svht):
         x = _stream_matrix()
         kwargs = dict(rank=8, use_svht=use_svht, reorthogonalize_every=4)
-        lazy = IncrementalSVD(lazy_rotation=True, **kwargs)
-        eager = IncrementalSVD(lazy_rotation=False, **kwargs)
+        lazy = IncrementalSVD(**kwargs)
+        eager = _SeedEagerISVD(**kwargs)
         for model in (lazy, eager):
             model.initialize(x[:, :60])
         for lo in range(60, x.shape[1], 36):
             lazy.update(x[:, lo : lo + 36])
             eager.update(x[:, lo : lo + 36])
         assert lazy.pending_rotations > 0
-        assert eager.pending_rotations == 0
-        for name, a, b in zip("u s vh", lazy.factors(), eager.factors()):
+        for name, a, b in zip("u s vh", lazy.factors(), (eager.u, eager.s, eager.vh)):
             assert np.array_equal(a, b), name
 
     def test_lazy_reproduces_seed_algorithm_bit_for_bit(self):
@@ -273,15 +278,21 @@ class TestAddRowsSchedule:
         )
 
     def test_add_rows_equivalent_with_and_without_lazy_rotation(self):
+        # The eager reference reads .vh after every op, which applies the
+        # queued re-orthogonalisation rotation immediately.
         gen = np.random.default_rng(6)
         x = gen.standard_normal((12, 80))
         rows = gen.standard_normal((4, 80))
         results = []
-        for lazy in (True, False):
-            model = IncrementalSVD(rank=6, use_svht=False,
-                                   reorthogonalize_every=1, lazy_rotation=lazy)
+        for eager in (False, True):
+            model = IncrementalSVD(rank=6, use_svht=False, reorthogonalize_every=1)
             model.initialize(x)
             model.add_rows(rows)
+            if eager:
+                _ = model.vh
+                assert model.pending_rotations == 0
+            else:
+                assert model.pending_rotations > 0
             results.append(model.factors())
         for a, b in zip(*results):
             assert np.array_equal(a, b)
@@ -292,27 +303,30 @@ def signal():
     return make_multiscale_signal(n_sensors=14, n_timesteps=1800, seed=33)
 
 
-def _drive_model(signal, **kwargs):
+def _drive_model(signal, model_cls=IncrementalMrDMD, *, eager=False, **kwargs):
+    """Fit on 600 columns, then stream 300-column chunks.
+
+    ``eager`` reads the level-1 right factor after every update, which
+    materialises each queued rotation as soon as it is issued.
+    """
     data, dt = signal
-    model = IncrementalMrDMD(dt=dt, config=MrDMDConfig(max_levels=4), **kwargs)
+    model = model_cls(dt=dt, config=MrDMDConfig(max_levels=4), **kwargs)
     model.fit(data[:, :600])
     for lo in range(600, data.shape[1], 300):
         model.partial_fit(data[:, lo : lo + 300])
+        if eager:
+            _ = model._isvd.vh
+            assert model._isvd.pending_rotations == 0
     return model
 
 
 class TestIncrementalMrDMDParity:
     def test_lazy_vs_eager_trees_bit_for_bit(self, signal):
-        lazy = _drive_model(signal, lazy_vh=True)
-        eager = _drive_model(signal, lazy_vh=False)
-        state_lazy = lazy.state_dict()
-        state_eager = eager.state_dict()
-        # lazy_vh is configuration, not results — mask it out, then the
-        # entire state (tree, factors, cross product, history) must match.
-        state_lazy["lazy_vh"] = state_eager["lazy_vh"] = None
-        state_lazy["isvd"]["lazy_rotation"] = None
-        state_eager["isvd"]["lazy_rotation"] = None
-        _assert_state_equal(state_lazy, state_eager)
+        lazy = _drive_model(signal)
+        eager = _drive_model(signal, eager=True)
+        # The entire state (tree, factors, cross product, history) must
+        # match.
+        _assert_state_equal(lazy.state_dict(), eager.state_dict())
 
     def test_checkpoint_resume_mid_stream_bit_for_bit(self, signal):
         data, dt = signal
@@ -331,35 +345,28 @@ class TestIncrementalMrDMDParity:
             mrdmd=MrDMDConfig(max_levels=4), baseline_range=(40.0, 75.0)
         )
         products = []
-        for lazy in (True, False):
+        for eager in (False, True):
             pipeline = OnlineAnalysisPipeline(dt=dt, config=config)
-            pipeline.model = IncrementalMrDMD(
-                dt=dt,
-                config=config.mrdmd,
-                drift_threshold=config.drift_threshold,
-                retain_data=config.retain_data,
-                lazy_vh=lazy,
-            )
-            pipeline.ingest(data[:, :600])
-            pipeline.ingest(data[:, 600:1200])
-            pipeline.ingest(data[:, 1200:])
+            for lo, hi in ((0, 600), (600, 1200), (1200, data.shape[1])):
+                pipeline.ingest(data[:, lo:hi])
+                if eager:
+                    _ = pipeline.model._isvd.vh
             products.append(pipeline.zscores())
         a, b = products
         assert np.array_equal(a.zscores, b.zscores)
         assert np.array_equal(a.categories, b.categories)
 
     def test_dense_path_stays_available_and_close(self, signal):
-        """The seed-exact dense path still runs and agrees numerically.
+        """The projected level-1 path agrees with the dense oracle.
 
         The projected path fits level-1 amplitudes over the appended
         chunk (the node's contribution window) instead of the whole
         growing timeline, so the two paths are not bit-identical — but
-        the mode structure (counts, eigenvalues of retained level-1
-        modes) and reconstructions must agree closely.
+        the tree size and reconstructions must agree closely.
         """
         data, dt = signal
-        projected = _drive_model(signal, level1_path="projected", retain_data="all")
-        dense = _drive_model(signal, level1_path="dense", retain_data="all")
+        projected = _drive_model(signal, retain_data="all")
+        dense = _drive_model(signal, DenseLevel1MrDMD, retain_data="all")
         assert len(projected.tree) == len(dense.tree)
         err_projected = projected.reconstruction_error()
         err_dense = dense.reconstruction_error()
@@ -474,27 +481,90 @@ class TestRetentionPolicies:
         # products still work (they come from the tree, not raw data)
         assert pipeline.zscores().zscores.shape[0] == data.shape[0]
 
-    def test_pipeline_level1_path_passthrough(self, signal):
-        data, dt = signal
-        config = PipelineConfig(
-            mrdmd=MrDMDConfig(max_levels=3), level1_path="dense",
-            baseline_range=(40.0, 75.0),
-        )
-        pipeline = OnlineAnalysisPipeline(dt=dt, config=config)
-        assert pipeline.model.level1_path == "dense"
-        pipeline.ingest(data[:, :600])
-        pipeline.ingest(data[:, 600:900])
-        # dense mode never builds the projected cross product
-        assert pipeline.model._level1_cross is None
-        with pytest.raises(ValueError):
-            PipelineConfig(level1_path="sideways")
-
     def test_invalid_retention_rejected(self):
         with pytest.raises(ValueError):
             IncrementalMrDMD(dt=1.0, retain_data="sometimes")
         with pytest.raises(ValueError):
             IncrementalMrDMD(dt=1.0, retain_data="window", retain_window=0)
         with pytest.raises(ValueError):
-            IncrementalMrDMD(dt=1.0, level1_path="sideways")
-        with pytest.raises(ValueError):
             PipelineConfig(retain_data="sometimes")
+
+
+class TestRetiredKnobs:
+    """The reproduction knobs are gone; checkpoints naming them still load."""
+
+    @pytest.mark.parametrize(
+        ("factory", "kwargs"),
+        [
+            (PipelineConfig, {"level1_path": "dense"}),
+            (PipelineConfig, {"baseline_refit": "never"}),
+            (lambda **kw: IncrementalMrDMD(dt=1.0, **kw), {"level1_path": "dense"}),
+            (lambda **kw: IncrementalMrDMD(dt=1.0, **kw), {"lazy_vh": False}),
+            (IncrementalSVD, {"lazy_rotation": False}),
+            (
+                lambda **kw: decompose_window(
+                    np.zeros((2, 16)), 1.0, MrDMDConfig(),
+                    level=1, bin_index=0, start=0, **kw,
+                ),
+                {"svd_factors": None},
+            ),
+        ],
+    )
+    def test_removed_keywords_rejected(self, factory, kwargs):
+        with pytest.raises(TypeError):
+            factory(**kwargs)
+
+    def test_projected_state_with_retired_keys_resumes_bit_for_bit(self, signal):
+        data, dt = signal
+        live = IncrementalMrDMD(dt=dt, config=MrDMDConfig(max_levels=4))
+        live.fit(data[:, :600])
+        live.partial_fit(data[:, 600:900])
+        state = live.state_dict()
+        state["level1_path"], state["lazy_vh"] = "projected", True
+        state["isvd"] = {**state["isvd"], "lazy_rotation": True}
+        restored = IncrementalMrDMD.from_state_dict(state)
+        for lo in range(900, data.shape[1], 300):
+            live.partial_fit(data[:, lo : lo + 300])
+            restored.partial_fit(data[:, lo : lo + 300])
+        _assert_state_equal(restored.state_dict(), live.state_dict())
+
+    def test_dense_state_restores_with_recomputed_cross(self, signal):
+        # A state saved under level1_path="dense" had no cross product and
+        # a full level-1 grid.
+        data, dt = signal
+        dense = DenseLevel1MrDMD(dt=dt, config=MrDMDConfig(max_levels=4))
+        dense.fit(data[:, :600])
+        dense.partial_fit(data[:, 600:900])
+        state = dense.state_dict()
+        state["level1_path"], state["lazy_vh"] = "dense", False
+        state["level1_cross"] = None
+        state["isvd"] = {**state["isvd"], "lazy_rotation": False}
+        restored = IncrementalMrDMD.from_state_dict(state)
+        assert type(restored) is IncrementalMrDMD
+        np.testing.assert_allclose(
+            restored._level1_cross, dense._level1_cross, rtol=1e-9, atol=1e-9
+        )
+        for lo in range(900, data.shape[1], 300):
+            restored.partial_fit(data[:, lo : lo + 300])
+        assert restored._sub.n_cols == 1, "resumes under minimal retention"
+        assert np.isfinite(restored._level1_cross).all()
+        assert np.isfinite(restored.reconstruct()).all()
+        assert np.isfinite(restored.drift_history).all()
+
+    def test_never_refit_payload_loads_and_refits_when_stale(self, signal):
+        data, dt = signal
+        payload = PipelineConfig(
+            mrdmd=MrDMDConfig(max_levels=3), baseline_range=(40.0, 75.0)
+        ).to_dict()
+        payload["baseline_refit"], payload["level1_path"] = "never", "dense"
+        config = PipelineConfig.from_dict(payload)
+        assert config.to_dict().keys() == PipelineConfig().to_dict().keys()
+        pipeline = OnlineAnalysisPipeline(dt=dt, config=config)
+        pipeline.ingest(data[:, :600])
+        pipeline.zscores()
+        first = pipeline._baseline
+        pipeline.ingest(data[:, 600:900])
+        assert pipeline.baseline_is_stale()
+        pipeline.zscores()
+        assert pipeline._baseline is not first, "a stale baseline is refit"
+        assert not pipeline.baseline_is_stale()
