@@ -20,6 +20,7 @@ from .imrdmd import (
     MISSING_VALUE_POLICIES,
     RETENTION_POLICIES,
     IncrementalMrDMD,
+    PoisonChunkError,
     TopologyChange,
     UpdateRecord,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "MISSING_VALUE_POLICIES",
     "slow_mode_mask",
     "IncrementalMrDMD",
+    "PoisonChunkError",
     "TopologyChange",
     "UpdateRecord",
     "IncrementalSVD",

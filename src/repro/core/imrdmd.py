@@ -42,6 +42,7 @@ from .tree import MrDMDNode, MrDMDTree
 
 __all__ = [
     "IncrementalMrDMD",
+    "PoisonChunkError",
     "UpdateRecord",
     "TopologyChange",
     "RETENTION_POLICIES",
@@ -61,6 +62,13 @@ DEEP_LEVEL_MODES = ("inline", "deferred")
 #: What to do with non-finite readings in ingested data (see
 #: :class:`IncrementalMrDMD`).
 MISSING_VALUE_POLICIES = ("raise", "zero")
+
+
+class PoisonChunkError(ValueError):
+    """Ingested data held non-finite values under ``missing_values="raise"``.
+
+    Raised before the model mutates, so a rejected chunk leaves it intact.
+    """
 
 
 @dataclass
@@ -368,18 +376,20 @@ class IncrementalMrDMD:
     def _sanitize(self, data: np.ndarray, what: str) -> np.ndarray:
         """Police non-finite readings per the ``missing_values`` policy.
 
-        ``"raise"`` (default) rejects them with a clear error; ``"zero"``
-        fills them with 0.0 — the same fill the elastic ``add_rows``
-        backfill uses for pre-birth history, so a sensor that is registered
-        in the topology but not yet reporting contributes nothing.
+        ``"raise"`` (default) rejects them with :class:`PoisonChunkError`
+        before anything mutates; ``"zero"`` fills them with 0.0 — the same
+        fill the elastic ``add_rows`` backfill uses for pre-birth history,
+        so a sensor that is registered in the topology but not yet
+        reporting contributes nothing.
         """
         if np.isfinite(data).all():
             return data
         if self.missing_values == "raise":
-            raise ValueError(
-                f"{what} contains non-finite values; pass missing_values='zero' "
-                f"(PipelineConfig.missing_values) to treat missing readings as "
-                f"zero-filled"
+            bad = int(data.size - np.count_nonzero(np.isfinite(data)))
+            raise PoisonChunkError(
+                f"{what} contains {bad} non-finite value(s); pass "
+                f"missing_values='zero' (PipelineConfig.missing_values) to "
+                f"treat missing readings as zero-filled"
             )
         return np.nan_to_num(data, nan=0.0, posinf=0.0, neginf=0.0)
 

@@ -33,10 +33,10 @@ import copy
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from ..io.delta import BLOCKS_DIRNAME, AsyncCheckpointWriter
+from ..io.delta import BLOCKS_DIRNAME, AsyncCheckpointWriter, state_digest
 from ..obs import OBS
 from ..service.alerts import AlertRule, AlertSink
 from ..service.checkpoint import (
@@ -135,14 +135,21 @@ def _machine_write(
 def _machine_capture(monitor: FleetMonitor, blocks_dir: str, reuse: bool):
     """Worker-side: capture one machine's dirty shards for a deferred commit.
 
-    Digests are computed inline (``defer_digest=False``): the commit runs
-    in the coordinator's writer thread, so a deferred digest cell could
-    never propagate back into the worker-resident monitor's stamp memory
-    on process backends — which would disable block reuse entirely.
+    The commit runs in the coordinator's writer thread, on pickled copies
+    of the blocks when the machine lives in a pool worker, so the digest
+    it fills in would never reach this monitor's save records — which
+    would disable block reuse entirely.  Each digest is computed here
+    instead, and the records the monitor keeps drop their state once the
+    shipped copies are made.
     """
-    return _capture(
-        monitor, blocks_dir, reuse=reuse, snapshot=True, defer_digest=False
-    )
+    base, blocks = _capture(monitor, blocks_dir, reuse=reuse, snapshot=True)
+    for block in blocks:
+        if not block.reused:
+            block.digest = state_digest(block.state)
+    shipped = [replace(block) for block in blocks]
+    for block in blocks:
+        block.state = None
+    return base, shipped
 
 
 def _on_machines(federated: FederatedMonitor, fn, args_by_name: dict) -> dict:

@@ -4,7 +4,6 @@ from .delta import (
     AsyncCheckpointWriter,
     BlockStore,
     CheckpointWriteError,
-    MemoryBlockStore,
     state_digest,
 )
 from .storage import (
@@ -24,7 +23,6 @@ __all__ = [
     "AsyncCheckpointWriter",
     "BlockStore",
     "CheckpointWriteError",
-    "MemoryBlockStore",
     "state_digest",
     "load_hardware_log",
     "load_job_log",

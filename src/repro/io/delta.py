@@ -14,11 +14,6 @@ O(changed state) instead of O(total state):
   makes concurrent writers (parallel federated machine saves) and torn
   writes safe: the worst case is an orphan block that the next
   :meth:`BlockStore.sweep` reclaims.
-* :class:`MemoryBlockStore` — the in-process sibling used by the
-  resilience :class:`~repro.resilience.recovery.ShardRecoveryStore`:
-  reference-counted, deduplicated snapshots with exact (bit-for-bit)
-  round-trip through the same flattened encoding the on-disk format
-  uses.
 * :class:`AsyncCheckpointWriter` — a bounded-queue background thread
   that takes the hash/compress/write tail of a save off the ingest
   critical path.  ``submit`` returns the stall time actually spent
@@ -48,14 +43,13 @@ import numpy as np
 
 from ..obs import OBS
 from ..obs.flight import FLIGHT
-from .storage import _flatten_state, _unflatten_state, load_state, save_state
+from .storage import _flatten_state, load_state, save_state
 
 __all__ = [
     "BLOCKS_DIRNAME",
     "AsyncCheckpointWriter",
     "BlockStore",
     "CheckpointWriteError",
-    "MemoryBlockStore",
     "copy_state",
     "state_digest",
 ]
@@ -231,82 +225,6 @@ class BlockStore:
             removed += 1
             freed += size
         return removed, freed
-
-
-# --------------------------------------------------------------------------- #
-# In-memory block store (resilience snapshots)
-# --------------------------------------------------------------------------- #
-class MemoryBlockStore:
-    """Reference-counted, content-addressed in-memory state blocks.
-
-    Stores the flattened encoding (structure + array copies), so
-    :meth:`get` reconstructs a state that is bit-for-bit equal to what
-    was put in, decoupled from the live pipeline arrays on both sides.
-    Two shards (or two snapshot generations) with identical state share
-    one block; ``release`` drops a reference and frees the block when
-    the count reaches zero.
-    """
-
-    def __init__(self) -> None:
-        self._blocks: dict[str, tuple[object, dict[str, np.ndarray]]] = {}
-        self._refcounts: dict[str, int] = {}
-
-    def put(self, state: dict) -> tuple[str, bool]:
-        """Store ``state`` and take a reference; ``(digest, created)``."""
-        arrays: dict[str, np.ndarray] = {}
-        structure = _flatten_state(state, arrays)
-        digest = state_digest(state)
-        created = digest not in self._blocks
-        if created:
-            self._blocks[digest] = (
-                structure,
-                {key: np.array(value, copy=True) for key, value in arrays.items()},
-            )
-            self._refcounts[digest] = 0
-        self._refcounts[digest] += 1
-        return digest, created
-
-    def get(self, digest: str) -> dict:
-        """Reconstruct the stored state (fresh arrays, safe to mutate)."""
-        structure, arrays = self._blocks[digest]
-        copies = {key: np.array(value, copy=True) for key, value in arrays.items()}
-        return _unflatten_state(structure, copies)
-
-    def has(self, digest: str) -> bool:
-        return digest in self._blocks
-
-    def refcount(self, digest: str) -> int:
-        return self._refcounts.get(digest, 0)
-
-    def retain(self, digest: str) -> None:
-        """Take an extra reference on an existing block."""
-        if digest not in self._refcounts:
-            raise KeyError(digest)
-        self._refcounts[digest] += 1
-
-    def release(self, digest: str) -> bool:
-        """Drop one reference; returns True when the block was freed."""
-        count = self._refcounts.get(digest)
-        if count is None:
-            return False
-        if count <= 1:
-            del self._refcounts[digest]
-            del self._blocks[digest]
-            return True
-        self._refcounts[digest] = count - 1
-        return False
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by stored arrays (dedup counted once)."""
-        return sum(
-            array.nbytes
-            for _, arrays in self._blocks.values()
-            for array in arrays.values()
-        )
 
 
 # --------------------------------------------------------------------------- #

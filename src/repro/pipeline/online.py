@@ -291,11 +291,6 @@ class OnlineAnalysisPipeline:
         self._min_power_cache: tuple[weakref.ref, int, float, float] | None = None
         # Reconstruction buffer, baseline moments and error, per block.
         self._fold = _BlockFold()
-        # Off by default (one full scan per chunk): supervised fleets turn
-        # this on so a poisoned chunk is rejected *before* any model
-        # mutation — a rejected ingest leaves the pipeline untouched and
-        # therefore retryable / quarantinable without rehydration.
-        self.validate_chunks: bool = False
         # Monotonic count of state-bearing mutations (ingests, deep
         # refreshes, topology events, baseline fits).  Combined with the
         # tree revision in state_stamp(), it lets the checkpoint layer
@@ -353,21 +348,9 @@ class OnlineAnalysisPipeline:
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
-    def _reject_poison(self, data: np.ndarray) -> None:
-        if not np.isfinite(data).all():
-            from ..resilience.faults import PoisonChunkError
-
-            bad = int(data.size - np.isfinite(data).sum())
-            raise PoisonChunkError(
-                f"chunk contains {bad} non-finite value(s); rejected before "
-                "ingest (pipeline state unchanged)"
-            )
-
     def ingest(self, data: np.ndarray) -> PipelineSnapshot:
         """Feed a block of snapshots (initial fit on the first call)."""
         data = np.asarray(data, dtype=float)
-        if self.validate_chunks:
-            self._reject_poison(data)
         with OBS.span("pipeline.ingest", cols=int(data.shape[-1])):
             if not self.model.fitted:
                 with OBS.span("core.fit"):

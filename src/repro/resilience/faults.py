@@ -21,8 +21,10 @@ Faults come in two layers:
 * **pipeline-layer** faults: ``EXCEPTION`` raises
   :class:`InjectedFaultError` before the pipeline mutates (a clean retry
   converges exactly), and ``NAN_CHUNK`` poisons the chunk *data* with NaNs
-  — the poison travels with every retry, so the shard fails its full
-  attempt budget and lands in quarantine, exercising the degraded path.
+  — the poison travels with every retry, so under the default
+  ``missing_values="raise"`` the model rejects it
+  (:class:`PoisonChunkError`) on every attempt and the shard lands in
+  quarantine, exercising the degraded path.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from enum import Enum
 from typing import Iterable
 
 import numpy as np
+
+from ..core.imrdmd import PoisonChunkError
 
 __all__ = [
     "FaultKind",
@@ -71,10 +75,6 @@ class SimulatedCrashError(InjectedFaultError):
 
 class SimulatedHangError(InjectedFaultError):
     """In-process stand-in for a hung worker (serial/thread backends)."""
-
-
-class PoisonChunkError(ValueError):
-    """A chunk contained non-finite values and was rejected before ingest."""
 
 
 def _in_spawned_child() -> bool:

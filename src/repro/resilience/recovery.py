@@ -16,14 +16,16 @@ checkpoint tests) and ingest is deterministic, the rehydrated pipeline is
 indistinguishable from one that never crashed — the chaos tests compare
 final state dicts against a fault-free run and require equality.
 
-Snapshots live in a content-addressed, reference-counted
-:class:`~repro.io.delta.MemoryBlockStore` — the in-memory sibling of the
-delta checkpoint's on-disk block store.  Two shards (or two snapshot
-generations) with identical state share one block, and
-:meth:`ShardRecoveryStore.record_snapshot_if_changed` skips the
-``state_dict()`` pull entirely when the shard's revision stamp has not
-moved since the recorded snapshot (the ``snapshots_skipped`` counter in
-the resilience digest tracks this fast path).
+Each snapshot is held as a decoupled state dict
+(:func:`~repro.io.delta.copy_state`: arrays the live pipeline may still
+write are copied, frozen ones shared) together with the shard's
+``state_stamp`` at the time.  That stamp is the fleet's one notion of
+"this shard is unchanged": :meth:`ShardRecoveryStore.record_snapshot_if_changed`
+skips the ``state_dict()`` pull when the stamp has not moved (the
+``snapshots_skipped`` counter in the resilience digest tracks this fast
+path), and a checkpoint save at the same stamp borrows the snapshot
+(:meth:`ShardRecoveryStore.snapshot_at`) instead of pulling the state
+again.
 
 This is the shard-level sibling of the federation
 :class:`~repro.federation.chunklog.ChunkLog` (PR 5): same replay idea, but
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..io.delta import MemoryBlockStore
+from ..io.delta import copy_state
 from ..obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,15 +50,12 @@ __all__ = ["ShardRecoveryStore"]
 class ShardRecoveryStore:
     """Snapshots + chunk tails from which lost shards are rehydrated."""
 
-    def __init__(
-        self, snapshot_every: int = 8, *, block_store: MemoryBlockStore | None = None
-    ) -> None:
+    def __init__(self, snapshot_every: int = 8) -> None:
         if snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every!r}")
         self.snapshot_every = int(snapshot_every)
-        self._store = block_store if block_store is not None else MemoryBlockStore()
-        self._snapshots: dict[str, str] = {}  # shard -> block digest
-        self._stamps: dict[str, tuple] = {}  # shard -> stamp at snapshot
+        # shard -> (stamp at snapshot or None, decoupled state)
+        self._snapshots: dict[str, tuple[tuple | None, dict]] = {}
         self._chunks: dict[str, list[np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
@@ -78,30 +77,26 @@ class ShardRecoveryStore:
     ) -> None:
         """Install a fresh snapshot and drop the now-covered chunk tail.
 
-        The state is re-encoded into the content-addressed store (array
-        copies): on in-process backends the incoming dict can share
-        arrays with the live pipeline, which would otherwise silently
-        mutate the snapshot out from under a later rebuild.
+        The store keeps a :func:`~repro.io.delta.copy_state` of ``state``:
+        on in-process backends the incoming dict shares arrays with the
+        live pipeline, which would otherwise mutate the snapshot out from
+        under a later rebuild.
         """
-        digest, _ = self._store.put(state)
-        previous = self._snapshots.get(shard_id)
-        if previous is not None:
-            self._store.release(previous)
-        self._snapshots[shard_id] = digest
-        if stamp is not None:
-            self._stamps[shard_id] = stamp
-        else:
-            self._stamps.pop(shard_id, None)
+        self._snapshots[shard_id] = (stamp, copy_state(state))
         self._chunks[shard_id] = []
         if OBS.enabled:
             OBS.inc("service.resilience.snapshots")
 
-    def snapshot_is_current(self, shard_id: str, stamp: tuple) -> bool:
-        """Whether the recorded snapshot already covers this stamp."""
-        return (
-            shard_id in self._snapshots
-            and self._stamps.get(shard_id) == stamp
-        )
+    def snapshot_at(self, shard_id: str, stamp: tuple) -> dict | None:
+        """The recorded snapshot state if it was taken at ``stamp``.
+
+        ``None`` when the shard has no snapshot or has moved on since.
+        The returned state is the store's own: read it, never write it.
+        """
+        recorded = self._snapshots.get(shard_id)
+        if recorded is None or recorded[0] != stamp:
+            return None
+        return recorded[1]
 
     def record_snapshot_if_changed(
         self,
@@ -112,12 +107,12 @@ class ShardRecoveryStore:
         """Snapshot from ``provider()`` unless ``stamp`` proves it stale.
 
         The dirty-tracking fast path: when the shard's state stamp equals
-        the one recorded with its current snapshot, the state pull and
-        re-serialisation are skipped entirely (an unchanged stamp also
-        implies nothing was ingested, so the covered tail stays valid and
-        is *not* cleared).  Returns True when a snapshot was taken.
+        the one recorded with its current snapshot, the state pull is
+        skipped entirely (an unchanged stamp also implies nothing was
+        ingested, so the covered tail stays valid and is *not* cleared).
+        Returns True when a snapshot was taken.
         """
-        if self.snapshot_is_current(shard_id, stamp):
+        if self.snapshot_at(shard_id, stamp) is not None:
             if OBS.enabled:
                 OBS.inc("service.resilience.snapshots_skipped")
             return False
@@ -137,24 +132,12 @@ class ShardRecoveryStore:
     def shard_ids(self) -> tuple[str, ...]:
         return tuple(self._snapshots)
 
-    @property
-    def block_store(self) -> MemoryBlockStore:
-        """The shared content-addressed snapshot store."""
-        return self._store
-
-    def snapshot_digest(self, shard_id: str) -> str | None:
-        """Content digest of the shard's recorded snapshot block."""
-        return self._snapshots.get(shard_id)
-
     def tail_length(self, shard_id: str) -> int:
         return len(self._chunks.get(shard_id, ()))
 
     def forget(self, shard_id: str) -> None:
         """Drop a shard's recovery state (it left the fleet)."""
-        digest = self._snapshots.pop(shard_id, None)
-        if digest is not None:
-            self._store.release(digest)
-        self._stamps.pop(shard_id, None)
+        self._snapshots.pop(shard_id, None)
         self._chunks.pop(shard_id, None)
 
     # ------------------------------------------------------------------ #
@@ -163,9 +146,11 @@ class ShardRecoveryStore:
     def rebuild(self, shard_id: str) -> tuple["OnlineAnalysisPipeline", int]:
         """Rehydrate ``shard_id``: restore the snapshot, replay the tail.
 
-        Returns ``(pipeline, n_replayed)``.  Raises ``KeyError`` when the
-        shard has no snapshot — the supervisor records one before the
-        first supervised round, so this only fires on misuse.
+        The pipeline is built from a copy of the snapshot, which stays
+        intact for the next rebuild.  Returns ``(pipeline, n_replayed)``.
+        Raises ``KeyError`` when the shard has no snapshot — the
+        supervisor records one before the first supervised round, so this
+        only fires on misuse.
         """
         if shard_id not in self._snapshots:
             raise KeyError(
@@ -174,9 +159,8 @@ class ShardRecoveryStore:
             )
         from ..pipeline.online import OnlineAnalysisPipeline
 
-        pipeline = OnlineAnalysisPipeline.from_state_dict(
-            self._store.get(self._snapshots[shard_id])
-        )
+        _stamp, state = self._snapshots[shard_id]
+        pipeline = OnlineAnalysisPipeline.from_state_dict(copy_state(state))
         tail = self._chunks.get(shard_id, ())
         for chunk in tail:
             pipeline.ingest(chunk)

@@ -34,14 +34,20 @@ Rules and sinks are code, not data: :func:`load_checkpoint` takes them as
 arguments and re-attaches the engine's persisted dedup/cooldown state so a
 restarted service does not re-fire alerts it already delivered.
 
-Every save goes through one capture and one commit; two switches choose
-how much work it does:
+Every save goes through one capture and one commit.  The capture checks
+each shard's
+:meth:`~repro.pipeline.online.OnlineAnalysisPipeline.state_stamp`
+against one save record per shard (stamp + content digest).  A shard
+that must be stored borrows its supervisor's recovery snapshot when that
+was taken at the current stamp
+(:meth:`~repro.resilience.ShardRecoveryStore.snapshot_at`), so a save
+round never pulls the same state twice.  Two switches choose how much
+work a save does:
 
-* ``format="delta"`` re-references the block of every shard whose
-  :meth:`~repro.pipeline.online.OnlineAnalysisPipeline.state_stamp` is
-  unchanged since this monitor's previous save to the same store,
-  skipping ``state_dict()`` entirely, so a steady-state save costs
-  O(changed state).  ``format="full"`` (default) re-serialises and
+* ``format="delta"`` re-references the block of every shard whose stamp
+  is unchanged since its last save, when the target store holds that
+  block, skipping ``state_dict()`` entirely, so a steady-state save
+  costs O(changed state).  ``format="full"`` (default) re-serialises and
   rewrites every shard's block.  Blocks no manifest references are swept
   after every save; :func:`compact_checkpoint` copies the blocks an entry
   references into the entry's own ``blocks/``, making it self-contained.
@@ -75,7 +81,6 @@ from ..io.delta import (
     AsyncCheckpointWriter,
     BlockStore,
     copy_state,
-    state_digest,
 )
 from ..io.storage import load_state
 from ..obs import OBS
@@ -306,8 +311,8 @@ def save_checkpoint(
     :func:`load_checkpoint` accepts either form.
 
     ``format="delta"`` re-references the stored block of every shard
-    whose state stamp is unchanged since this monitor's previous save to
-    the same store, without serialising it; ``format="full"``
+    whose state stamp is unchanged since its last save, when this store
+    holds that block, without serialising it; ``format="full"``
     re-serialises and rewrites every shard.  ``mode="async"`` (requires
     ``keep_last``) captures a decoupled snapshot synchronously and commits
     on the monitor's background writer (or the explicitly passed
@@ -425,45 +430,27 @@ def _capture_manifest(monitor: FleetMonitor) -> dict:
     }
 
 
-class _DigestCell:
-    """A digest slot filled when the (possibly deferred) commit runs.
-
-    The coordinator records ``(stamp, cell)`` in the monitor's stamp
-    memory at capture time; the commit assigns ``digest`` after the block
-    lands.  Attribute assignment is atomic under the GIL and the value is
-    an immutable string, so the cross-thread handoff needs no lock — a
-    reader either sees ``None`` (commit pending, shard is re-captured) or
-    the durable digest.
-    """
-
-    __slots__ = ("digest",)
-
-    def __init__(self) -> None:
-        self.digest: str | None = None
-
-
-def _memory_digest(entry) -> str | None:
-    """The digest recorded in a stamp-memory entry (None while pending)."""
-    recorded = entry[1]
-    return recorded.digest if isinstance(recorded, _DigestCell) else recorded
-
-
 @dataclass
 class _ShardBlock:
     """One shard's contribution to a captured checkpoint.
 
-    A ``reused`` shard was unchanged: its existing block (``digest``) is
-    re-referenced without serialisation.  A dirty shard carries its
-    snapshot in ``state`` when the capture took one (asynchronous saves);
-    otherwise the commit pulls the state itself.  Its ``digest`` may be
-    ``None``: the commit computes it while storing the block and
-    publishes it through ``cell``.
+    It doubles as the shard's save record: the capture keeps the newest
+    dirty block per shard on the monitor, and the next capture calls the
+    shard clean when ``stamp`` still matches and ``digest`` names a block
+    the target store has.  A ``reused`` block re-references that digest
+    without serialisation.  A dirty block carries ``state`` when the
+    capture already holds one (a borrowed recovery snapshot, or an
+    asynchronous save's decoupled pull); otherwise the commit pulls it.
+    The commit drops ``state`` once stored and fills in ``digest`` —
+    attribute assignment of an immutable string, so a commit on the
+    writer thread hands it back without a lock; until then the shard is
+    simply re-captured.
     """
 
     shard_id: str
+    stamp: tuple
     digest: str | None = None
     state: dict | None = None
-    cell: _DigestCell | None = None
     reused: bool = False
 
 
@@ -473,51 +460,47 @@ def _capture(
     *,
     reuse: bool,
     snapshot: bool,
-    defer_digest: bool = True,
 ) -> tuple[dict, list[_ShardBlock]]:
     """One save's view of a monitor: manifest fields plus a block per shard.
 
     With ``reuse`` a shard is *clean* when its state stamp equals the one
-    recorded at this monitor's previous save against the same block store
-    **and** that block still exists on disk (self-healing against swept
-    blocks, rollback-then-resave, or a failed deferred write); a clean
-    shard re-references its block.  Every other shard is dirty.
-    ``snapshot`` pulls the dirty states now, decoupled from the live
-    pipelines, for a commit that runs later; otherwise the commit pulls
-    each one as it stores it.  The stamp is recorded here; by default the
-    digest is computed by the commit while storing the block.
-    ``defer_digest=False`` digests the snapshots inline instead — for
-    captures whose commit runs in another process, where a deferred cell
-    could never propagate back.
+    in its save record **and** the recorded block exists in this store
+    (self-healing against swept blocks, rollback-then-resave, a failed
+    deferred write, or a save to a different store); a clean shard
+    re-references its block.  Every other shard is dirty.  A dirty
+    shard whose recovery snapshot was taken at its current stamp borrows
+    that state instead of pulling it again.  ``snapshot`` pulls the other
+    dirty states now, decoupled from the live pipelines, for a commit
+    that runs later; otherwise the commit pulls each one as it stores it.
     """
     base = _capture_manifest(monitor)
     store = BlockStore(blocks_dir)
-    memory = monitor._delta_stamp_memory(blocks_dir)
+    records = monitor._checkpoint_blocks
     stamps = monitor.shard_state_stamps()
     blocks = []
     for spec in monitor.shards:
         shard_id = spec.shard_id
         stamp = stamps[shard_id]
-        previous = memory.get(shard_id)
-        if reuse and previous is not None and previous[0] == stamp:
-            digest = _memory_digest(previous)
-            if digest is not None and store.has(digest):
-                blocks.append(_ShardBlock(shard_id, digest, reused=True))
-                continue
-        block = _ShardBlock(shard_id)
-        if snapshot:
+        previous = records.get(shard_id)
+        if (
+            reuse
+            and previous is not None
+            and previous.stamp == stamp
+            and previous.digest is not None
+            and store.has(previous.digest)
+        ):
+            blocks.append(_ShardBlock(shard_id, stamp, previous.digest, reused=True))
+            continue
+        block = _ShardBlock(shard_id, stamp)
+        block.state = monitor._recovery.snapshot_at(shard_id, stamp)
+        if block.state is None and snapshot:
             block.state = monitor.shard_state_dict(shard_id)
             if not monitor._resident_remote:
                 # Serial/thread backends hand back state sharing arrays
                 # with the live pipeline; a deferred write needs its own
                 # copy.  Process backends already returned a copy.
                 block.state = copy_state(block.state)
-        if snapshot and not defer_digest:
-            block.digest = state_digest(block.state)
-            memory[shard_id] = (stamp, block.digest)
-        else:
-            block.cell = _DigestCell()
-            memory[shard_id] = (stamp, block.cell)
+        records[shard_id] = block
         blocks.append(block)
     reused = sum(block.reused for block in blocks)
     if OBS.enabled and reused:
@@ -559,14 +542,12 @@ def _commit_entry(
             continue
         state = block.state if block.state is not None else pull(block.shard_id)
         block.state = None
+        # Publishes the digest to the shard's save record now the block
+        # is durable, so the next capture can reuse it.
         block.digest, created, nbytes = store.put(
             state, block.digest, replace=rewrite
         )
         del state
-        if block.cell is not None:
-            # Publish the digest to the stamp memory now the block is
-            # durable, so the next capture can reuse it.
-            block.cell.digest = block.digest
         if created:
             written += nbytes
             blocks_written += 1
@@ -955,8 +936,6 @@ def _load_checkpoint(
         monitor._pipelines[spec.shard_id] = OnlineAnalysisPipeline.from_state_dict(
             load_shard_state(shard_paths[index])
         )
-        if resilience is not None:
-            monitor._pipelines[spec.shard_id].validate_chunks = True
     monitor._step = int(_manifest_entry(manifest, "step", directory))
     monitor._chunk_index = int(manifest.get("chunks_ingested", 0))
     monitor._quarantined = {

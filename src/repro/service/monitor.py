@@ -28,7 +28,6 @@ with bit-for-bit identical products.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -215,20 +214,12 @@ class FleetSpectrum:
 # them by reference; each is called as fn(resident_pipeline, *args) inside
 # the worker and only its (small) result travels back.
 # --------------------------------------------------------------------------- #
-def _shard_ingest(pipeline: OnlineAnalysisPipeline, chunk: np.ndarray) -> PipelineSnapshot:
-    return pipeline.ingest(chunk)
-
-
-def _shard_ingest_supervised(
-    pipeline: OnlineAnalysisPipeline, chunk: np.ndarray, fault
+def _shard_ingest(
+    pipeline: OnlineAnalysisPipeline, chunk: np.ndarray, fault=None
 ) -> PipelineSnapshot:
-    """Supervised ingest carrying an injected fault (chaos testing only).
-
-    The fault executes *before* the pipeline is touched, so a retried task
-    always starts from unmutated shard state.  Fault-free supervised
-    submissions use plain :func:`_shard_ingest` — the hot path is
-    identical with and without a fault plan.
-    """
+    """Ingest one chunk.  An injected ``fault`` (chaos testing only)
+    executes first, before the pipeline is touched, so a retried task
+    always starts from unmutated shard state."""
     if fault is not None:
         fault.execute()
     return pipeline.ingest(chunk)
@@ -422,11 +413,12 @@ class FleetMonitor:
         # Completed ingest rounds (plain or supervised); round N+1's fault
         # coordinates are (shard, _chunk_index + 1, attempt).
         self._chunk_index = 0
-        # Delta-checkpoint dirty tracking: per block-store directory, the
-        # (state stamp, content digest) recorded for each shard at this
-        # monitor's previous save there.  Purely an optimisation cache —
-        # a miss (fresh monitor, swept block) re-serialises, never skips.
-        self._ckpt_stamps: dict[str, dict[str, tuple]] = {}
+        # Delta-checkpoint dirty tracking: per shard, the block its last
+        # checkpoint capture recorded (state stamp + content digest, see
+        # repro.service.checkpoint).  Purely an optimisation cache — a
+        # miss (fresh monitor, block absent from the target store)
+        # re-serialises, never skips.
+        self._checkpoint_blocks: dict[str, object] = {}
         # Lazily created background writer for mode="async" saves; owns a
         # thread, so it never pickles and is flushed/closed with the
         # monitor (flush_checkpoints() is the error barrier).
@@ -497,18 +489,9 @@ class FleetMonitor:
         )
 
     def _make_pipeline(self, spec: ShardSpec) -> OnlineAnalysisPipeline:
-        """One shard pipeline, with chunk validation on under supervision.
-
-        Validation rejects non-finite chunks *before* the model mutates —
-        a poisoned chunk then fails cleanly on every attempt (retryable
-        without rehydration) instead of corrupting the decomposition.
-        """
-        pipeline = OnlineAnalysisPipeline(
+        return OnlineAnalysisPipeline(
             dt=self.dt, config=self.config, node_of_row=spec.node_of_row
         )
-        if self.resilience is not None:
-            pipeline.validate_chunks = True
-        return pipeline
 
     # ------------------------------------------------------------------ #
     # Executor lifecycle
@@ -732,7 +715,7 @@ class FleetMonitor:
         if shard_id not in self._pipelines:
             raise KeyError(f"unknown shard {shard_id!r}")
         if self._executor is None:
-            return self._pipelines[shard_id].state_dict()
+            return _shard_state_dict(self._pipelines[shard_id])
         return self._executor.call(shard_id, _shard_state_dict)
 
     def shard_state_stamps(self) -> dict[str, tuple]:
@@ -751,11 +734,6 @@ class FleetMonitor:
         if self._executor is None:
             return self._pipelines[shard_id].state_stamp()
         return self._executor.call(shard_id, _shard_state_stamp)
-
-    def _delta_stamp_memory(self, blocks_dir: str) -> dict[str, tuple]:
-        """(stamp, digest) recorded per shard at the previous delta save
-        against this block store (keyed by its absolute path)."""
-        return self._ckpt_stamps.setdefault(os.path.abspath(blocks_dir), {})
 
     def _ensure_checkpoint_writer(self):
         """The monitor's background checkpoint writer (created lazily)."""
@@ -1102,8 +1080,6 @@ class FleetMonitor:
         else:
             spec = next(s for s in self.shards if s.shard_id == shard_id)
             pipeline, replayed = self._make_pipeline(spec), 0
-        if self.resilience is not None:
-            pipeline.validate_chunks = True
         if OBS.enabled:
             OBS.inc("service.resilience.rehydrated_shards")
             if replayed:
@@ -1214,7 +1190,7 @@ class FleetMonitor:
             fault = self.fault_plan.task_fault(shard_id, round_index, attempt)
         if fault is None:
             return executor.submit(shard_id, _shard_ingest, chunk)
-        return executor.submit(shard_id, _shard_ingest_supervised, chunk, fault)
+        return executor.submit(shard_id, _shard_ingest, chunk, fault)
 
     def _gather_ingests(
         self,

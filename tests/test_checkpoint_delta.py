@@ -9,9 +9,9 @@ whatever combination of format, mode, layout, pruning, rollback and
 compaction a run goes through, the restored monitor must be bit-for-bit
 identical to the live one.  Alongside the parity suite: block-store
 garbage collection under ``keep_last`` pruning and in-place re-saves,
-ordering between async and sync saves, the in-memory refcounted store
-behind the resilience recovery snapshots, stamp-based snapshot skipping,
-and reading the retired v1/v2 layout.
+ordering between async and sync saves, the resilience recovery
+snapshots a save borrows instead of pulling state again, stamp-based
+snapshot skipping, and reading the retired v1/v2 layout.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from repro.io.delta import (
     AsyncCheckpointWriter,
     BlockStore,
     CheckpointWriteError,
-    MemoryBlockStore,
     copy_state,
     state_digest,
 )
 from repro.pipeline import PipelineConfig
-from repro.resilience import ShardRecoveryStore
+from repro.resilience import ResiliencePolicy, ShardRecoveryStore
 from repro.service import (
     AlertEngine,
     FleetMonitor,
@@ -435,9 +434,9 @@ def test_rollback_then_resave_is_consistent(tmp_path):
     shutil.rmtree(newest.path)
     rolled_back = load_checkpoint(root, rules=default_rules())
 
-    # The rolled-back monitor streams forward again and saves: stamps in
-    # the original monitor's memory now describe blocks the rotation may
-    # sweep, and the rebuilt monitor has no stamp memory at all — both
+    # The rolled-back monitor streams forward again and saves: the
+    # original monitor's save records now name blocks the rotation may
+    # sweep, and the rebuilt monitor has no save records at all — both
     # must converge to a loadable, bit-for-bit rotation.
     rolled_back.ingest(stream.values[:, 240:320])
     save_checkpoint(root, rolled_back, keep_last=3, format="delta")
@@ -686,34 +685,107 @@ def test_recovery_store_skips_unchanged_stamp(tmp_path):
     monitor.close()
 
 
-def test_recovery_snapshots_share_blocks_and_refcount():
+def test_recovery_snapshot_keeps_its_own_copy_until_forgotten():
     store = ShardRecoveryStore(snapshot_every=4)
     state = {"x": np.arange(6.0), "nested": {"y": np.ones((2, 3))}}
-    store.record_snapshot("a", state)
-    store.record_snapshot("b", copy_state(state))  # identical content
-    blocks = store.block_store
-    assert len(blocks) == 1  # deduplicated
-    digest = store.snapshot_digest("a")
-    assert digest == store.snapshot_digest("b")
-    assert blocks.refcount(digest) == 2
+    store.record_snapshot("a", state, stamp=(1,))
+    state["x"][0] = 99.0  # the caller's (live) arrays move on
+    state["nested"]["y"][:] = -1.0
+    held = store.snapshot_at("a", (1,))
+    assert held["x"][0] == 0.0 and (held["nested"]["y"] == 1.0).all()
+    assert store.snapshot_at("a", (2,)) is None  # another stamp: not current
 
     store.forget("a")
-    assert blocks.refcount(digest) == 1
-    store.forget("b")
-    assert blocks.refcount(digest) == 0
-    assert len(blocks) == 0
+    assert not store.has_snapshot("a")
+    assert store.snapshot_at("a", (1,)) is None
 
 
-def test_memory_block_store_returns_independent_copies():
-    store = MemoryBlockStore()
-    state = {"x": np.arange(4.0)}
-    digest, created = store.put(state)
-    assert created
-    state["x"][0] = 99.0  # caller mutates after put
-    out = store.get(digest)
-    assert out["x"][0] == 0.0  # store kept its own copy
-    out["x"][1] = 77.0  # reader mutates its copy
-    assert store.get(digest)["x"][1] == 1.0
+def _arrays(state):
+    if isinstance(state, np.ndarray):
+        yield state
+    elif isinstance(state, dict):
+        for value in state.values():
+            yield from _arrays(value)
+    elif isinstance(state, (list, tuple)):
+        for value in state:
+            yield from _arrays(value)
+
+
+def test_rebuild_twice_from_one_snapshot_is_identical():
+    """A rebuilt pipeline owns its arrays: writing into them in place
+    leaves the snapshot intact for the next rebuild."""
+    monitor, _stream_ = _build_monitor(seed=75)
+    store = ShardRecoveryStore(snapshot_every=4)
+    shard_id = monitor.shards[0].shard_id
+    store.record_snapshot(shard_id, monitor.shard_state_dict(shard_id))
+
+    first, _ = store.rebuild(shard_id)
+    expected = repr(first.state_dict())
+    for array in _arrays(first.state_dict()):
+        if array.flags.writeable:
+            array[...] = 0
+    second, n_replayed = store.rebuild(shard_id)
+    assert n_replayed == 0
+    assert repr(second.state_dict()) == expected
+    assert expected == repr(monitor.shard_state_dict(shard_id))
+    monitor.close()
+
+
+def test_save_borrows_a_same_stamp_recovery_snapshot(tmp_path, monkeypatch):
+    """A save right after the recovery snapshot pulls no state of its own:
+    one ``state_dict`` pull per shard per round, not two."""
+    from repro.service import monitor as monitor_module
+
+    stream = _stream(76)
+    monitor = FleetMonitor.from_stream(
+        stream,
+        policy=RackSharding(),
+        config=CONFIG,
+        resilience=ResiliencePolicy(snapshot_every=1, backoff_base=0.0),
+    )
+    monitor.ingest(stream.values[:, :240])
+    pulls = []
+    real_pull = monitor_module._shard_state_dict
+
+    def counting_pull(pipeline):
+        pulls.append(1)
+        return real_pull(pipeline)
+
+    monkeypatch.setattr(monitor_module, "_shard_state_dict", counting_pull)
+    monitor.ingest(stream.values[:, 240:320])
+    assert len(pulls) == monitor.n_shards  # the round's recovery snapshots
+    root = str(tmp_path / "ckpt")
+    info = save_checkpoint(root, monitor, keep_last=2, format="delta", mode="async")
+    monitor.flush_checkpoints()
+    assert info.shards_reused == 0
+    assert len(pulls) == monitor.n_shards  # the save borrowed every state
+
+    monkeypatch.undo()
+    restored = load_checkpoint(root)
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
+    monitor.close(), restored.close()
+
+
+def test_delta_saves_to_two_stores_at_one_stamp(tmp_path):
+    """One save record per shard serves every store: a store lacking the
+    recorded block gets it written, and the first store still reuses."""
+    monitor, _stream_ = _build_monitor(seed=77)
+    first_root, second_root = str(tmp_path / "first"), str(tmp_path / "second")
+    first = save_checkpoint(first_root, monitor, keep_last=2, format="delta")
+    second = save_checkpoint(second_root, monitor, keep_last=2, format="delta")
+    assert first.shards_reused == second.shards_reused == 0
+    assert second.bytes_written > 0
+    assert BlockStore(os.path.join(second_root, "blocks")).digests() == (
+        BlockStore(os.path.join(first_root, "blocks")).digests()
+    )
+    again = save_checkpoint(first_root, monitor, keep_last=2, format="delta")
+    assert again.shards_reused == monitor.n_shards
+    assert again.bytes_written == 0
+    for root in (first_root, second_root):
+        restored = load_checkpoint(root, rules=default_rules())
+        assert _shard_reprs(restored) == _shard_reprs(monitor)
+        restored.close()
+    monitor.close()
 
 
 # --------------------------------------------------------------------------- #

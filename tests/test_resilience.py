@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pickle
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from repro.resilience import (
 from repro.service import FleetMonitor, RackSharding, load_checkpoint, save_checkpoint
 from repro.service.alerts import AlertEngine, default_rules
 from repro.service.scenarios import ScenarioRunner, chaos_fleet, get_scenario, quiet_fleet
-from repro.telemetry import TelemetryGenerator
+from repro.telemetry import TelemetryGenerator, theta_machine
 from repro.util.parallel import (
     ProcessShardExecutor,
     ShardTaskError,
@@ -324,12 +325,49 @@ class TestSupervisedMonitor:
         from repro.pipeline.online import OnlineAnalysisPipeline
 
         pipeline = OnlineAnalysisPipeline(dt=fleet_stream.dt, config=CONFIG)
-        pipeline.validate_chunks = True
         pipeline.ingest(fleet_stream.values[:16, :INITIAL])
         before = pipeline.state_dict()
         with pytest.raises(PoisonChunkError):
             pipeline.ingest(FaultPlan.poison(fleet_stream.values[:16, 200:280]))
         _assert_state_equal(pipeline.state_dict(), before)
+
+    def test_supervised_monitor_accepts_padded_missing_rows(self):
+        """Under ``missing_rows="nan"`` + ``missing_values="zero"`` the
+        padded NaN rows are zero-filled by the model: a supervised monitor
+        ingests them exactly like a plain one instead of quarantining the
+        shard as poisoned."""
+        machine = theta_machine(racks_per_row=2, node_limit=64)
+        stream = TelemetryGenerator(machine, seed=23, utilization_target=0.3).generate(
+            300, sensors=["cpu_temp"]
+        )
+        config = replace(CONFIG, missing_values="zero")
+        short = stream.values[:-4, INITIAL:300]  # the last 4 rows absent
+        outcome = {}
+        for label, resilience in (
+            ("plain", None),
+            ("supervised", ResiliencePolicy(max_attempts=2, backoff_base=0.0)),
+        ):
+            monitor = FleetMonitor.from_stream(
+                stream,
+                policy=RackSharding(),
+                config=config,
+                missing_rows="nan",
+                resilience=resilience,
+            )
+            with monitor:
+                monitor.ingest(stream.values[:, :INITIAL])
+                snapshot = monitor.ingest(short)
+                outcome[label] = (
+                    snapshot,
+                    monitor.quarantined_shards,
+                    monitor.shard_state_dicts(),
+                )
+        snapshot, quarantined, states = outcome["supervised"]
+        assert snapshot.ingest_stats.rows_padded == 4
+        assert quarantined == ()
+        assert snapshot.degraded_shards == ()
+        assert set(snapshot.shard_snapshots) == set(states)
+        _assert_state_equal(states, outcome["plain"][2])
 
 
 class TestProcessRecovery:
