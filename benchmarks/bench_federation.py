@@ -4,12 +4,11 @@ A federation is only worth its layer if adding machines costs what the
 machines themselves cost — fan-out bookkeeping (registry, router, product
 merge) must stay negligible and per-ingest wall time must grow **at most
 linearly** with machine count on the serial backend (each machine's chunk
-is independent work) while the thread backend overlaps machines and lands
-below serial at fleet sizes.
+is independent work).
 
 The sweep ingests identical per-machine chunk protocols through a
 :class:`~repro.federation.FederatedMonitor` at increasing machine counts,
-records per-ingest wall time for the serial and thread fan-out backends,
+records per-ingest wall time for the serial fan-out backend,
 **asserts** the near-linear serial bound (super-linear growth fails the
 build, mirroring ``bench_core_streaming.py``'s flat-ingest gate), and
 writes the curves to ``BENCH_federation.json`` next to this file
@@ -72,7 +71,7 @@ def _build_streams(n_machines: int) -> dict:
     }
 
 
-def _per_ingest_seconds(streams: dict, executor: str | None) -> float:
+def _per_ingest_seconds(streams: dict) -> float:
     """Seconds per federated ingest, initial fit outside the timer."""
     registry = MachineRegistry(
         {
@@ -82,7 +81,7 @@ def _per_ingest_seconds(streams: dict, executor: str | None) -> float:
             for name, stream in streams.items()
         }
     )
-    federated = FederatedMonitor(registry, executor=executor)
+    federated = FederatedMonitor(registry)
     bounds = [
         (HISTORY + lo, HISTORY + hi)
         for lo, hi in chunk_indices(CHUNK, CHUNK // N_INGESTS)
@@ -111,11 +110,9 @@ def test_federated_ingest_scales_near_linearly(benchmark):
 
     def sweep() -> dict:
         return {
-            backend: {
-                n: _per_ingest_seconds(streams_by_count[n], executor)
-                for n in MACHINE_COUNTS
+            "serial": {
+                n: _per_ingest_seconds(streams_by_count[n]) for n in MACHINE_COUNTS
             }
-            for backend, executor in (("serial", None), ("thread", "thread"))
         }
 
     curves = benchmark.pedantic(sweep, rounds=1, iterations=1, warmup_rounds=0)

@@ -9,7 +9,7 @@ scenario from the catalog:
    ("north") — each backed by its own rack-sharded
    :class:`~repro.service.FleetMonitor`;
 2. a :class:`~repro.federation.FederatedMonitor` fans each lockstep chunk
-   across the machines on a persistent thread executor and routes every
+   across the machines on a persistent process executor and routes every
    alert through a shared :class:`~repro.federation.AlertRouter`: alerts
    arrive machine-stamped, deduplicated federation-wide, with a
    :class:`~repro.federation.FleetWideRule` watching for multi-machine
@@ -65,7 +65,7 @@ def main() -> None:
         sink = RingBufferSink()
         result = FederatedScenarioRunner(
             scenario, sinks=[sink], checkpoint_dir=checkpoint_dir,
-            executor="thread",
+            executor="process",
         ).run()
         print(
             f"\nrestarted run: {len(result.alerts)} alerts "

@@ -6,9 +6,9 @@ scenario from the catalog:
 1. a 64-node, 4-rack machine streams cpu_temp telemetry while rack 1
    suffers a cooling failure;
 2. a :class:`~repro.service.FleetMonitor` (one I-mrDMD pipeline per rack)
-   ingests the stream chunk by chunk on a **persistent thread executor**
-   (workers held open across every chunk, per-shard scoring overlapped
-   with the other shards' updates), and the alert engine fires z-score
+   ingests the stream chunk by chunk on a **persistent process executor**
+   (worker processes held open across every chunk, per-shard scoring
+   overlapped with the other shards' updates), and the alert engine fires z-score
    alerts on the degraded rack;
 3. after chunk 2 the service checkpoints to disk, is torn down, and is
    restored from the checkpoint;
@@ -49,11 +49,11 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         # ---- run with a mid-stream checkpoint/restore on a persistent
-        # thread executor (held open across chunks, closed by the runner) #
+        # process executor (held open across chunks, closed by the runner)
         sink = RingBufferSink()
         result = ScenarioRunner(
             scenario, sinks=[sink], checkpoint_dir=checkpoint_dir,
-            executor="thread",
+            executor="process",
         ).run()
         print(f"\nrestarted run: {len(result.alerts)} alerts "
               f"({len(sink.alerts)} via sink), restarted={result.restarted}")

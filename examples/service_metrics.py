@@ -5,9 +5,10 @@ Demonstrates the ``repro.obs`` subsystem on a sharded fleet monitor:
 1. the provider starts **disabled** — the instrumented ingest path runs
    with no recording at all (one attribute check per call site);
 2. ``obs.enable(trace_path=...)`` turns on metrics + tracing for a
-   rack-cooling-failure workload on a persistent thread executor; every
+   rack-cooling-failure workload on a persistent process executor; every
    layer reports — ISVD updates, mrDMD phases, shard dispatch/wait,
-   chunk latency, alert rules;
+   chunk latency, alert rules — and the worker processes' metrics and
+   span events are drained home when the monitor closes;
 3. the trace file is JSON lines — a ``schema_version`` header line, then
    one span event per line — with ``parent_id`` links that reconstruct
    the nesting (``service.ingest_and_alert -> executor.task ->
@@ -80,14 +81,14 @@ def main() -> None:
 
     # ---- 1. disabled by default: nothing is recorded ------------------- #
     assert not obs.OBS.enabled
-    _drive(stream, chunks, executor="thread")
+    _drive(stream, chunks, executor="process")
     print(f"disabled run recorded {len(obs.OBS.metrics)} instruments")
 
     # ---- 2./3. enabled run with a JSON-lines trace --------------------- #
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.jsonl")
         obs.enable(trace_path=trace_path)
-        alerts = _drive(stream, chunks, executor="thread")
+        alerts = _drive(stream, chunks, executor="process")
         obs.disable()
 
         header, events = obs.export.read_trace(trace_path)
@@ -118,7 +119,7 @@ def main() -> None:
           f"{int(totals['service.chunk.seconds.count'])} chunks")
 
     # ---- 4. totals are scheduling-independent --------------------------- #
-    threaded = {
+    parallel = {
         key: value
         for key, value in totals.items()
         if "executor." not in key
@@ -133,8 +134,8 @@ def main() -> None:
         if "executor." not in key
         and key not in ("service.rows_per_sec", "core.isvd.rank")
     }
-    match = threaded == serial
-    print(f"thread vs serial scheduling-independent totals identical: {match}")
+    match = parallel == serial
+    print(f"process vs serial scheduling-independent totals identical: {match}")
     if not match:
         raise SystemExit("metric totals diverged across backends")
 

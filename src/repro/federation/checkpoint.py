@@ -353,7 +353,6 @@ def load_federated_checkpoint(
     machine_sinks: Mapping[str, Iterable[AlertSink]] | None = None,
     router: AlertRouter | None = None,
     executor: str | ShardExecutor | None = None,
-    machine_executor: str | None = None,
     max_workers: int | None = None,
     chunk_log: ChunkLog | None = None,
 ) -> FederatedMonitor:
@@ -364,10 +363,9 @@ def load_federated_checkpoint(
     is rebuilt from ``sinks``/``machine_sinks`` — or pass a pre-configured
     ``router`` instance (custom fleet rules, cooldown) and its persisted
     dedup/fleet-rule memory is loaded into it; combining both forms is an
-    error.  ``executor`` configures the federation fan-out,
-    ``machine_executor`` the restored per-machine shard fan-out; both
-    start lazily, and restored products resume **bit-for-bit** (asserted
-    by the tests).
+    error.  ``executor`` configures the federation fan-out (restored
+    machines run their shards serially); it starts lazily, and restored
+    products resume **bit-for-bit** (asserted by the tests).
     """
     if router is not None and (list(sinks) or machine_sinks):
         raise ValueError(
@@ -381,9 +379,7 @@ def load_federated_checkpoint(
     for name in manifest.get("machines") or ():
         machine_dir = os.path.join(directory, MACHINES_DIRNAME, name)
         try:
-            monitor = load_checkpoint(
-                machine_dir, rules=rules, executor=machine_executor
-            )
+            monitor = load_checkpoint(machine_dir, rules=rules)
         except FileNotFoundError as exc:
             raise CheckpointError(
                 f"federated checkpoint under {directory!r} lists machine "

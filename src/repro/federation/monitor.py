@@ -21,12 +21,12 @@ single ingest/alert/query surface:
    fleet-wide rules (:class:`~repro.federation.routing.FleetWideRule`)
    that no single machine can express.
 
-Backends compose freely with one caveat: a ``process`` federation backend
-hosts its machines in daemon worker processes, which the OS forbids from
+Backends compose with one caveat: a ``process`` federation backend hosts
+its machines in daemon worker processes, which the OS forbids from
 spawning children — machines shipped to a process federation must
-therefore use ``serial`` or ``thread`` shard executors themselves.
-Every backend combination produces bit-for-bit identical products
-(asserted by the tests).
+therefore run the ``serial`` shard executor themselves.  Every backend
+combination produces bit-for-bit identical products (asserted by the
+tests).
 """
 
 from __future__ import annotations
@@ -38,18 +38,17 @@ import numpy as np
 
 from ..align.zscore_map import NodeZScores
 from ..hwlog.events import HardwareLog
-from ..obs import (
-    OBS,
-    worker_drain_metrics,
-    worker_drain_trace,
-    worker_enable_metrics,
-)
+from ..obs import OBS
 from ..obs.flight import FLIGHT
 from ..obs.health import HealthScore, aggregate, percentile, score_shard
 from ..util.growbuf import RingBuffer
 from ..service.alerts import Alert
 from ..service.monitor import FleetMonitor, FleetSnapshot, FleetSpectrum
-from ..util.parallel import ShardExecutor, make_shard_executor
+from ..util.parallel import (
+    ShardExecutor,
+    make_shard_executor,
+    validate_executor_spec,
+)
 from ..util.timer import now
 from .chunklog import ChunkLog
 from .registry import MachineRegistry
@@ -161,13 +160,15 @@ class FederatedSpectrum:
 # Machine commands: top-level functions so the process backend can pickle
 # them by reference; called as fn(resident_monitor, *args) in the worker.
 # --------------------------------------------------------------------------- #
-def _machine_ingest(monitor: FleetMonitor, values: np.ndarray) -> FleetSnapshot:
-    return monitor.ingest(values)
-
-
-def _machine_ingest_and_alert(
-    monitor: FleetMonitor, values: np.ndarray, hwlog: HardwareLog | None, window: int
+def _machine_round(
+    monitor: FleetMonitor,
+    values: np.ndarray,
+    alerting: bool,
+    hwlog: HardwareLog | None,
+    window: int,
 ) -> tuple[FleetSnapshot, list[Alert]]:
+    if not alerting:
+        return monitor.ingest(values), []
     return monitor.ingest_and_alert(values, hwlog=hwlog, window=window)
 
 
@@ -228,13 +229,13 @@ class FederatedMonitor:
         configured instances to attach sinks and fleet rules.
     executor:
         Machine fan-out backend: ``None``/``"serial"`` (default),
-        ``"thread"``, ``"process"``, or a fresh
-        :class:`~repro.util.parallel.ShardExecutor`.  Started lazily,
-        held open across rounds; close with :meth:`close` or the context
-        manager.
+        ``"process"``, or a fresh
+        :class:`~repro.util.parallel.ShardExecutor`.  Checked here,
+        started lazily, held open across rounds; close with
+        :meth:`close` or the context manager.
     max_workers:
-        Worker count for thread/process fan-out (default: one per
-        machine, capped at the CPU count).
+        Worker count for process fan-out (default: one per machine,
+        capped at the CPU count).
     chunk_log:
         Optional shared :class:`~repro.federation.chunklog.ChunkLog`.
         When set, every fanned-out chunk is recorded, enabling
@@ -256,6 +257,7 @@ class FederatedMonitor:
             registry = MachineRegistry(registry)
         if len(registry) == 0:
             raise ValueError("FederatedMonitor needs at least one registered machine")
+        validate_executor_spec(executor, max_workers)
         self.registry = registry
         self.chunk_log = chunk_log
         self.router = router if router is not None else AlertRouter()
@@ -307,7 +309,7 @@ class FederatedMonitor:
 
     @property
     def machines(self) -> dict[str, FleetMonitor]:
-        """Name -> monitor.  Serial/thread fan-out returns the live
+        """Name -> monitor.  Serial fan-out returns the live
         objects; process fan-out pulls fresh copies from the workers and
         lands them back in the registry (so checkpoints and direct access
         observe current state)."""
@@ -357,40 +359,19 @@ class FederatedMonitor:
             self._executor.start(shipped)
             self._executor_version = self.registry.version
             self._shipped = shipped
-            if OBS.enabled:
-                # Mirror the parent provider into process workers so the
-                # machines' core/service metrics accumulate remotely (see
-                # FleetMonitor._ensure_executor for the single-machine
-                # version of the same round trip).
-                for name in self._executor.remote_worker_shards():
-                    self._executor.call(name, worker_enable_metrics)
-                # Calibrate each worker's monotonic clock against the
-                # coordinator's so merged trace timelines line up.
-                self._executor.calibrate_clocks()
         return self._executor
 
     def collect_metrics(self):
         """Merge process-worker metric registries into the session provider
         and return its registry (drain-with-reset: repeat calls never
         double-count).  Invoked automatically when the pool lands."""
-        if (
-            OBS.enabled
-            and self._executor is not None
-            and not self._executor.closed
-        ):
-            for name in self._executor.remote_worker_shards():
-                OBS.metrics.merge(self._executor.call(name, worker_drain_metrics))
-                events = self._executor.call(name, worker_drain_trace)
-                if events:
-                    # Worker spans re-emit through the parent tracer so one
-                    # JSON-lines file carries the whole federation round.
-                    OBS.tracer.ingest_events(events)
+        if self._executor is not None and not self._executor.closed:
+            self._executor.collect_obs()
         return OBS.metrics
 
     def _land_and_drop_executor(self) -> None:
         try:
-            if OBS.enabled:
-                self.collect_metrics()
+            self.collect_metrics()
             if self._resident_remote and not self._executor.closed:
                 for name, monitor in self._executor.pull().items():
                     self._land_pulled(name, monitor)
@@ -570,25 +551,10 @@ class FederatedMonitor:
         :class:`FleetSnapshot` products merge into one
         :class:`FederatedSnapshot`.  Rounds may be partial: machines
         absent from ``chunks`` skip the round and keep their position.
+        The round is the one :meth:`ingest_and_alert` runs, minus alerts.
         """
-        chunks = self._validated_chunks(chunks)
-        executor = self._ensure_executor()
-        t_round = now()
-        with OBS.span("federation.round", n_machines=len(chunks)):
-            snapshots = executor.map(
-                _machine_ingest,
-                {name: (chunk,) for name, chunk in chunks.items()},
-            )
-        elapsed = now() - t_round
-        for name in chunks:
-            # map() gathers in one barrier, so each machine's sample is the
-            # round time — an upper bound consistent with the overlapped
-            # per-machine samples ingest_and_alert records.
-            self._note_round_latency(name, elapsed)
-        self._record_round(chunks, snapshots)
-        if OBS.enabled:
-            self._record_round_metrics(chunks)
-        return self._finish_round({name: snapshots[name] for name in chunks})
+        snapshot, _ = self._run_round(chunks, alerting=False)
+        return snapshot
 
     def ingest_and_alert(
         self,
@@ -611,6 +577,19 @@ class FederatedMonitor:
         counts it as drifting.  Returns the federated snapshot and the
         routed alerts, in delivery order.
         """
+        return self._run_round(chunks, alerting=True, hwlogs=hwlogs, window=window)
+
+    def _run_round(
+        self,
+        chunks: Mapping[str, np.ndarray],
+        *,
+        alerting: bool,
+        hwlogs: Mapping[str, HardwareLog] | None = None,
+        window: int = 200,
+    ) -> tuple[FederatedSnapshot, list[Alert]]:
+        """One federated round: fan each machine's chunk out, gather the
+        results in registry order, merge, and (``alerting``) route the
+        machines' alerts.  Plain rounds return no alerts."""
         chunks = self._validated_chunks(chunks)
         hwlogs = dict(hwlogs) if hwlogs else {}
         unknown_logs = sorted(set(hwlogs) - set(self.registry.names))
@@ -623,10 +602,7 @@ class FederatedMonitor:
                 (
                     name,
                     executor.submit(
-                        name,
-                        _machine_ingest_and_alert,
-                        chunk,
-                        hwlogs.get(name),
+                        name, _machine_round, chunk, alerting, hwlogs.get(name),
                         window,
                     ),
                 )
@@ -651,6 +627,8 @@ class FederatedMonitor:
         if OBS.enabled:
             self._record_round_metrics(chunks)
         snapshot = self._finish_round(snapshots)
+        if not alerting:
+            return snapshot, []
         context = FederatedAlertContext(
             step=self._step,
             updates={

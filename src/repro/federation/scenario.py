@@ -219,11 +219,9 @@ class FederatedScenarioRunner:
         when ``scenario.restart_after_chunk`` is set, optional otherwise
         (no directory means no checkpointing).
     executor / max_workers:
-        Machine fan-out backend for the federated monitor.
-    machine_executor:
-        Shard fan-out backend inside each machine's monitor.  Leave serial
-        (the default) when ``executor="process"`` — daemon federation
-        workers cannot spawn their own child processes.
+        Machine fan-out backend for the federated monitor (``None``/
+        ``"serial"``, ``"process"``).  Each machine's own shards run
+        serially: daemon federation workers cannot spawn child processes.
     deep_levels:
         When set (``"inline"``/``"deferred"``), overrides every machine
         workload's deep-level mode — the CLI's ``--deep-levels`` switch.
@@ -242,7 +240,6 @@ class FederatedScenarioRunner:
         sinks: Sequence[AlertSink] = (),
         checkpoint_dir: str | None = None,
         executor: str | None = None,
-        machine_executor: str | None = None,
         max_workers: int | None = None,
         deep_levels: str | None = None,
         checkpoint_mode: str = "sync",
@@ -298,7 +295,6 @@ class FederatedScenarioRunner:
         self.sinks = list(sinks)
         self.checkpoint_dir = checkpoint_dir
         self.executor = executor
-        self.machine_executor = machine_executor
         self.max_workers = max_workers
         self.deep_levels = deep_levels
         self.checkpoint_mode = checkpoint_mode
@@ -337,7 +333,6 @@ class FederatedScenarioRunner:
             policy=scenario.policy,
             config=config,
             alert_engine=engine,
-            executor=self.machine_executor,
         )
 
     def run(self) -> FederatedScenarioResult:
@@ -442,7 +437,6 @@ class FederatedScenarioRunner:
                         rules=default_rules(),
                         router=self._build_router(),
                         executor=self.executor,
-                        machine_executor=self.machine_executor,
                         max_workers=self.max_workers,
                         chunk_log=chunk_log,
                     )
@@ -458,7 +452,6 @@ class FederatedScenarioRunner:
                     stale_monitor = load_checkpoint(
                         os.path.join(stale_entry.path, MACHINES_DIRNAME, name),
                         rules=default_rules(),
-                        executor=self.machine_executor,
                     )
                     chunks_replayed = federated.reattach_machine(name, stale_monitor)
                     stale_restored = True

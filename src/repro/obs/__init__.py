@@ -21,12 +21,14 @@ or from the CLI::
         --metrics-out metrics.json --trace-out trace.jsonl
 
 Process-backend shard workers run in fresh interpreters where ``OBS``
-starts disabled; :class:`~repro.service.monitor.FleetMonitor` and
-:class:`~repro.federation.monitor.FederatedMonitor` flip it on remotely
-(:func:`worker_enable_metrics`) when the parent provider is enabled, and
-drain each worker's registry home (:func:`worker_drain_metrics`) on close —
-metrics merge exactly; trace *events* stay local to the process that
-produced them (workers still feed ``span.*`` histograms, which do merge).
+starts disabled.  When the parent provider is enabled, the
+:class:`~repro.util.parallel.ProcessShardExecutor` flips it on in each
+worker as the worker starts (:func:`worker_enable_metrics`) and
+calibrates its clock; :meth:`~repro.util.parallel.ShardExecutor.collect_obs`
+(called by the monitors' ``collect_metrics`` and ``close``) drains each
+worker's registry and buffered span events home
+(:func:`worker_drain_metrics`, :func:`worker_drain_trace`) — metrics
+merge exactly, and the span events join the coordinator's trace.
 """
 
 from __future__ import annotations

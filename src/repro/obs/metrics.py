@@ -19,8 +19,9 @@ the bucket containing the requested rank, clamped to the observed min/max.
 
 Thread safety: mutation goes through the registry's convenience methods
 (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`), which hold one shared
-lock — the thread executor's workers record into the parent registry
-concurrently.  The lock is dropped on pickle and recreated on load.
+lock — the asynchronous checkpoint writer thread records into the parent
+registry while the ingest loop does.  The lock is dropped on pickle and
+recreated on load.
 """
 
 from __future__ import annotations

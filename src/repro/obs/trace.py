@@ -232,10 +232,10 @@ class Tracer:
 
     Span ids are globally unique across the fleet: each process counts
     from ``pid << 32``, so merged traces never collide.  The per-thread
-    stacks mean worker-thread spans are recorded concurrently without
-    interleaving parents across threads; process-backend workers run their
-    own tracer whose ring-buffered events are drained home by the monitors
-    (``span.*`` histograms in the registry merge home independently, see
+    stacks mean the checkpoint writer thread's spans are recorded
+    concurrently with the ingest loop's without interleaving parents;
+    process-backend workers run their own tracer whose ring-buffered
+    events are drained home by the executor (``span.*`` histograms in the registry merge home independently, see
     :mod:`repro.obs.metrics`).
 
     ``trace_id`` stamps every event; ``clock_offset`` (seconds to add to

@@ -12,8 +12,8 @@ Faults come in two layers:
 * **executor-layer** faults (``CRASH``, ``HANG``, ``SLOW``) execute inside
   the worker serving the shard.  In a spawned worker process a crash is a
   real ``os._exit`` and a hang is a real sleep the supervisor must detect
-  via its task deadline; in-process backends (serial, thread) cannot crash
-  the interpreter they share with the caller, so the same plan degrades to
+  via its task deadline; the in-process serial backend cannot crash the
+  interpreter it shares with the caller, so the same plan degrades to
   typed :class:`SimulatedCrashError` / :class:`SimulatedHangError`
   exceptions that the supervisor treats as the crash/hang class.  The
   backend distinction is made *at execution time* (are we in a spawned
@@ -70,17 +70,17 @@ class InjectedFaultError(RuntimeError):
 
 
 class SimulatedCrashError(InjectedFaultError):
-    """In-process stand-in for a worker crash (serial/thread backends)."""
+    """In-process stand-in for a worker crash (serial backend)."""
 
 
 class SimulatedHangError(InjectedFaultError):
-    """In-process stand-in for a hung worker (serial/thread backends)."""
+    """In-process stand-in for a hung worker (serial backend)."""
 
 
 def _in_spawned_child() -> bool:
     """Whether we are executing inside a spawned worker process (where a
     real crash/hang is safe to inject) rather than the caller's own
-    interpreter (serial backend, or a thread of the parent)."""
+    interpreter (serial backend)."""
     return mp.parent_process() is not None
 
 

@@ -6,7 +6,7 @@ Runs any scenario from the catalog straight from the shell::
     python -m repro.service rack-cooling-failure
     python -m repro.service mid-run-restart --executor process --workers 4
     python -m repro.service noisy-neighbor-job --alerts-jsonl alerts.jsonl
-    python -m repro.service federated_fleet --executor thread
+    python -m repro.service federated_fleet --executor process
 
 The runner drives a :class:`~repro.service.monitor.FleetMonitor` (or, for
 federated scenarios, a
@@ -52,17 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default="serial",
         help="fan-out backend: shards for single-machine scenarios, machines "
         "for federated ones (persistent across chunks; default serial)",
-    )
-    parser.add_argument(
-        "--machine-executor",
-        choices=("serial", "thread"),
-        default="serial",
-        help="per-machine shard fan-out inside a federated scenario "
-        "(default serial; process is reserved for the machine level)",
     )
     parser.add_argument(
         "--deep-levels",
@@ -77,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for thread/process executors (default: one per "
+        help="worker count for the process executor (default: one per "
         "shard/machine)",
     )
     parser.add_argument(
@@ -303,9 +296,8 @@ def _run_federated(args: argparse.Namespace, name: str) -> int:
         )
     print(
         f"stream:   {scenario.machines[0][1].total_steps} snapshots per machine, "
-        f"{scenario.n_chunks} chunks; fan-out executor={args.executor}, "
-        f"machine executor={args.machine_executor}; rotating checkpoints "
-        f"keep_last={scenario.keep_last}"
+        f"{scenario.n_chunks} chunks; fan-out executor={args.executor}; "
+        f"rotating checkpoints keep_last={scenario.keep_last}"
     )
 
     sinks = [RingBufferSink()]
@@ -318,7 +310,6 @@ def _run_federated(args: argparse.Namespace, name: str) -> int:
             sinks=sinks,
             checkpoint_dir=checkpoint_dir,
             executor=args.executor,
-            machine_executor=args.machine_executor,
             max_workers=args.workers,
             deep_levels=args.deep_levels,
             checkpoint_mode=args.checkpoint_mode,

@@ -411,11 +411,11 @@ def _capture_manifest(monitor: FleetMonitor) -> dict:
         "dt": monitor.dt,
         "config": monitor.config.to_dict(),
         "shards": [spec.to_dict() for spec in monitor.shards],
-        # Row-policing modes are behaviour, not derivable from state: a
+        # The row-padding mode is behaviour, not derivable from state: a
         # restored monitor watching registered-but-not-yet-reporting
         # sensors must keep padding their rows, not crash on the next
-        # short chunk.
-        "extra_rows": monitor.extra_rows,
+        # short chunk.  (Older manifests also carry an "extra_rows" key;
+        # loading ignores it — extra rows always raise.)
         "missing_rows": monitor.missing_rows,
         "alert_engine": (
             None
@@ -496,9 +496,9 @@ def _capture(
         if block.state is None and snapshot:
             block.state = monitor.shard_state_dict(shard_id)
             if not monitor._resident_remote:
-                # Serial/thread backends hand back state sharing arrays
+                # The serial backend hands back state sharing arrays
                 # with the live pipeline; a deferred write needs its own
-                # copy.  Process backends already returned a copy.
+                # copy.  The process backend already returned a copy.
                 block.state = copy_state(block.state)
         records[shard_id] = block
         blocks.append(block)
@@ -927,7 +927,6 @@ def _load_checkpoint(
         alert_engine=engine,
         executor=executor,
         max_workers=max_workers,
-        extra_rows=str(manifest.get("extra_rows", "raise")),
         missing_rows=str(manifest.get("missing_rows", "raise")),
         resilience=resilience,
         fault_plan=fault_plan,

@@ -8,8 +8,8 @@ over the whole sensor matrix, a :class:`FleetMonitor`
    :class:`~repro.service.sharding.ShardingPolicy` (by rack, by metric
    group, ...);
 2. runs one independent I-mrDMD pipeline per shard on a **persistent**
-   :class:`~repro.util.parallel.ShardExecutor` (serial by default; thread
-   or process workers on request).  Workers are created once and own their
+   :class:`~repro.util.parallel.ShardExecutor` (serial by default; process
+   workers on request).  Workers are created once and own their
    shard pipelines resident, so an ingest ships only ``(shard_id, chunk)``
    and queries ship small commands back — each shard's decomposition is
    embarrassingly parallel, exactly the structure the paper notes, without
@@ -20,7 +20,7 @@ over the whole sensor matrix, a :class:`FleetMonitor`
    ingest — :meth:`ingest_and_alert` overlaps the per-shard scoring needed
    by the rules with the other shards' updates.
 
-All executor backends produce bit-for-bit identical products (asserted by
+Both executor backends produce bit-for-bit identical products (asserted by
 the tests).  The monitor is fully serialisable (see
 :mod:`repro.service.checkpoint`): a restarted monitor resumes mid-stream
 with bit-for-bit identical products.
@@ -38,12 +38,7 @@ from ..core.baseline import classify_zscores
 from ..core.imrdmd import TopologyChange
 from ..core.spectrum import MrDMDSpectrum
 from ..hwlog.events import HardwareLog
-from ..obs import (
-    OBS,
-    worker_drain_metrics,
-    worker_drain_trace,
-    worker_enable_metrics,
-)
+from ..obs import OBS
 from ..obs.flight import FLIGHT
 from ..obs.health import HealthScore, aggregate, percentile, score_shard
 from ..pipeline.config import PipelineConfig
@@ -59,6 +54,7 @@ from ..util.parallel import (
     ShardTaskError,
     ShardTimeoutError,
     make_shard_executor,
+    validate_executor_spec,
 )
 from ..util.timer import now
 from .alerts import Alert, AlertContext, AlertEngine
@@ -317,22 +313,18 @@ class FleetMonitor:
         up front; otherwise the first ingest validates implicitly).
     executor:
         Shard fan-out backend: ``None``/``"serial"`` (default),
-        ``"thread"``, ``"process"``, or a fresh
-        :class:`~repro.util.parallel.ShardExecutor` instance.  The
-        executor is started lazily on first use and then **held open
-        across ingests** — close it with :meth:`close` or by using the
-        monitor as a context manager (``with FleetMonitor(...) as mon:``).
+        ``"process"``, or a fresh
+        :class:`~repro.util.parallel.ShardExecutor` instance; checked
+        here, started lazily on first use and then **held open across
+        ingests** — close it with :meth:`close` or by using the monitor
+        as a context manager (``with FleetMonitor(...) as mon:``).
     max_workers:
-        Worker count for the thread/process backends (default: one per
-        shard, capped at the CPU count).
-    extra_rows:
-        What to do when an ingested matrix has *more* rows than the shard
-        partition covers: ``"raise"`` (default) or ``"ignore"`` (drop the
-        remainder, the pre-fix behaviour — explicit opt-in only).
+        Worker count for the process backend (default: one per shard,
+        capped at the CPU count).
     missing_rows:
         What to do when an ingested matrix has *fewer* rows than the shard
         partition covers: ``"raise"`` (default — the mirror of the
-        ``extra_rows`` check, with the same actionable error) or ``"nan"``
+        check that rejects a matrix with *more* rows) or ``"nan"``
         (pad the absent trailing rows with NaN — sensors registered in the
         topology but not yet reporting contribute nothing; requires a
         pipeline config with ``missing_values="zero"`` so the shard models
@@ -365,7 +357,6 @@ class FleetMonitor:
         n_rows: int | None = None,
         executor: str | ShardExecutor | None = None,
         max_workers: int | None = None,
-        extra_rows: str = "raise",
         missing_rows: str = "raise",
         policy: ShardingPolicy | None = None,
         machine: MachineDescription | None = None,
@@ -376,10 +367,7 @@ class FleetMonitor:
             raise ValueError("FleetMonitor needs at least one shard")
         if n_rows is not None:
             validate_partition(shards, n_rows)
-        if extra_rows not in ("raise", "ignore"):
-            raise ValueError(
-                f"extra_rows must be 'raise' or 'ignore', got {extra_rows!r}"
-            )
+        validate_executor_spec(executor, max_workers)
         if missing_rows not in ("raise", "nan"):
             raise ValueError(
                 f"missing_rows must be 'raise' or 'nan', got {missing_rows!r}"
@@ -400,7 +388,6 @@ class FleetMonitor:
             )
         self.shards = list(shards)
         self.alert_engine = alert_engine
-        self.extra_rows = extra_rows
         self.missing_rows = missing_rows
         self.policy = policy
         self.machine = machine
@@ -456,7 +443,6 @@ class FleetMonitor:
         alert_engine: AlertEngine | None = None,
         executor: str | ShardExecutor | None = None,
         max_workers: int | None = None,
-        extra_rows: str = "raise",
         missing_rows: str = "raise",
         resilience: ResiliencePolicy | None = None,
         fault_plan: FaultPlan | None = None,
@@ -480,7 +466,6 @@ class FleetMonitor:
             n_rows=stream.n_rows,
             executor=executor,
             max_workers=max_workers,
-            extra_rows=extra_rows,
             missing_rows=missing_rows,
             policy=policy,
             machine=stream.machine,
@@ -507,19 +492,9 @@ class FleetMonitor:
             self._executor = make_shard_executor(
                 self._executor_spec, max_workers=self._max_workers
             )
+            # A process executor switches its workers' metrics on and
+            # calibrates their clocks as it starts (when OBS is enabled).
             self._executor.start(self._pipelines)
-            if OBS.enabled:
-                # Process workers are fresh interpreters whose module-level
-                # provider starts disabled; mirror the parent's switch so
-                # core/executor metrics accumulate worker-side (drained home
-                # by collect_metrics / close).  In-process backends report
-                # no remote shards and record straight into the parent.
-                for shard_id in self._executor.remote_worker_shards():
-                    self._executor.call(shard_id, worker_enable_metrics)
-                # Clock handshake so worker trace events land on this
-                # process's timeline (no-op for in-process backends, and
-                # already done if the executor started while enabled).
-                self._executor.calibrate_clocks()
         return self._executor
 
     @property
@@ -551,8 +526,7 @@ class FleetMonitor:
             return
         try:
             self.drain_refreshes()
-            if OBS.enabled:
-                self.collect_metrics()
+            self.collect_metrics()
             if self._resident_remote and not self._executor.closed:
                 self._pipelines = self._executor.pull()
         finally:
@@ -569,22 +543,11 @@ class FleetMonitor:
 
         Workers are drained with reset, so calling this repeatedly (or
         again at :meth:`close`, which invokes it automatically) never
-        double-counts.  A no-op for in-process backends and when the
+        double-counts.  A no-op for the serial backend and when the
         provider is disabled.
         """
-        if (
-            OBS.enabled
-            and self._executor is not None
-            and not self._executor.closed
-        ):
-            for shard_id in self._executor.remote_worker_shards():
-                OBS.metrics.merge(self._executor.call(shard_id, worker_drain_metrics))
-                # Worker span events (already calibrated and parented via
-                # the shipped TraceContext) merge into this process's
-                # sinks — one causal trace per session.
-                events = self._executor.call(shard_id, worker_drain_trace)
-                if events:
-                    OBS.tracer.ingest_events(events)
+        if self._executor is not None and not self._executor.closed:
+            self._executor.collect_obs()
         return OBS.metrics
 
     def __enter__(self) -> "FleetMonitor":
@@ -602,7 +565,7 @@ class FleetMonitor:
         A pickled monitor carries the in-process pipelines (pulled fresh
         from process-resident workers first, so no state is lost), the
         shard layout and the executor *specification* — the live executor
-        itself (threads, pipes, child processes) stays behind and is
+        itself (pipes, child processes) stays behind and is
         lazily recreated on the other side at the next ingest.  This is
         what lets :class:`repro.federation.FederatedMonitor` ship whole
         machines to resident federation workers.
@@ -644,7 +607,7 @@ class FleetMonitor:
     def pipelines(self) -> dict[str, OnlineAnalysisPipeline]:
         """Per-shard pipelines keyed by shard id.
 
-        Serial/thread backends return the live objects; the process
+        The serial backend returns the live objects; the process
         backend pulls fresh *copies* from the workers (mutating them does
         not affect the service — use shard commands for that).
         """
@@ -776,12 +739,11 @@ class FleetMonitor:
                 (required_rows - values.shape[0], values.shape[1]), np.nan
             )
             values = np.vstack([values, pad])
-        if values.shape[0] > required_rows and self.extra_rows == "raise":
+        if values.shape[0] > required_rows:
             raise ValueError(
                 f"values has {values.shape[0]} rows but the shard partition "
                 f"covers only rows [0, {required_rows}); extra rows would be "
-                f"silently dropped — fix the partition or pass "
-                f"extra_rows='ignore' to the monitor"
+                f"silently dropped — fix the partition (add_sensors grows it)"
             )
         stats = IngestStats(
             rows_received=n_received,
@@ -1123,11 +1085,6 @@ class FleetMonitor:
             snapshot_stamps=self._snapshot_stamps(),
             extra={"residents": list(residents)},
         )
-        if OBS.enabled and executor.backend == "process":
-            # The replacement worker is a fresh interpreter whose obs
-            # provider starts disabled; mirror the parent's switch so its
-            # metrics keep accumulating (cf. _ensure_executor).
-            executor.call(shard_id, worker_enable_metrics)
         return residents
 
     def _quarantine(self, shard_id: str, exc: BaseException, attempts: int) -> None:
@@ -1329,8 +1286,8 @@ class FleetMonitor:
         Under ``deep_levels="deferred"`` a shard's levels-2..L work
         accumulates in its pipeline; this schedules the drain as an
         executor task — behind the shard's own FIFO queue, so it runs off
-        the ingest critical path (overlapping the *next* chunks on
-        thread/process backends) while every later command on that shard
+        the ingest critical path (overlapping the *next* chunks on the
+        process backend) while every later command on that shard
         still observes the refreshed tree.  A shard is scheduled when its
         drift flag fired this chunk or every ``deep_refresh_every`` chunks,
         whichever comes first; the decision depends only on snapshot
@@ -1413,7 +1370,7 @@ class FleetMonitor:
     def deep_staleness(self) -> dict[str, tuple[int, int]]:
         """Per-shard ``(pending refresh entries, stale snapshot age)``.
 
-        Answered through the executor, so on thread/process backends the
+        Answered through the executor, so on the process backend the
         values reflect every refresh already scheduled for a shard (the
         query queues behind it).  All zeros under ``deep_levels="inline"``.
         """
@@ -1612,8 +1569,8 @@ class FleetMonitor:
         Equivalent to ``ingest(values)`` followed by
         ``evaluate_alerts(hwlog=hwlog, window=window)`` — bit-for-bit, as
         the tests assert — but each shard's recent-window scoring is
-        enqueued directly behind its own update, so on thread/process
-        backends shard A is being scored while shard B is still updating,
+        enqueued directly behind its own update, so on the process
+        backend shard A is being scored while shard B is still updating,
         and the drift records are taken from the ingest results instead of
         a second query round-trip.
         """

@@ -317,9 +317,8 @@ class ScenarioRunner:
         ``scenario.restart_after_chunk`` is set.
     executor / max_workers:
         Shard fan-out backend for the monitor (``None``/``"serial"``,
-        ``"thread"``, ``"process"``), held open across the whole run and
-        closed before returning; every backend produces identical
-        products.
+        ``"process"``), held open across the whole run and closed before
+        returning; both backends produce identical products.
     deep_levels:
         When set (``"inline"``/``"deferred"``), overrides the scenario
         config's deep-level mode — the CLI's ``--deep-levels`` switch for

@@ -8,7 +8,6 @@ from .parallel import (
     ShardExecutor,
     ShardTask,
     ShardTaskError,
-    ThreadShardExecutor,
     make_shard_executor,
 )
 from .stats import rolling_mean, running_moments, RunningMoments
@@ -28,7 +27,6 @@ __all__ = [
     "RingBuffer",
     "ShardExecutor",
     "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
     "ShardTask",
     "ShardTaskError",

@@ -11,19 +11,20 @@ pool would re-pickle the entire pipeline state (mode tree, iSVD factors,
 baselines) to the workers and back on every ingest, which is routinely
 slower than running serially.
 
-Three interchangeable backends implement the same API:
+Two interchangeable backends implement the same API:
 
 ``serial``
     Everything runs inline in the calling thread (deterministic, zero
-    overhead, no pickling requirements) — the default.
-``thread``
-    A fixed pool of worker threads; shard objects are *shared* with the
-    parent (no copies).  NumPy releases the GIL inside BLAS, so per-shard
-    linear algebra genuinely overlaps.
+    overhead, no pickling requirements) — the default, and the only
+    in-process backend.
 ``process``
     A fixed pool of spawned worker processes; shard objects are shipped
     once at :meth:`ShardExecutor.start` and live in the workers.  Use
     :meth:`ShardExecutor.pull` to bring them back (e.g. before shutdown).
+    The executor also owns its workers' observability: it switches their
+    providers on and calibrates their clocks when they start (or are
+    respawned), and :meth:`ShardExecutor.collect_obs` drains their
+    metrics and trace events home.
 
 Every backend guarantees per-shard FIFO ordering: two calls submitted for
 the same shard run in submission order, so ``submit(ingest); submit(query)``
@@ -44,8 +45,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue
-import threading
 import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Mapping
@@ -97,12 +96,12 @@ def _worker_set_trace_context(obj=None, trace_id=None, clock_offset=0.0) -> bool
 __all__ = [
     "ShardExecutor",
     "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
     "ShardTask",
     "ShardTaskError",
     "ShardTimeoutError",
     "make_shard_executor",
+    "validate_executor_spec",
     "SHARD_EXECUTOR_BACKENDS",
 ]
 
@@ -182,14 +181,13 @@ class ShardTask:
     (wrapped in :class:`ShardTaskError` when it cannot be transported).
     """
 
-    __slots__ = ("shard_id", "_done", "_result", "_error", "_event", "_worker")
+    __slots__ = ("shard_id", "_done", "_result", "_error", "_worker")
 
-    def __init__(self, shard_id: str, *, event=None, worker=None) -> None:
+    def __init__(self, shard_id: str, *, worker=None) -> None:
         self.shard_id = shard_id
         self._done = False
         self._result: Any = None
         self._error: BaseException | None = None
-        self._event = event
         self._worker = worker
 
     @property
@@ -200,8 +198,6 @@ class ShardTask:
         self._result = result
         self._error = error
         self._done = True
-        if self._event is not None:
-            self._event.set()
 
     def result(self, timeout: float | None = None) -> Any:
         """Block for the result; ``timeout`` (seconds) turns the wait into
@@ -234,9 +230,7 @@ class ShardTask:
         return self._result
 
     def _wait(self, timeout: float | None = None) -> None:
-        if self._event is not None:
-            self._event.wait(timeout)
-        elif self._worker is not None:
+        if self._worker is not None:
             self._worker.wait_for(self, timeout=timeout)
 
 
@@ -315,9 +309,8 @@ class ShardExecutor(ABC):
         """One representative shard id per worker *interpreter* that does
         not share this process's memory — the addresses a metrics
         collector must call to reach every remote
-        :data:`repro.obs.OBS` instance.  In-process backends (serial,
-        thread) record straight into the parent provider, so they report
-        none."""
+        :data:`repro.obs.OBS` instance.  The in-process serial backend
+        records straight into the parent provider, so it reports none."""
         return ()
 
     def calibrate_clocks(self) -> dict[str, float]:
@@ -331,6 +324,16 @@ class ShardExecutor(ABC):
         observability provider is enabled.
         """
         return {}
+
+    def collect_obs(self) -> None:
+        """Merge every remote worker's metric registry and buffered trace
+        events into this process's provider.
+
+        Workers are drained with reset, so repeated collections never
+        double-count.  A no-op on the in-process serial backend (it
+        records straight into the parent provider) and while the provider
+        is disabled.
+        """
 
     # -- calls ----------------------------------------------------------- #
     def _record_submit(self, shard_id: str, depth: int | None = None) -> None:
@@ -426,10 +429,9 @@ class ShardExecutor(ABC):
         The process backend force-terminates the old worker (dead or hung
         — either way it is not coming back), fails its in-flight tasks
         with crash-kind :class:`ShardTaskError`\\ s, and spawns a clean
-        replacement.  In-process backends swap the resident objects (and,
-        for threads, the worker loop) — they cannot kill a genuinely hung
-        thread, only abandon it.  Tasks queued on the lost worker are NOT
-        resubmitted; the supervisor retries them.
+        replacement.  The serial backend only swaps the resident objects.
+        Tasks queued on the lost worker are NOT resubmitted; the
+        supervisor retries them.
         """
         self._check_ready(shard_id)
         for sid, obj in objects.items():
@@ -442,7 +444,7 @@ class ShardExecutor(ABC):
     def pull(self) -> dict[str, Any]:
         """Return the resident shard objects to the parent.
 
-        Serial/thread backends share objects with the parent, so this is a
+        The serial backend shares objects with the parent, so this is a
         plain lookup; the process backend round-trips each object through
         its worker (one pickle per shard — the same price ``start`` paid).
         """
@@ -506,148 +508,6 @@ def _default_max_workers(requested: int | None, n_shards: int) -> int:
             raise ValueError(f"max_workers must be >= 1, got {requested!r}")
         return min(requested, n_shards)
     return max(1, min(n_shards, os.cpu_count() or 1))
-
-
-class ThreadShardExecutor(ShardExecutor):
-    """Worker threads over *shared* shard objects.
-
-    Each worker serves a fixed subset of shards through a FIFO queue, so
-    per-shard ordering holds while independent shards overlap.  Objects are
-    the parent's own (no copies): after any batch of tasks completes, the
-    parent sees the mutated state directly.
-    """
-
-    backend = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__()
-        self._max_workers = max_workers
-        self._queues: list[queue.Queue] = []
-        self._threads: list[threading.Thread] = []
-        self._worker_of_shard: dict[str, int] = {}
-
-    def _start(self) -> None:
-        n_workers = _default_max_workers(self._max_workers, len(self._objects))
-        for index, shard_id in enumerate(self._objects):
-            self._worker_of_shard[shard_id] = index % n_workers
-        for index in range(n_workers):
-            q: queue.Queue = queue.Queue()
-            thread = threading.Thread(
-                target=self._worker_loop, args=(q,),
-                name=f"shard-worker-{index}", daemon=True,
-            )
-            thread.start()
-            self._queues.append(q)
-            self._threads.append(thread)
-
-    def _worker_loop(self, q: queue.Queue) -> None:
-        while True:
-            item = q.get()
-            if item is None:
-                return
-            task, fn, args, kwargs, ctx = item
-            # BaseException included: an unresolved task would leave
-            # result() blocked forever on its event.
-            try:
-                obs = _get_obs()
-                # Adopt the submitter's context: worker threads have empty
-                # span stacks, so without it their spans would be orphans.
-                if not obs.enabled:
-                    result = fn(self._objects[task.shard_id], *args, **kwargs)
-                elif ctx is not None:
-                    with obs.adopt(ctx):
-                        with obs.span("executor.task", shard=task.shard_id,
-                                      backend=self.backend):
-                            result = fn(self._objects[task.shard_id], *args,
-                                        **kwargs)
-                else:
-                    # Context-free submits (drains, housekeeping) would
-                    # emit unparented events; record the duration only.
-                    t0 = time.perf_counter()
-                    result = fn(self._objects[task.shard_id], *args, **kwargs)
-                    obs.observe("span.executor.task",
-                                time.perf_counter() - t0)
-                task._resolve(result, None)
-            except BaseException as exc:
-                task._resolve(None, exc)
-
-    def submit(self, shard_id: str, fn: Callable, /, *args, **kwargs) -> ShardTask:
-        self._check_ready(shard_id)
-        worker_index = self._worker_of_shard[shard_id]
-        self._record_submit(shard_id, depth=self._queues[worker_index].qsize())
-        task = ShardTask(shard_id, event=threading.Event())
-        self._queues[worker_index].put(
-            (task, fn, args, kwargs, _current_trace_context())
-        )
-        return task
-
-    def install(self, shard_id: str, obj: Any) -> None:
-        # Barrier through the shard's FIFO queue: already-queued calls
-        # must finish against the old object before the swap, matching
-        # the per-shard ordering contract (the process backend drains its
-        # pending set for the same reason).
-        self._check_ready(shard_id)
-        self.submit(shard_id, _noop).result()
-        self._objects[shard_id] = obj
-
-    def _add_shard(self, shard_id: str, obj: Any) -> None:
-        # Same worker assignment rule as _start: arrival order mod pool
-        # size, so routing is deterministic across backends and restarts.
-        self._worker_of_shard[shard_id] = (len(self._worker_of_shard)) % len(
-            self._queues
-        )
-
-    def worker_shards(self, shard_id: str) -> tuple[str, ...]:
-        self._check_ready(shard_id)
-        index = self._worker_of_shard[shard_id]
-        return tuple(
-            sid for sid, widx in self._worker_of_shard.items() if widx == index
-        )
-
-    def respawn(self, shard_id: str, objects: Mapping[str, Any]) -> None:
-        """Swap in a fresh queue + worker thread for ``shard_id``'s slot.
-
-        A hung thread cannot be killed, only abandoned (it is a daemon);
-        tasks still queued behind it are failed with crash-kind errors so
-        no caller blocks on them, and the supervisor resubmits what it
-        still needs against the replacement worker.
-        """
-        self._check_ready(shard_id)
-        index = self._worker_of_shard[shard_id]
-        old_q = self._queues[index]
-        q: queue.Queue = queue.Queue()
-        thread = threading.Thread(
-            target=self._worker_loop, args=(q,),
-            name=f"shard-worker-{index}", daemon=True,
-        )
-        thread.start()
-        self._queues[index] = q
-        self._threads[index] = thread
-        while True:
-            try:
-                item = old_q.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                continue
-            task = item[0]
-            task._resolve(None, ShardTaskError(
-                f"worker for shard {task.shard_id!r} was respawned; "
-                "queued task abandoned",
-                shard_id=task.shard_id, kind="crash",
-            ))
-        # A *healthy* old worker (respawn after a task exception) exits on
-        # this sentinel; a hung one never reads it and is abandoned.
-        old_q.put(None)
-        super().respawn(shard_id, objects)
-
-    def _shutdown(self) -> None:
-        for q in self._queues:
-            q.put(None)
-        for thread in self._threads:
-            thread.join(timeout=30.0)
-        self._queues = []
-        self._threads = []
 
 
 # --------------------------------------------------------------------------- #
@@ -906,9 +766,7 @@ class ProcessShardExecutor(ShardExecutor):
             worker = self._workers[index % n_workers]
             self._worker_of_shard[shard_id] = index % n_workers
             worker.install(shard_id, obj)
-        # Calibration handshake at executor start (re-synced on respawn):
-        # no-op unless the provider is enabled.
-        self.calibrate_clocks()
+        self._start_worker_obs(self.remote_worker_shards())
 
     def submit(self, shard_id: str, fn: Callable, /, *args, **kwargs) -> ShardTask:
         self._check_ready(shard_id)
@@ -947,6 +805,37 @@ class ProcessShardExecutor(ShardExecutor):
         for shard_id, index in self._worker_of_shard.items():
             representative.setdefault(index, shard_id)
         return tuple(representative[index] for index in sorted(representative))
+
+    def _start_worker_obs(self, shard_ids) -> None:
+        """Mirror the parent's observability switch into fresh workers.
+
+        Each worker is a new interpreter whose provider starts disabled:
+        turn its metrics on, then calibrate its clock so its trace events
+        land on this process's timeline.  Runs once per worker, at start
+        and on respawn; a no-op unless the provider is enabled.
+        """
+        obs = _get_obs()
+        if not obs.enabled:
+            return
+        from ..obs import worker_enable_metrics
+
+        for shard_id in shard_ids:
+            self.call(shard_id, worker_enable_metrics)
+            self._calibrate_worker(shard_id)
+
+    def collect_obs(self) -> None:
+        obs = _get_obs()
+        if not obs.enabled or not self.started or self._closed:
+            return
+        from ..obs import worker_drain_metrics, worker_drain_trace
+
+        for shard_id in self.remote_worker_shards():
+            obs.metrics.merge(self.call(shard_id, worker_drain_metrics))
+            # Worker span events arrive calibrated and parented through the
+            # shipped TraceContext: one causal trace per session.
+            events = self.call(shard_id, worker_drain_trace)
+            if events:
+                obs.tracer.ingest_events(events)
 
     # How many round trips a clock handshake makes; the minimum-RTT probe
     # wins (NTP's trick: the midpoint estimate is tightest when the pipe
@@ -1044,9 +933,7 @@ class ProcessShardExecutor(ShardExecutor):
             # events) die with it — surface the undercount instead of
             # hiding it.
             obs.inc("obs.metrics.lost_registries", backend=self.backend)
-            # Re-sync the replacement's clock: a fresh interpreter has a
-            # fresh monotonic epoch.
-            self._calibrate_worker(shard_id)
+        self._start_worker_obs((shard_id,))
 
     def pull(self) -> dict[str, Any]:
         if not self.started:
@@ -1085,11 +972,31 @@ def _return_shard_object(obj: Any) -> Any:
     return obj
 
 
-def _noop(obj: Any) -> None:
-    """FIFO barrier used by :meth:`ThreadShardExecutor.install`."""
+SHARD_EXECUTOR_BACKENDS = ("serial", "process")
 
 
-SHARD_EXECUTOR_BACKENDS = ("serial", "thread", "process")
+def validate_executor_spec(
+    backend: str | ShardExecutor | None, max_workers: int | None = None
+) -> None:
+    """Raise the :class:`ValueError` :func:`make_shard_executor` would.
+
+    Monitors start their executor lazily; they call this when they are
+    built so a bad ``executor``/``max_workers`` fails there, not at the
+    first ingest.
+    """
+    if isinstance(backend, ShardExecutor):
+        if max_workers is not None:
+            raise ValueError("max_workers cannot be combined with an executor instance")
+        if backend.started or backend.closed:
+            raise ValueError("executor instance must be fresh (not started or closed)")
+        return
+    if backend is not None and backend not in SHARD_EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"unknown executor backend {backend!r}; expected one of "
+            f"{SHARD_EXECUTOR_BACKENDS}"
+        )
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
 
 
 def make_shard_executor(
@@ -1099,25 +1006,14 @@ def make_shard_executor(
 ) -> ShardExecutor:
     """Build (or pass through) a :class:`ShardExecutor`.
 
-    ``backend`` may be a backend name (``"serial"``/``"thread"``/
-    ``"process"``), ``None`` (serial), or an existing un-started executor
-    instance, which is returned as-is (``max_workers`` must then be
-    ``None`` — the instance already carries its sizing).
+    ``backend`` may be a backend name (``"serial"``/``"process"``),
+    ``None`` (serial), or an existing un-started executor instance, which
+    is returned as-is (``max_workers`` must then be ``None`` — the
+    instance already carries its sizing).
     """
+    validate_executor_spec(backend, max_workers)
     if isinstance(backend, ShardExecutor):
-        if max_workers is not None:
-            raise ValueError("max_workers cannot be combined with an executor instance")
-        if backend.started or backend.closed:
-            raise ValueError("executor instance must be fresh (not started or closed)")
         return backend
     if backend == "process":
         return ProcessShardExecutor(max_workers=max_workers)
-    if backend is None or backend == "serial":
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
-        return SerialShardExecutor()
-    if backend == "thread":
-        return ThreadShardExecutor(max_workers=max_workers)
-    raise ValueError(
-        f"unknown executor backend {backend!r}; expected one of {SHARD_EXECUTOR_BACKENDS}"
-    )
+    return SerialShardExecutor()

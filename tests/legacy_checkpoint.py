@@ -6,9 +6,10 @@ one the way those releases did — one ``save_state`` container per shard
 inside the checkpoint directory and a manifest listing them as
 ``shard_files`` — including the retired keys those releases stored:
 ``keep_data`` next to ``retain_data``, ``level1_path``/``baseline_refit``
-in pipeline configs, ``level1_path``/``lazy_vh`` in model states and
-``lazy_rotation`` in iSVD states, so the fixtures exercise the readers'
-legacy paths end to end.
+in pipeline configs, ``level1_path``/``lazy_vh`` in model states,
+``lazy_rotation`` in iSVD states and the row-policing ``extra_rows`` mode
+in the manifest, so the fixtures exercise the readers' legacy paths end
+to end.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def save_legacy_checkpoint(
         name = f"shard_{index}.npz"
         save_state(os.path.join(directory, name), state)
         shard_files.append(name)
-    manifest = {"version": version, **_capture_manifest(monitor)}
+    manifest = {"version": version, "extra_rows": "raise", **_capture_manifest(monitor)}
     _legacy_config(manifest["config"])
     manifest["shard_files"] = shard_files
     with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as fh:

@@ -575,14 +575,14 @@ def test_federated_parallel_save_matches_serial(tmp_path):
     serial_dir, parallel_dir = str(tmp_path / "serial"), str(tmp_path / "par")
     save_federated_checkpoint(serial_dir, federated, keep_last=2)
 
-    threaded = FederatedMonitor(
-        federated.registry, router=AlertRouter(), executor="thread"
+    parallel = FederatedMonitor(
+        federated.registry, router=AlertRouter(), executor="process"
     )
-    save_federated_checkpoint(parallel_dir, threaded, keep_last=2)
+    save_federated_checkpoint(parallel_dir, parallel, keep_last=2)
     a = load_federated_checkpoint(serial_dir)
     b = load_federated_checkpoint(parallel_dir)
     assert _federated_reprs(a) == _federated_reprs(b)
-    threaded.close(), a.close(), b.close(), federated.close()
+    parallel.close(), a.close(), b.close(), federated.close()
 
 
 def test_compact_federated_checkpoint(tmp_path):

@@ -184,7 +184,7 @@ class TestFleetDeferred:
                 shard: (0, 0) for shard in (spec.shard_id for spec in monitor.shards)
             }
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_deferred_scheduling_is_backend_invariant(self, fleet_stream, backend):
         serial_monitor, serial_snaps = _drive_monitor(fleet_stream, CONFIG_DEFERRED)
         other_monitor, other_snaps = _drive_monitor(

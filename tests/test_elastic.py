@@ -10,7 +10,7 @@ Pins the tentpole guarantees of the elastic-topology refactor:
 * service — :meth:`ShardingPolicy.repartition` maps new rows onto stable
   shard ids, :meth:`ShardExecutor.add_shard` joins new residents without a
   pool restart, and :meth:`FleetMonitor.add_sensors` is bit-for-bit
-  identical across serial/thread/process backends;
+  identical across the serial and process backends;
 * checkpoints — pre-elastic (version 1) checkpoints load into elastic
   monitors; topology-bearing state is stamped version 2 so pre-elastic
   loaders refuse cleanly;
@@ -63,7 +63,7 @@ from repro.util import make_shard_executor
 from helpers import shard_reprs as _shard_reprs
 from legacy_checkpoint import save_legacy_checkpoint
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 # --------------------------------------------------------------------------- #
@@ -400,7 +400,7 @@ class TestFleetElastic:
             "rack-3",
         ]
         assert reference["update_minted"] == ()
-        for backend in ("thread", "process"):
+        for backend in ("process",):
             products = elastic_products[backend]
             assert products["rack_values"] == reference["rack_values"]
             assert products["windowed"] == reference["windowed"]
@@ -414,7 +414,7 @@ class TestFleetElastic:
             }
 
         reference = flatten(elastic_products["serial"]["states"])
-        for backend in ("thread", "process"):
+        for backend in ("process",):
             other = flatten(elastic_products[backend]["states"])
             assert other.keys() == reference.keys()
             for sid in reference:
@@ -426,7 +426,7 @@ class TestFleetElastic:
         initial, n_cpu = channel_split
         monitor = FleetMonitor.from_stream(
             initial, policy=MetricSharding(), config=_default_config(),
-            executor="thread", max_workers=2,
+            executor="process", max_workers=2,
         )
         with monitor:
             monitor.ingest(initial.values[:, :240])
@@ -529,7 +529,7 @@ class TestFleetElastic:
 
 
 # --------------------------------------------------------------------------- #
-# Plain ingest rounds: serial == thread, with and without mid-run growth
+# Plain ingest rounds: serial == process, with and without mid-run growth
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def parity_stream():
@@ -589,18 +589,18 @@ def _assert_plain_parity(run_a, run_b):
                 assert pipe_a.update.drift == pipe_b.update.drift
 
 
-def test_plain_ingest_serial_matches_thread(parity_stream):
-    """Fleet products are bitwise identical on the serial and thread backends."""
+def test_plain_ingest_serial_matches_process(parity_stream):
+    """Fleet products are bitwise identical on the serial and process backends."""
     _assert_plain_parity(
-        _drive_plain(parity_stream, "serial"), _drive_plain(parity_stream, "thread")
+        _drive_plain(parity_stream, "serial"), _drive_plain(parity_stream, "process")
     )
 
 
-def test_plain_ingest_mid_run_growth_serial_matches_thread(parity_stream):
+def test_plain_ingest_mid_run_growth_serial_matches_process(parity_stream):
     """add_sensors mid-run diverges shard shapes; parity must survive."""
     _assert_plain_parity(
         _drive_plain(parity_stream, "serial", grow_at=2),
-        _drive_plain(parity_stream, "thread", grow_at=2),
+        _drive_plain(parity_stream, "process", grow_at=2),
     )
 
 
@@ -889,7 +889,7 @@ class TestElasticScenarios:
         # The injected hot job must still alert across the topology event.
         assert {10, 11, 12, 13} <= result.alerted_nodes()
 
-    @pytest.mark.parametrize("executor", [None, "thread"])
+    @pytest.mark.parametrize("executor", [None, "process"])
     def test_elastic_fleet_scenario(self, tmp_path, executor):
         from repro.federation import FederatedScenarioRunner, get_federated_scenario
 
@@ -910,7 +910,7 @@ class TestElasticScenarios:
         if not hasattr(self, "_reference"):
             type(self)._reference = result
         else:
-            # serial == thread, end to end, through every elastic event.
+            # serial == process, end to end, through every elastic event.
             assert result.zscore_map == type(self)._reference.zscore_map
             assert [a.to_dict() for a in result.alerts] == [
                 a.to_dict() for a in type(self)._reference.alerts

@@ -4,8 +4,8 @@ The central properties, mirroring the ISSUE acceptance criteria:
 
 * a :class:`FederatedMonitor` over N machines produces per-machine
   products **bit-for-bit identical** to N standalone
-  :class:`FleetMonitor` instances fed the same chunks, across
-  serial/thread/process fan-out backends;
+  :class:`FleetMonitor` instances fed the same chunks, across the
+  serial and process fan-out backends;
 * a rotated federated checkpoint restores and resumes bit-for-bit;
 * alerts are machine-stamped, deduplicated across the federation, and
   :class:`FleetWideRule` fires exactly when >= k machines drift within a
@@ -97,9 +97,9 @@ def build_machine(stream, *, executor=None, cooldown=100) -> FleetMonitor:
     )
 
 
-def build_federated(streams, *, executor=None, machine_executor=None) -> FederatedMonitor:
+def build_federated(streams, *, executor=None, shard_executor=None) -> FederatedMonitor:
     registry = MachineRegistry(
-        {name: build_machine(s, executor=machine_executor) for name, s in streams.items()}
+        {name: build_machine(s, executor=shard_executor) for name, s in streams.items()}
     )
     return FederatedMonitor(
         registry,
@@ -349,10 +349,21 @@ def test_ingest_validates_machine_set(streams):
         )
 
 
+@pytest.mark.parametrize("executor", ["thred", "thread"])
+def test_unknown_executor_fails_at_construction(streams, executor):
+    """The fan-out backend is checked when the federation is built, not at
+    its first round; the error names the backends that exist."""
+    registry = MachineRegistry({"east": build_machine(streams["east"])})
+    with pytest.raises(ValueError, match="'serial', 'process'"):
+        FederatedMonitor(registry, executor=executor)
+    with pytest.raises(ValueError, match="max_workers"):
+        FederatedMonitor(registry, executor="process", max_workers=0)
+
+
 def test_membership_change_rebuilds_fanout(streams):
     """Register/deregister between rounds: the pool follows the registry."""
     registry = MachineRegistry({"east": build_machine(streams["east"])})
-    federated = FederatedMonitor(registry, executor="thread")
+    federated = FederatedMonitor(registry, executor="process")
     federated.ingest({"east": streams["east"].values[:, :INITIAL]})
     registry.register("west", build_machine(streams["west"]))
     snapshot = federated.ingest(
@@ -371,9 +382,9 @@ def test_membership_change_rebuilds_fanout(streams):
 # --------------------------------------------------------------------------- #
 # Backend parity at the federated level
 # --------------------------------------------------------------------------- #
-def _run_with_backends(streams, executor, machine_executor=None):
+def _run_with_backends(streams, executor, shard_executor=None):
     federated = build_federated(
-        streams, executor=executor, machine_executor=machine_executor
+        streams, executor=executor, shard_executor=shard_executor
     )
     alerts = drive(federated, streams)
     rack = federated.rack_values()
@@ -405,18 +416,18 @@ def test_process_pool_does_not_resurrect_replaced_machine(streams):
     registry.close()
 
 
-def test_backend_parity_serial_thread_process(streams):
-    """serial == thread == process fan-out, bit for bit (incl. alerts)."""
+def test_backend_parity_serial_process(streams):
+    """serial == process fan-out, at the machine and the shard level, bit
+    for bit (incl. alerts)."""
     reference = _run_with_backends(streams, None)
-    for executor, machine_executor in (
-        ("thread", None),
+    for executor, shard_executor in (
         ("process", None),
-        ("serial", "thread"),
+        ("serial", "process"),
     ):
-        candidate = _run_with_backends(streams, executor, machine_executor)
-        assert candidate[0] == reference[0], (executor, machine_executor)
-        assert candidate[1] == reference[1], (executor, machine_executor)
-        assert candidate[2] == reference[2], (executor, machine_executor)
+        candidate = _run_with_backends(streams, executor, shard_executor)
+        assert candidate[0] == reference[0], (executor, shard_executor)
+        assert candidate[1] == reference[1], (executor, shard_executor)
+        assert candidate[2] == reference[2], (executor, shard_executor)
 
 
 # --------------------------------------------------------------------------- #

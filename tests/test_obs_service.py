@@ -2,8 +2,8 @@
 
 The observability counters must honour the repo's core discipline: the
 *scheduling-independent* totals (counter values, gauge values, histogram
-counts — never wall-clock sums) are identical across serial, thread and
-process backends, because every backend runs the same per-shard work.
+counts — never wall-clock sums) are identical across the serial and
+process backends, because both run the same per-shard work.
 Executor-level instruments are the deliberate exception (they carry a
 ``backend=`` label and the process backend adds enable/drain round trips),
 so the parity comparison filters them out.
@@ -26,7 +26,7 @@ from repro.service.alerts import AlertEngine, default_rules
 from repro.service.scenarios import quiet_fleet
 from repro.telemetry import HotNodes, TelemetryGenerator
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 CONFIG = PipelineConfig(
     mrdmd=MrDMDConfig(max_levels=4),
@@ -99,7 +99,7 @@ def backend_runs(fleet_stream):
     return {backend: _drive(fleet_stream, backend) for backend in BACKENDS}
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_metric_totals_match_serial(backend_runs, backend):
     """Counters / gauges / histogram counts are scheduling-independent."""
     _, serial_totals = backend_runs["serial"]
@@ -123,7 +123,7 @@ def test_expected_instruments_are_present(backend_runs):
     assert any(key.startswith("alerts.fired{") for key in totals)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_products_unchanged_across_backends(backend_runs, backend):
     """Instrumentation must not perturb the bit-for-bit parity guarantee."""
     serial_products, _ = backend_runs["serial"]
@@ -137,7 +137,7 @@ def test_disabled_provider_leaves_no_trace_and_same_results(fleet_stream):
     """Default-off: zero metrics, zero trace events, identical products."""
     assert not OBS.enabled
     monitor = FleetMonitor.from_stream(
-        fleet_stream, policy=RackSharding(), config=CONFIG, executor="thread",
+        fleet_stream, policy=RackSharding(), config=CONFIG, executor="process",
         max_workers=2,
     )
     with monitor:
@@ -148,7 +148,7 @@ def test_disabled_provider_leaves_no_trace_and_same_results(fleet_stream):
     assert len(OBS.metrics) == 0, "disabled provider recorded nothing"
     assert OBS.ring is None
 
-    products, totals = _drive(fleet_stream, "thread")
+    products, totals = _drive(fleet_stream, "process")
     assert totals, "enabled run did record"
     # ingest() under the enabled provider returns the same snapshots.
     assert products["snapshots"][0] == disabled_snapshots[0]

@@ -26,11 +26,15 @@ from repro.obs import (
     worker_drain_trace,
     worker_enable_metrics,
 )
+from repro.federation import FederatedMonitor
+from repro.service import FleetMonitor, RackSharding
 from repro.service.__main__ import main as service_main
+from repro.service.scenarios import quiet_fleet
+from repro.telemetry import TelemetryGenerator
 from repro.util.parallel import (
     ProcessShardExecutor,
+    SerialShardExecutor,
     ShardTaskError,
-    ThreadShardExecutor,
 )
 
 
@@ -145,7 +149,7 @@ class TestClockOffset:
 
     def test_in_process_backends_have_nothing_to_calibrate(self):
         obs.enable()
-        executor = ThreadShardExecutor(max_workers=2)
+        executor = SerialShardExecutor()
         executor.start({"a": 0, "b": 0})
         try:
             assert executor.remote_worker_shards() == ()
@@ -221,6 +225,57 @@ class TestProcessPropagation:
             assert events == [], "context-free tasks emit no span events"
         finally:
             executor.close()
+
+
+# --------------------------------------------------------------------------- #
+# The process executor owns its workers' observability
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def small_stream():
+    machine = quiet_fleet().machine
+    return TelemetryGenerator(machine, seed=29).generate(240, sensors=["cpu_temp"])
+
+
+def _calibrations() -> float:
+    return OBS.metrics.counter(
+        "executor.clock.calibrations", backend="process"
+    ).value
+
+
+class TestWorkerObsOwnership:
+    def test_process_monitor_calibrates_each_worker_once(self, small_stream):
+        obs.enable()
+        monitor = FleetMonitor.from_stream(
+            small_stream, policy=RackSharding(), executor="process",
+            max_workers=2,
+        )
+        with monitor:
+            monitor.ingest(small_stream.values[:, :160])
+            assert _calibrations() == 2, "one handshake per worker"
+            monitor.ingest(small_stream.values[:, 160:])
+            totals = monitor.collect_metrics().totals()
+            assert _calibrations() == 2
+            # The workers' metrics were switched on at start and drained
+            # home: every shard's pipeline spans reached the parent.
+            assert totals["span.pipeline.ingest.count"] == 8
+
+    def test_process_federation_calibrates_each_worker_once(self, small_stream):
+        obs.enable()
+        machines = {
+            name: FleetMonitor.from_stream(small_stream, policy=RackSharding())
+            for name in ("east", "west")
+        }
+        federated = FederatedMonitor(machines, executor="process", max_workers=2)
+        try:
+            federated.ingest(
+                {name: small_stream.values[:, :160] for name in machines}
+            )
+            assert _calibrations() == 2, "one handshake per worker"
+            totals = federated.collect_metrics().totals()
+            assert totals["span.pipeline.ingest.count"] == 8
+        finally:
+            federated.close()
+            federated.registry.close()
 
 
 # --------------------------------------------------------------------------- #

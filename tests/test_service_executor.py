@@ -1,6 +1,6 @@
-"""Persistent-executor parity: serial vs thread vs process fleet monitors.
+"""Persistent-executor parity: serial vs process fleet monitors.
 
-The tentpole guarantee of the shard-executor subsystem: every backend
+The tentpole guarantee of the shard-executor subsystem: both backends
 produces **identical** analysis products — fleet snapshots, rack values,
 spectra, checkpoint payloads — because the per-shard computation is the
 same code on the same NumPy, only scheduled differently.  These tests pin
@@ -26,7 +26,7 @@ from repro.service.alerts import AlertEngine, default_rules
 from repro.service.scenarios import quiet_fleet
 from repro.telemetry import HotNodes, TelemetryGenerator
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 CONFIG = PipelineConfig(
     mrdmd=MrDMDConfig(max_levels=4),
@@ -97,7 +97,7 @@ def _assert_state_equal(a, b, path=""):
         assert a == b, path
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backend_products_match_serial(backend_products, backend):
     _, reference = backend_products["serial"]
     _, products = backend_products[backend]
@@ -109,7 +109,7 @@ def test_backend_products_match_serial(backend_products, backend):
         assert np.array_equal(power, reference["spectra_power"][sid])
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backend_checkpoint_state_matches_serial(backend_products, backend):
     _, reference = backend_products["serial"]
     _, products = backend_products[backend]
@@ -118,7 +118,7 @@ def test_backend_checkpoint_state_matches_serial(backend_products, backend):
         _assert_state_equal(products["states"][sid], reference["states"][sid], sid)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backend_checkpoint_files_round_trip(backend_products, backend, tmp_path):
     """save/load through the executor restores serial-identical products."""
     monitor, _ = backend_products[backend]
@@ -145,7 +145,7 @@ def test_monitor_usable_after_close(backend_products, fleet_stream):
 
 def test_executor_is_held_open_across_ingests(fleet_stream):
     monitor = FleetMonitor.from_stream(
-        fleet_stream, policy=RackSharding(), config=CONFIG, executor="thread",
+        fleet_stream, policy=RackSharding(), config=CONFIG, executor="process",
         max_workers=2,
     )
     with monitor:
@@ -203,7 +203,7 @@ def test_ingest_and_alert_matches_sequential_path(fleet_stream, backend):
 
 def test_ingest_and_alert_without_engine(fleet_stream):
     with FleetMonitor.from_stream(
-        fleet_stream, policy=RackSharding(), config=CONFIG, executor="thread"
+        fleet_stream, policy=RackSharding(), config=CONFIG, executor="process"
     ) as monitor:
         snapshot, alerts = monitor.ingest_and_alert(fleet_stream.values[:, :240])
         assert snapshot.step == 240

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,10 @@ from repro.service import (
     MetricSharding,
     RackSharding,
     SingleShard,
+    load_checkpoint,
+    save_checkpoint,
 )
+from repro.service.checkpoint import MANIFEST_NAME
 from repro.service.scenarios import quiet_fleet
 from repro.telemetry import HotNodes, TelemetryGenerator
 
@@ -125,26 +131,67 @@ def test_ingest_rejects_extra_rows(rack_monitor, fleet_stream):
         rack_monitor.ingest(padded)
 
 
-def test_extra_rows_ignore_opt_in(fleet_stream):
+def test_legacy_extra_rows_ignore_manifest_restores_raising(
+    fleet_stream, tmp_path
+):
+    """Manifests no longer carry ``extra_rows``; one written with the
+    retired ``"ignore"`` opt-in still loads, and the restored monitor
+    rejects extra rows like every other monitor."""
     monitor = FleetMonitor.from_stream(
-        fleet_stream, policy=RackSharding(), config=CONFIG, extra_rows="ignore"
-    )
-    padded = np.vstack([fleet_stream.values[:, :240], np.zeros((3, 240))])
-    snapshot = monitor.ingest(padded)
-    assert snapshot.step == 240
-
-    reference = FleetMonitor.from_stream(
         fleet_stream, policy=RackSharding(), config=CONFIG
     )
-    reference.ingest(fleet_stream.values[:, :240])
-    assert monitor.rack_values() == reference.rack_values()
+    monitor.ingest(fleet_stream.values[:, :240])
+    directory = str(tmp_path / "ckpt")
+    save_checkpoint(directory, monitor)
+    path = os.path.join(directory, MANIFEST_NAME)
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert "extra_rows" not in manifest
+    manifest["extra_rows"] = "ignore"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+    restored = load_checkpoint(directory)
+    assert restored.rack_values() == monitor.rack_values()
+    padded = np.vstack([fleet_stream.values[:, 240:300], np.zeros((3, 60))])
+    with pytest.raises(ValueError, match="extra rows"):
+        restored.ingest(padded)
+    assert restored.ingest(fleet_stream.values[:, 240:300]).step == 300
 
 
-def test_extra_rows_validation():
-    with pytest.raises(ValueError, match="extra_rows"):
-        FleetMonitor(dt=1.0, shards=SingleShard().partition(
-            np.array(["s0", "s1"], dtype=object), np.array([0, 1])
-        ), extra_rows="maybe")
+def test_extra_rows_validation(fleet_stream):
+    """The retired ``extra_rows`` knob is no longer a parameter."""
+    shards = SingleShard().partition(
+        np.array(["s0", "s1"], dtype=object), np.array([0, 1])
+    )
+    with pytest.raises(TypeError, match="extra_rows"):
+        FleetMonitor(dt=1.0, shards=shards, extra_rows="ignore")
+    with pytest.raises(TypeError, match="extra_rows"):
+        FleetMonitor.from_stream(fleet_stream, extra_rows="ignore")
+
+
+@pytest.mark.parametrize("executor", ["proces", "thread"])
+def test_unknown_executor_fails_at_construction(fleet_stream, executor):
+    """A misspelt or retired backend fails when the monitor is built, not
+    at the first ingest, and the error names the backends that exist."""
+    with pytest.raises(ValueError, match="'serial', 'process'"):
+        FleetMonitor.from_stream(
+            fleet_stream, policy=RackSharding(), config=CONFIG, executor=executor
+        )
+
+
+def test_bad_max_workers_fails_at_construction(fleet_stream):
+    with pytest.raises(ValueError, match="max_workers"):
+        FleetMonitor.from_stream(
+            fleet_stream, policy=RackSharding(), executor="process", max_workers=0
+        )
+
+
+def test_load_checkpoint_checks_the_executor(rack_monitor, tmp_path):
+    directory = str(tmp_path / "ckpt")
+    save_checkpoint(directory, rack_monitor)
+    with pytest.raises(ValueError, match="'serial', 'process'"):
+        load_checkpoint(directory, executor="thread")
 
 
 def test_monitor_without_engine_returns_no_alerts(rack_monitor):

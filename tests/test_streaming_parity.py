@@ -10,7 +10,7 @@ and the projected level-1 path:
   against a run that reads ``.vh`` after every update;
 * :class:`IncrementalMrDMD` produces bit-for-bit the trees, checkpoints
   and pipeline z-scores of a run that materialises ``Vh`` after every
-  update (the serial/thread/process executor parity suite in
+  update (the serial/process executor parity suite in
   ``test_service_executor.py`` extends this across backends), and
   reconstructs within 5% of the data norm of the dense whole-timeline
   level-1 oracle (``reference_level1.DenseLevel1MrDMD``);

@@ -24,7 +24,6 @@ from repro.util import (
 from repro.util.parallel import (
     ProcessShardExecutor,
     SerialShardExecutor,
-    ThreadShardExecutor,
 )
 
 
@@ -130,7 +129,7 @@ def _boom(acc: _Accumulator) -> None:
     raise RuntimeError("boom in worker")
 
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -144,10 +143,12 @@ class TestShardExecutor:
     def test_factory_backends(self):
         assert isinstance(make_shard_executor(None), SerialShardExecutor)
         assert isinstance(make_shard_executor("serial"), SerialShardExecutor)
-        assert isinstance(make_shard_executor("thread"), ThreadShardExecutor)
         assert isinstance(make_shard_executor("process"), ProcessShardExecutor)
         with pytest.raises(ValueError, match="backend"):
             make_shard_executor("fork-bomb")
+        # The thread backend is gone; the error lists what remains.
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            make_shard_executor("thread")
 
     def test_factory_passthrough_rules(self):
         fresh = SerialShardExecutor()
@@ -187,8 +188,8 @@ class TestShardExecutor:
         executor.call("a", _add, 11)
         pulled = executor.pull()["a"]
         assert pulled.total == 11
-        if executor.backend in ("serial", "thread"):
-            assert pulled is acc, "serial/thread share the parent's objects"
+        if executor.backend == "serial":
+            assert pulled is acc, "serial shares the parent's objects"
 
     def test_install_replaces_resident_object(self, executor):
         executor.start({"a": _Accumulator()})
@@ -214,7 +215,7 @@ class TestShardExecutor:
             executor.start({})
 
     def test_context_manager_closes(self):
-        with make_shard_executor("thread", max_workers=1) as ex:
+        with make_shard_executor("process", max_workers=1) as ex:
             ex.start({"a": _Accumulator()})
             assert ex.call("a", _add, 1) == 1
         assert ex.closed
