@@ -8,9 +8,10 @@ asserted here (violations fail the build, mirroring the flat-ingest gate in
    a live :class:`~repro.core.IncrementalMrDMD` takes the all-zero-rows
    fast path: no right-factor materialisation, no refit.  The sweep times
    the same ``add_rows(k)`` event against models that have ingested
-   increasingly long streams (under minimal retention) and asserts the
-   cost stays flat as ``T`` grows — and sits far below a from-scratch
-   refit of the retained timeline.
+   increasingly long streams — keeping no raw snapshots, and keeping a
+   fixed trailing window of them — and asserts the cost stays flat as
+   ``T`` grows under both, and sits far below a from-scratch refit of the
+   retained timeline.
 
 2. **Partial federation rounds cost what their participants cost.**  A
    staggered federation (half the machines per round) must pay per
@@ -46,6 +47,9 @@ N_NEW = scaled(64, 256)
 CHUNK = scaled(200, 1_000)
 #: Stream lengths (in chunks) at which the onboarding event is timed.
 HISTORY_CHUNKS = (2, 8, scaled(16, 64))
+#: Raw-snapshot retention of the timed models: bounded under both, so the
+#: event must not grow with the stream under either.
+ONBOARD_RETENTION = {"none": {}, "window": {"retain_window": 2 * CHUNK}}
 ONBOARD_REPEATS = 5
 #: Onboarding at the longest history may exceed the shortest by at most
 #: this factor (pure timing noise — the work is identical).
@@ -68,15 +72,16 @@ CONFIG = PipelineConfig(mrdmd=MrDMDConfig(max_levels=4))
 # --------------------------------------------------------------------------- #
 # 1. Onboarding cost vs stream length
 # --------------------------------------------------------------------------- #
-def _grown_model(n_chunks: int):
-    """A model that has streamed ``n_chunks`` chunks under minimal retention."""
+def _grown_model(n_chunks: int, retain_data: str):
+    """A model that has streamed ``n_chunks`` chunks under ``retain_data``."""
     import numpy as np
 
     rng = np.random.default_rng(1234)
     model = IncrementalMrDMD(
         dt=1.0,
         config=MrDMDConfig(max_levels=4),
-        retain_data="none",
+        retain_data=retain_data,
+        **ONBOARD_RETENTION[retain_data],
     )
     t = np.arange(CHUNK * (n_chunks + 1)) * 1.0
     base = np.sin(0.01 * t)[None, :] + 0.1 * rng.standard_normal(
@@ -104,10 +109,14 @@ def test_onboarding_cost_is_independent_of_stream_length(benchmark):
     """add_rows(k) must stay flat as the ingested stream grows."""
     import numpy as np
 
-    models = {n: _grown_model(n) for n in HISTORY_CHUNKS}
+    models = {
+        (policy, n): _grown_model(n, policy)
+        for policy in ONBOARD_RETENTION
+        for n in HISTORY_CHUNKS
+    }
 
     def sweep() -> dict:
-        onboard = {n: _onboard_seconds(models[n]) for n in HISTORY_CHUNKS}
+        onboard = {key: _onboard_seconds(model) for key, model in models.items()}
         # From-scratch refit baseline at the longest history: what a
         # non-elastic system pays to accept a new sensor (re-fit over the
         # whole retained window at the grown width).
@@ -133,23 +142,29 @@ def test_onboarding_cost_is_independent_of_stream_length(benchmark):
         "history_chunks": list(HISTORY_CHUNKS),
         "flat_margin": FLAT_MARGIN,
         "refit_margin": REFIT_MARGIN,
-        "onboard_seconds": {str(n): onboard[n] for n in HISTORY_CHUNKS},
+        "retention": ONBOARD_RETENTION,
+        "onboard_seconds": {
+            policy: {str(n): onboard[policy, n] for n in HISTORY_CHUNKS}
+            for policy in ONBOARD_RETENTION
+        },
         "refit_seconds": result["refit_seconds"],
     }
     _merge_report(report)
     benchmark.extra_info.update(report)
 
-    shortest = onboard[HISTORY_CHUNKS[0]]
-    longest = onboard[HISTORY_CHUNKS[-1]]
-    assert longest <= shortest * FLAT_MARGIN, (
-        f"onboarding {N_NEW} sensors grew {longest / shortest:.2f}x from "
-        f"{HISTORY_CHUNKS[0]} to {HISTORY_CHUNKS[-1]} chunks of history "
-        f"(bound: {FLAT_MARGIN}x) — the event is no longer O(k)"
-    )
-    assert longest * REFIT_MARGIN <= result["refit_seconds"], (
-        f"onboarding ({longest:.4f}s) is not meaningfully cheaper than a "
-        f"from-scratch refit ({result['refit_seconds']:.4f}s)"
-    )
+    for policy in ONBOARD_RETENTION:
+        shortest = onboard[policy, HISTORY_CHUNKS[0]]
+        longest = onboard[policy, HISTORY_CHUNKS[-1]]
+        assert longest <= shortest * FLAT_MARGIN, (
+            f"onboarding {N_NEW} sensors under retain_data={policy!r} grew "
+            f"{longest / shortest:.2f}x from {HISTORY_CHUNKS[0]} to "
+            f"{HISTORY_CHUNKS[-1]} chunks of history "
+            f"(bound: {FLAT_MARGIN}x) — the event is no longer O(k)"
+        )
+        assert longest * REFIT_MARGIN <= result["refit_seconds"], (
+            f"onboarding ({longest:.4f}s) is not meaningfully cheaper than a "
+            f"from-scratch refit ({result['refit_seconds']:.4f}s)"
+        )
 
 
 # --------------------------------------------------------------------------- #

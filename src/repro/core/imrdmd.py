@@ -35,7 +35,7 @@ import numpy as np
 from ..obs import OBS
 from ..util.growbuf import GrowableMatrix
 from ..util.timer import now
-from .dmd import DMDResult, compute_dmd, compute_dmd_projected, slow_mode_mask
+from .dmd import DMDResult, compute_dmd_projected, slow_mode_mask
 from .isvd import IncrementalSVD
 from .mrdmd import MrDMDConfig, compute_mrdmd
 from .tree import MrDMDNode, MrDMDTree
@@ -184,17 +184,19 @@ class IncrementalMrDMD:
         drift above which the previously computed levels 2..L are marked
         stale (``stale_levels``).  ``None`` disables the check.
     retain_data:
-        Raw-snapshot retention policy.  ``"all"`` retains the full
-        ``(P, T)`` timeline (in an amortized-growth buffer) — required
-        only for :meth:`refresh` (the asynchronous full recomputation of
-        stale levels) and for :meth:`reconstruction_error` without an
-        explicit reference.  ``"window"`` keeps only the trailing
-        ``retain_window`` snapshots (enough for recent-window diagnostics
-        at bounded memory).  ``"none"`` (default) keeps nothing — the
-        model then holds only the mode tree, the level-1 factors and the
-        subsampled level-1 grid, honouring the paper's "factors, never
-        the raw matrix" memory claim, as the streaming deployments the
-        paper targets need.
+        Raw-snapshot retention policy; it decides only how many trailing
+        raw snapshots the model keeps, never the numerics or the rest of
+        the state.  ``"all"`` retains the full ``(P, T)`` timeline (in an
+        amortized-growth buffer) — required only for :meth:`refresh` (the
+        asynchronous full recomputation of stale levels) and for
+        :meth:`reconstruction_error` without an explicit reference.
+        ``"window"`` keeps only the trailing ``retain_window`` snapshots
+        (enough for recent-window diagnostics at bounded memory).
+        ``"none"`` (default) keeps nothing, honouring the paper's
+        "factors, never the raw matrix" memory claim, as the streaming
+        deployments the paper targets need.  Under every policy the model
+        holds the mode tree, the level-1 factors and only the trailing
+        column of the subsampled level-1 grid.
     retain_window:
         Number of trailing snapshots kept under ``retain_data="window"``.
     deep_levels:
@@ -273,10 +275,9 @@ class IncrementalMrDMD:
         self._tree: MrDMDTree | None = None
         self._isvd: IncrementalSVD | None = None
         self._level1_stride: int = 1
-        # Subsampled level-1 matrix, grown in place (O(1) amortized append).
-        # Under minimal retention (retain_data="none") only the trailing
-        # column is stored; ``_sub_offset`` counts the leading grid columns
-        # dropped, so absolute grid indices stay recoverable.
+        # Trailing column of the subsampled level-1 matrix (the only one a
+        # later update reads); ``_sub_offset`` counts the leading grid
+        # columns dropped, so absolute grid indices stay recoverable.
         self._sub: GrowableMatrix | None = None
         self._sub_offset: int = 0
         self._next_sub_index: int = 0                 # next absolute index to subsample
@@ -284,12 +285,10 @@ class IncrementalMrDMD:
         self._n_features: int = 0
         self._level1_modes: np.ndarray = np.zeros((0, 0), dtype=complex)
         # Y Vh^H of the shifted level-1 matrix, advanced per update from
-        # the iSVD's rotation ops (the level-1 update's whole view of Vh);
-        # set exactly when the iSVD is initialised.
+        # the iSVD's rotation ops (the level-1 update's whole view of Vh).
         self._level1_cross: np.ndarray | None = None
-        # Retained raw snapshots: GrowableMatrix ("all"), trailing ndarray
-        # ("window"), or None ("none").
-        self._data: GrowableMatrix | np.ndarray | None = None
+        # Retained trailing raw snapshots (None under retain_data="none").
+        self._data: GrowableMatrix | None = None
         self._stale: bool = False
         self._history: list[UpdateRecord] = []
         # Elastic topology: absolute birth step per row + event history.
@@ -423,7 +422,9 @@ class IncrementalMrDMD:
         self._tree = compute_mrdmd(data, self.dt, self.config)
 
         # Level-1 incremental state: fix the stride at its initial value so
-        # later appends extend a consistent subsampled grid.
+        # later appends extend a consistent subsampled grid.  The stride
+        # leaves at least two grid columns (min_window >= 4), so the iSVD
+        # of the shifted grid always initialises here.
         self._level1_stride = self.config.stride_for(t0)
         sub = np.ascontiguousarray(data[:, :: self._level1_stride])
         self._sub = GrowableMatrix.from_array(sub)
@@ -433,46 +434,33 @@ class IncrementalMrDMD:
         self._isvd = IncrementalSVD(
             rank=self.config.svd_rank, use_svht=self.config.use_svht
         )
-        self._level1_cross = None
-        if sub.shape[1] >= 2:
-            self._isvd.initialize(sub[:, :-1])
-            self._level1_cross = self._initial_cross(sub)
+        self._isvd.initialize(sub[:, :-1])
+        self._level1_cross = self._initial_cross(sub)
 
         level1_nodes = self._tree.nodes_at_level(1)
         self._level1_modes = (
             level1_nodes[0].modes.copy() if level1_nodes else np.zeros((self._n_features, 0), dtype=complex)
         )
-        if self.retain_data == "all":
-            self._data = GrowableMatrix.from_array(data)
-        elif self.retain_data == "window":
-            self._data = np.ascontiguousarray(data[:, -self.retain_window :])
-        else:
-            self._data = None
+        self._data = None if self.retain_data == "none" else GrowableMatrix.from_array(data)
         self._stale = False
         self._history = []
         self._deep_pending = []
-        self._shrink_level1_grid()
+        self._drop_unread_columns()
         return self
 
-    def _shrink_level1_grid(self) -> None:
-        """Minimal level-1 retention: keep only the trailing grid column.
+    def _drop_unread_columns(self) -> None:
+        """Trim the grid and the raw snapshots to what is ever read again.
 
-        Under ``retain_data="none"`` the only grid reads are the trailing
-        column (the anchor for the next update block and the
-        stride-shorter amplitude fit) once the iSVD is initialised — its
-        initialisation needs the full grid, so shrinking waits for it.
-        This reaches the ``O(P q + q T/stride)`` → ``O(P q)`` memory target
-        for the grid; ``_sub_offset`` keeps absolute column indices
-        recoverable.
+        Once the iSVD and the cross product hold the level-1 grid, later
+        updates read only its trailing column (the anchor for the next
+        update block and the stride-shorter amplitude fit), so the grid
+        costs ``O(P)`` instead of ``O(P T/stride)``; ``_sub_offset`` keeps
+        absolute column indices recoverable.  The raw snapshots keep the
+        trailing ``retain_window`` columns under ``retain_data="window"``.
         """
-        if self.retain_data != "none" or self._level1_cross is None:
-            return
-        drop = self._sub.n_cols - 1
-        if drop <= 0:
-            return
-        last = self._sub.column(self._sub.n_cols - 1)
-        self._sub = GrowableMatrix.from_array(last[:, None])
-        self._sub_offset += drop
+        self._sub_offset += self._sub.keep_trailing(1)
+        if self.retain_data == "window":
+            self._data.keep_trailing(self.retain_window)
 
     # ------------------------------------------------------------------ #
     # Level-1 cross-product maintenance
@@ -532,22 +520,13 @@ class IncrementalMrDMD:
         new_cols: np.ndarray | None = None
         if new_sub_indices.size:
             new_cols = np.ascontiguousarray(new_data[:, new_sub_indices - t_old])
-            old_sub_cols = self._sub.n_cols
             self._sub.append(new_cols)
             self._next_sub_index = int(new_sub_indices[-1]) + self._level1_stride
-            if self._isvd.initialized:
-                # The shifted matrix X = sub[:, :-1] gains the columns
-                # between the previous X end and the new one; the shifted
-                # targets Y = sub[:, 1:] gain exactly `new_cols`.
-                block = self._sub.slice(old_sub_cols - 1, self._sub.n_cols - 1)
-                if block.shape[1]:
-                    self._isvd.update(block)
-                    self._level1_cross = self._advance_cross(
-                        self._level1_cross, new_cols
-                    )
-            elif self._sub.n_cols >= 2:
-                self._isvd.initialize(self._sub.slice(0, self._sub.n_cols - 1))
-                self._level1_cross = self._initial_cross(self._sub.view())
+            # The shifted matrix X = sub[:, :-1] gains the previous
+            # trailing column and every new one but the last; the shifted
+            # targets Y = sub[:, 1:] gain exactly `new_cols`.
+            self._isvd.update(self._sub.slice(0, self._sub.n_cols - 1))
+            self._level1_cross = self._advance_cross(self._level1_cross, new_cols)
         if OBS.enabled:
             OBS.record("core.grid_extend", now() - t_phase, cols=int(t1))
             t_phase = now()
@@ -555,18 +534,10 @@ class IncrementalMrDMD:
         # ---- 2. updated level-1 DMD over the full timeline ----------- #
         rho = self.config.rho_for(t_total, self.dt)
         local_dt = self.dt * self._level1_stride
-        # Absolute grid-column count; the stored buffer may hold only the
-        # trailing column under minimal retention (see _shrink_level1_grid).
+        # Absolute grid-column count; the stored buffer holds the trailing
+        # column plus this chunk's (see _drop_unread_columns).
         n_sub = self._sub_offset + self._sub.n_cols
-        if self._isvd.initialized and n_sub >= 2:
-            dmd = self._level1_dmd(new_cols, n_sub, local_dt)
-        else:
-            dmd = compute_dmd(
-                self._sub.materialize(),
-                local_dt,
-                use_svht=self.config.use_svht,
-                amplitude_method=self.config.amplitude_method,
-            )
+        dmd = self._level1_dmd(new_cols, n_sub, local_dt)
         slow = dmd.mode_subset(slow_mode_mask(dmd, rho)) if dmd.n_modes else dmd
         if OBS.enabled:
             OBS.record("core.level1_dmd", now() - t_phase, rank=int(dmd.svd_rank))
@@ -638,12 +609,8 @@ class IncrementalMrDMD:
         # complex by contract, like the node arrays (eig may return real)
         self._level1_modes = np.asarray(slow.modes, dtype=complex)
         self._n_snapshots = t_total
-        if self.retain_data == "all":
+        if self._data is not None:
             self._data.append(new_data)
-        elif self.retain_data == "window":
-            self._data = np.ascontiguousarray(
-                np.concatenate([self._data, new_data], axis=1)[:, -self.retain_window :]
-            )
 
         record = UpdateRecord(
             chunk_size=t1,
@@ -655,7 +622,7 @@ class IncrementalMrDMD:
             new_nodes=new_nodes,
         )
         self._history.append(record)
-        self._shrink_level1_grid()
+        self._drop_unread_columns()
         return record
 
     def _level1_dmd(
@@ -817,28 +784,27 @@ class IncrementalMrDMD:
         self._sub.add_rows(grid_rows)
 
         # ---- 2. extend the iSVD basis and the cross product ---------- #
-        if self._isvd is not None and self._isvd.initialized:
-            if history is not None:
-                isvd_rows = np.ascontiguousarray(
-                    history[:, np.arange(self._isvd.n_columns) * stride]
-                )
-            else:
-                isvd_rows = np.zeros((r, self._isvd.n_columns), dtype=float)
-            self._isvd.add_rows(isvd_rows)
-            cross = self._level1_cross
-            # The row-append rotates Vh (no-op on the zero fast path);
-            # advance the existing rows through the recorded ops, then
-            # append the new rows' Y Vh^H block.
-            for op in self._isvd.last_update_ops:
-                cross = cross @ op[1].conj().T
-            if history is not None:
-                y_rows = np.ascontiguousarray(
-                    history[:, np.arange(1, n_sub) * stride]
-                )
-                new_cross_rows = y_rows @ self._isvd.vh.conj().T
-            else:
-                new_cross_rows = np.zeros((r, cross.shape[1]), dtype=cross.dtype)
-            self._level1_cross = np.vstack([cross, new_cross_rows])
+        if history is not None:
+            isvd_rows = np.ascontiguousarray(
+                history[:, np.arange(self._isvd.n_columns) * stride]
+            )
+        else:
+            isvd_rows = np.zeros((r, self._isvd.n_columns), dtype=float)
+        self._isvd.add_rows(isvd_rows)
+        cross = self._level1_cross
+        # The row-append rotates Vh (no-op on the zero fast path);
+        # advance the existing rows through the recorded ops, then
+        # append the new rows' Y Vh^H block.
+        for op in self._isvd.last_update_ops:
+            cross = cross @ op[1].conj().T
+        if history is not None:
+            y_rows = np.ascontiguousarray(
+                history[:, np.arange(1, n_sub) * stride]
+            )
+            new_cross_rows = y_rows @ self._isvd.vh.conj().T
+        else:
+            new_cross_rows = np.zeros((r, cross.shape[1]), dtype=cross.dtype)
+        self._level1_cross = np.vstack([cross, new_cross_rows])
 
         # ---- 3. widen the mode tree and bookkeeping ------------------ #
         self._tree.add_features(r)
@@ -848,18 +814,12 @@ class IncrementalMrDMD:
                 np.zeros((r, self._level1_modes.shape[1]), dtype=complex),
             ]
         )
-        if self.retain_data == "all":
+        if self._data is not None:
+            kept = self._data.n_cols
             if history is not None:
-                self._data.add_rows(history)
+                self._data.add_rows(history[:, t_now - kept : t_now])
             else:
-                self._data.add_rows(np.zeros((r, self._data.n_cols), dtype=float))
-        elif self.retain_data == "window":
-            w = self._data.shape[1]
-            if history is not None:
-                block = history[:, t_now - w : t_now]
-            else:
-                block = np.zeros((r, w), dtype=float)
-            self._data = np.ascontiguousarray(np.vstack([self._data, block]))
+                self._data.add_rows(np.zeros((r, kept), dtype=float))
 
         self._n_features += r
         self._row_birth = np.concatenate(
@@ -888,12 +848,6 @@ class IncrementalMrDMD:
         the stream bit-for-bit where the original left off.
         """
         self._require_fitted()
-        if self.retain_data == "all":
-            retained = self._data.frozen_view()
-        elif self.retain_data == "window":
-            retained = self._data
-        else:
-            retained = None
         return {
             "dt": self.dt,
             "config": asdict(self.config),
@@ -916,11 +870,11 @@ class IncrementalMrDMD:
             "n_snapshots": self._n_snapshots,
             "n_features": self._n_features,
             "stale": self._stale,
-            "sub": None if self._sub is None else self._sub.frozen_view(),
+            "sub": self._sub.frozen_view(),
             "level1_modes": self._level1_modes,
             "level1_cross": self._level1_cross,
-            "data": retained,
-            "isvd": None if self._isvd is None else self._isvd.to_dict(),
+            "data": None if self._data is None else self._data.frozen_view(),
+            "isvd": self._isvd.to_dict(),
             "tree": self._tree.to_dict(),
             # Flat records of scalars: the field dict is asdict() without
             # its recursive copy, and this sits on checkpoint capture.
@@ -937,12 +891,14 @@ class IncrementalMrDMD:
         ``retain_data`` missing or ``None`` before the streaming-core
         overhaul: retention then reads ``"all"`` when the flag was set and
         ``"none"`` otherwise.  Their retired ``level1_path`` and
-        ``lazy_vh`` keys are ignored.  States without a ``level1_cross``
-        (saved before the cross product existed, or under the retired
-        ``level1_path="dense"``, which kept the full grid) get it
-        recomputed from the stored subsampled matrix and factors, so old
+        ``lazy_vh`` keys are ignored.  Older states may also carry the
+        full level-1 grid (``sub_offset`` 0); states without a
+        ``level1_cross`` (saved before the cross product existed, or under
+        the retired ``level1_path="dense"``) always do, and get the cross
+        product recomputed from that grid and the factors, so old
         checkpoints keep resuming (deterministically, via the same batch
-        product the initial fit uses).
+        product the initial fit uses).  The grid is then trimmed to its
+        trailing column, as a live model holds it.
         """
         retain_data = state.get("retain_data")
         if retain_data is None:
@@ -965,33 +921,26 @@ class IncrementalMrDMD:
             for entry in state.get("deep_pending", [])
         ]
         model._tree = MrDMDTree.from_dict(state["tree"])
-        model._isvd = (
-            None if state["isvd"] is None else IncrementalSVD.from_dict(state["isvd"])
-        )
+        model._isvd = IncrementalSVD.from_dict(state["isvd"])
         model._level1_stride = int(state["level1_stride"])
         model._sub_offset = int(state.get("sub_offset", 0))
         model._next_sub_index = int(state["next_sub_index"])
         model._n_snapshots = int(state["n_snapshots"])
         model._n_features = int(state["n_features"])
         model._stale = bool(state["stale"])
-        model._sub = (
-            None
-            if state["sub"] is None
-            else GrowableMatrix.from_array(np.asarray(state["sub"], dtype=float))
-        )
+        model._sub = GrowableMatrix.from_array(np.asarray(state["sub"], dtype=float))
         model._level1_modes = np.asarray(state["level1_modes"], dtype=complex)
         cross = state.get("level1_cross")
-        if cross is not None:
-            model._level1_cross = np.asarray(cross, dtype=float)
-        elif model._isvd is not None and model._isvd.initialized:
-            model._level1_cross = model._initial_cross(model._sub.view())
+        model._level1_cross = (
+            model._initial_cross(model._sub.view())
+            if cross is None
+            else np.asarray(cross, dtype=float)
+        )
         raw = state["data"]
-        if raw is None:
-            model._data = None
-        elif model.retain_data == "all":
-            model._data = GrowableMatrix.from_array(np.asarray(raw, dtype=float))
-        else:
-            model._data = np.asarray(raw, dtype=float)
+        model._data = (
+            None if raw is None else GrowableMatrix.from_array(np.asarray(raw, dtype=float))
+        )
+        model._drop_unread_columns()
         model._history = [UpdateRecord(**record) for record in state["history"]]
         # Pre-elastic checkpoints lack the provenance keys: every row is
         # then original (birth 0) with no topology events.
@@ -1018,7 +967,7 @@ class IncrementalMrDMD:
         replaces the incremental one and the stale flag is cleared.
         """
         self._require_fitted()
-        if self.retain_data != "all" or self._data is None:
+        if self.retain_data != "all":
             raise RuntimeError("refresh() requires retain_data='all'")
         self._tree = compute_mrdmd(self._data.materialize(), self.dt, self.config)
         level1_nodes = self._tree.nodes_at_level(1)
@@ -1050,10 +999,8 @@ class IncrementalMrDMD:
         """
         if self._data is None:
             return None
-        growable = isinstance(self._data, GrowableMatrix)
         if time_range is None:
-            return self._data.materialize() if growable else self._data.copy()
-        data = self._data.view() if growable else self._data
+            return self._data.materialize()
         first, last = self.retained_range()
         start, stop = time_range
         if not first <= start <= stop <= last:
@@ -1061,18 +1008,13 @@ class IncrementalMrDMD:
                 f"time_range {time_range!r} outside the retained range "
                 f"{(first, last)!r}"
             )
-        return np.ascontiguousarray(data[:, start - first : stop - first])
+        return self._data.slice(start - first, stop - first)
 
     def retained_range(self) -> tuple[int, int] | None:
         """Absolute ``[start, stop)`` snapshot range of the retained data."""
         if self._data is None:
             return None
-        n_kept = (
-            self._data.n_cols
-            if isinstance(self._data, GrowableMatrix)
-            else self._data.shape[1]
-        )
-        return (self._n_snapshots - n_kept, self._n_snapshots)
+        return (self._n_snapshots - self._data.n_cols, self._n_snapshots)
 
     def reconstruction_error(self, reference: np.ndarray | None = None) -> float:
         """Frobenius norm ``||X - X_hat||_F`` of the reconstruction error.
@@ -1083,7 +1025,7 @@ class IncrementalMrDMD:
         """
         self._require_fitted()
         if reference is None:
-            if self.retain_data != "all" or self._data is None:
+            if self.retain_data != "all":
                 raise RuntimeError(
                     "reconstruction_error() without a reference requires "
                     "retain_data='all'"

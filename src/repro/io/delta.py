@@ -86,7 +86,8 @@ def copy_state(obj):
     """
     if isinstance(obj, np.ndarray):
         # Read-only arrays in state are immutable by construction (fresh
-        # stacked tree arrays, frozen views of append-only buffers).
+        # stacked tree arrays, frozen views of buffers that never write
+        # into their occupied columns).
         return obj if not obj.flags.writeable else np.array(obj, copy=True)
     if isinstance(obj, dict):
         return {key: copy_state(value) for key, value in obj.items()}

@@ -22,8 +22,8 @@ accepts either a concrete checkpoint directory or a rotation root (it
 resumes from the newest entry).
 
 Each block holds the *complete* per-shard pipeline state — the I-mrDMD
-mode tree, the level-1 incremental-SVD factors, the subsampled level-1
-matrix and counters, and the fitted baseline — through
+mode tree, the level-1 incremental-SVD factors, the trailing column of
+the subsampled level-1 matrix and its counters, and the fitted baseline — through
 ``OnlineAnalysisPipeline.state_dict()`` and the generic
 :func:`repro.io.storage.save_state` container.  Restoring therefore resumes
 the stream *bit-for-bit*: the next ingest, the resulting spectra, z-scores

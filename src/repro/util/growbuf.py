@@ -1,9 +1,10 @@
 """Amortized-growth buffers for streaming accumulation.
 
 The streaming hot path appends small column blocks to matrices that live
-for the whole stream: the level-1 subsampled snapshot matrix of
-:class:`~repro.core.imrdmd.IncrementalMrDMD`, its optional retained raw
-timeline, and the right-factor base of the incremental SVD.  Growing those
+for the whole stream: the optional retained raw timeline of
+:class:`~repro.core.imrdmd.IncrementalMrDMD` (and, trimmed to their
+trailing columns after each append, its level-1 subsampled snapshot
+matrix and retained window) and the mode tree's node bounds.  Growing those
 with ``np.hstack`` copies the *entire* accumulated matrix on every append,
 which silently turns the paper's ``O(P (q + c)^2)``-per-update scheme into
 ``O(T^2)`` over a stream of ``T`` snapshots.
@@ -174,6 +175,25 @@ class GrowableMatrix:
         self._buffer = grown
         return self
 
+    def keep_trailing(self, n_cols: int) -> int:
+        """Drop all but the trailing ``n_cols`` columns; return how many went.
+
+        Trimming reallocates (with room for ``n_cols`` more appends) rather
+        than shifting columns in place, so every :meth:`frozen_view` taken
+        before keeps its contents.
+        """
+        n_cols = int(n_cols)
+        drop = self._n_cols - n_cols
+        if drop <= 0:
+            return 0
+        kept = np.empty(
+            (self.n_rows, max(2 * n_cols, _MIN_CAPACITY)), dtype=self._buffer.dtype
+        )
+        kept[:, :n_cols] = self._buffer[:, drop : self._n_cols]
+        self._buffer = kept
+        self._n_cols = n_cols
+        return drop
+
     # ------------------------------------------------------------------ #
     def view(self) -> np.ndarray:
         """Zero-copy ``(P, T)`` window (read-only by contract; invalidated
@@ -183,9 +203,10 @@ class GrowableMatrix:
     def frozen_view(self) -> np.ndarray:
         """Read-only :meth:`view` whose contents never change.
 
-        The buffer only ever appends past its occupied columns (growth
-        reallocates and leaves the old block intact), so nothing written
-        later reaches this view; state dicts share it instead of copying.
+        The buffer only ever appends past its occupied columns (growth and
+        trimming reallocate and leave the old block intact), so nothing
+        written later reaches this view; state dicts share it instead of
+        copying.
         """
         view = self._buffer[:, : self._n_cols]
         view.flags.writeable = False
@@ -193,7 +214,7 @@ class GrowableMatrix:
 
     def materialize(self) -> np.ndarray:
         """Contiguous copy of the occupied columns (safe to keep/mutate)."""
-        return np.ascontiguousarray(self._buffer[:, : self._n_cols])
+        return self._buffer[:, : self._n_cols].copy()
 
     def slice(self, start: int, stop: int) -> np.ndarray:
         """Contiguous copy of columns ``[start, stop)``."""
@@ -201,7 +222,7 @@ class GrowableMatrix:
             raise IndexError(
                 f"slice [{start}, {stop}) out of range for {self._n_cols} columns"
             )
-        return np.ascontiguousarray(self._buffer[:, start:stop])
+        return self._buffer[:, start:stop].copy()
 
     def column(self, index: int) -> np.ndarray:
         """Copy of one column (negative indices allowed)."""

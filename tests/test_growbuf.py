@@ -60,6 +60,27 @@ class TestGrowableMatrix:
         part[0, 0] = -1.0
         assert buf.view()[0, 1] == 1.0  # copy, not a view
 
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 16)])
+    def test_copies_are_not_live_views(self, shape):
+        # A single-row matrix and an exactly full buffer keep the occupied
+        # block contiguous; materialize/slice must copy all the same.
+        base = np.arange(float(np.prod(shape))).reshape(shape)
+        buf = GrowableMatrix.from_array(base)
+        for out in (buf.materialize(), buf.slice(0, shape[1])):
+            out += 1.0
+        assert np.array_equal(buf.view(), base)
+
+    def test_keep_trailing_reallocates(self):
+        base = np.arange(20.0).reshape(2, 10)
+        buf = GrowableMatrix.from_array(base)
+        frozen = buf.frozen_view()
+        assert buf.keep_trailing(3) == 7
+        assert np.array_equal(buf.view(), base[:, 7:])
+        buf.append(np.full((2, 5), -1.0))
+        assert np.array_equal(frozen, base), "earlier views keep their contents"
+        assert buf.keep_trailing(100) == 0
+        assert buf.n_cols == 8
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GrowableMatrix(0)

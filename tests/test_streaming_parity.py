@@ -21,17 +21,20 @@ and the projected level-1 path:
   length (the regression guard for the ISSUE's O(T^2) degradation);
 * ``add_rows`` participates in the re-orthogonalisation schedule;
 * the raw-snapshot retention policies are behaviour-preserving for every
-  analysis product (retention never feeds the numerics).
+  analysis product and every other state entry (retention never feeds
+  the numerics, and the level-1 grid keeps only its trailing column under
+  every policy); states carrying the older full grid restore to it.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.imrdmd import IncrementalMrDMD
+from repro.core.imrdmd import RETENTION_POLICIES, IncrementalMrDMD
 from repro.core.isvd import IncrementalSVD
 from repro.core.mrdmd import MrDMDConfig, decompose_window
 from repro.core.svht import svht_rank
@@ -376,38 +379,91 @@ class TestIncrementalMrDMDParity:
 
 class TestRetentionPolicies:
     def test_retention_does_not_change_the_numerics(self, signal):
-        # Under "none" the level-1 grid shrinks to its trailing column
-        # (minimal retention), so the stored grid differs *by design*;
-        # its trailing column and every numeric product must still match
-        # the "all" model bit for bit.
-        def full_state(policy):
-            state = _drive_model(signal, retain_data=policy).state_dict()
+        # Retention decides only how many raw snapshots are kept: every
+        # other state entry, the level-1 grid included, matches bit for bit.
+        def masked_state(policy):
+            model = _drive_model(signal, retain_data=policy, retain_window=250)
+            state = model.state_dict()
             for key in ("retain_data", "data"):
                 state[key] = None
             return state
 
-        def masked(state):
-            state = dict(state)
-            state["sub"] = None
-            state["sub_offset"] = None
-            return state
-
-        reference = full_state("all")
+        reference = masked_state("all")
         for policy in ("window", "none"):
-            state = full_state(policy)
-            np.testing.assert_array_equal(
-                np.asarray(state["sub"])[:, -1], np.asarray(reference["sub"])[:, -1]
-            )
-            assert (
-                state["sub_offset"] + np.asarray(state["sub"]).shape[1]
-                == np.asarray(reference["sub"]).shape[1]
-            )
-            _assert_state_equal(masked(state), masked(reference))
+            _assert_state_equal(masked_state(policy), reference)
 
-    def test_none_shrinks_level1_grid_to_trailing_column(self, signal):
-        model = _drive_model(signal, retain_data="none")
-        assert model._sub.n_cols == 1
-        assert model._sub_offset > 0
+    @pytest.mark.parametrize("policy", RETENTION_POLICIES)
+    def test_level1_grid_keeps_trailing_column_only(self, signal, policy):
+        data, dt = signal
+        model = IncrementalMrDMD(
+            dt=dt, config=MrDMDConfig(max_levels=4), retain_data=policy
+        )
+        model.fit(data[:, :600])
+        assert np.asarray(model.state_dict()["sub"]).shape == (data.shape[0], 1)
+        model = _drive_model(signal, retain_data=policy)
+        state = model.state_dict()
+        stride = state["level1_stride"]
+        assert np.asarray(state["sub"]).shape == (data.shape[0], 1)
+        assert state["sub_offset"] == -(-data.shape[1] // stride) - 1
+        np.testing.assert_array_equal(
+            state["sub"][:, 0], data[:, state["sub_offset"] * stride]
+        )
+
+    @pytest.mark.parametrize("policy", ["all", "window"])
+    def test_legacy_full_grid_restores_to_trailing_column(self, signal, policy):
+        # States saved while "all" and "window" kept the whole level-1
+        # grid carry it from sub_offset 0.
+        data, dt = signal
+        live = IncrementalMrDMD(
+            dt=dt, config=MrDMDConfig(max_levels=4),
+            retain_data=policy, retain_window=250,
+        )
+        live.fit(data[:, :600])
+        live.partial_fit(data[:, 600:900])
+        state = live.state_dict()
+        state["sub"] = data[:, : state["n_snapshots"] : state["level1_stride"]]
+        assert state["sub"].shape[1] == state["sub_offset"] + 1
+        state["sub_offset"] = 0
+        restored = IncrementalMrDMD.from_state_dict(state)
+        assert np.asarray(restored.state_dict()["sub"]).shape[1] == 1
+        for lo in (900, 1200):
+            live.partial_fit(data[:, lo : lo + 300])
+            restored.partial_fit(data[:, lo : lo + 300])
+        _assert_state_equal(restored.state_dict(), live.state_dict())
+
+    def test_window_state_dict_survives_the_next_trim(self, signal):
+        # Checkpoint capture shares the state arrays read-only, so the
+        # window trim in the next partial_fit must not write into them.
+        data, dt = signal
+        model = IncrementalMrDMD(
+            dt=dt, config=MrDMDConfig(max_levels=4),
+            retain_data="window", retain_window=250,
+        )
+        model.fit(data[:, :600])
+        model.partial_fit(data[:, 600:900])
+        state = model.state_dict()
+        before = copy.deepcopy(state)
+        model.partial_fit(data[:, 900:1200])
+        assert model.retained_range() == (950, 1200)
+        _assert_state_equal(state, before)
+        np.testing.assert_array_equal(state["data"], data[:, 650:900])
+
+    @pytest.mark.parametrize("policy", ["all", "window"])
+    def test_retained_data_returns_copies(self, signal, policy):
+        # A restored model's buffers are exactly full, and the window's
+        # full range is the whole buffer: neither may leak a live view.
+        data, _ = signal
+        live = _drive_model(signal, retain_data=policy, retain_window=250)
+        restored = IncrementalMrDMD.from_state_dict(live.state_dict())
+        for model in (live, restored):
+            first, last = model.retained_range()
+            for out in (
+                model.retained_data(),
+                model.retained_data(time_range=(first, last)),
+                model.retained_data(time_range=(last - 1, last)),
+            ):
+                out += 1.0
+            np.testing.assert_array_equal(model.retained_data(), data[:, first:last])
 
     def test_none_drops_raw_snapshots(self, signal):
         model = _drive_model(signal, retain_data="none")
@@ -546,7 +602,7 @@ class TestRetiredKnobs:
         )
         for lo in range(900, data.shape[1], 300):
             restored.partial_fit(data[:, lo : lo + 300])
-        assert restored._sub.n_cols == 1, "resumes under minimal retention"
+        assert restored._sub.n_cols == 1, "resumes with the trailing grid column"
         assert np.isfinite(restored._level1_cross).all()
         assert np.isfinite(restored.reconstruct()).all()
         assert np.isfinite(restored.drift_history).all()
