@@ -1,17 +1,17 @@
 """Zero-stall persistence gates: delta saves and async writer stalls.
 
-Checkpointing stays off the per-chunk critical path in two steps —
-``format="delta"`` saves that only serialise shards whose revision stamp
-moved, and an asynchronous writer that commits entries on a background
-thread.  Every save goes through the same writer into a content-addressed
-block store; ``format="full"`` is that writer without reuse.  Both steps
+Checkpointing stays off the per-chunk critical path in two steps — every
+save only serialises shards whose revision stamp moved (re-referencing
+the other shards' blocks in a content-addressed block store), and an
+asynchronous writer commits entries on a background thread.  Both steps
 are only acceptable if they are *actually* cheap and *provably* lossless:
 
-1. **Delta save < 25 % of a full save** (gated).  Reuse against no reuse
-   through one writer: in an 8-shard fleet where exactly one shard
-   changed between rotations, the timed delta save (1 dirty / 8 shards)
-   must re-serialise one shard, not eight, and come in under a quarter
-   of the timed full save of the same state, which rewrites all eight.
+1. **Delta save < 25 % of an empty-store save** (gated).  Reuse against
+   no reuse through one writer: in an 8-shard fleet where exactly one
+   shard changed between rotations, the timed delta save (1 dirty / 8
+   shards) must re-serialise one shard, not eight, and come in under a
+   quarter of the timed save of the same state into an empty block
+   store, where nothing can be reused and all eight blocks are written.
 
 2. **Async stall < 5 % of a chunk** (gated).  Ingesting with periodic
    ``mode="async"`` saves, the per-chunk ingest-side stall — the
@@ -21,10 +21,10 @@ are only acceptable if they are *actually* cheap and *provably* lossless:
    chunk ingest time: the writer absorbs serialisation and disk, the
    chunk loop pays only the snapshot copy.
 
-3. **Restore parity** (asserted, not timed).  The sync-full, sync-delta
-   and flushed async-delta checkpoints of the same monitor state —
-   one writer with and without reuse, on and off the critical path —
-   must all restore bit-for-bit identical shard state dicts.
+3. **Restore parity** (asserted, not timed).  The empty-store, reusing
+   and flushed async checkpoints of the same monitor state — one writer
+   with and without reuse, on and off the critical path — must all
+   restore bit-for-bit identical shard state dicts.
 
 Results land in ``BENCH_checkpoint.json`` next to this file
 (machine-readable; uploaded as a CI artifact).
@@ -59,12 +59,13 @@ N_REPS = 3
 #: Measured streaming chunks for the async-stall gate.
 N_CHUNKS = 8
 #: Async saves fire every this many chunks — a steady cadence the writer
-#: can absorb (a save every chunk with an 8/8-dirty delta degenerates to
-#: full-save bandwidth and measures the disk, not the handoff).
+#: can absorb (a save every chunk with all 8 shards dirty writes every
+#: block and measures the disk, not the handoff).
 ASYNC_EVERY = 2
 CONFIG = PipelineConfig(mrdmd=MrDMDConfig(max_levels=scaled(5, 8)))
 
-#: A 1-dirty/8-shard delta save must cost at most this fraction of full.
+#: A 1-dirty/8-shard delta save must cost at most this fraction of a save
+#: into an empty block store.
 DELTA_BOUND = 0.25
 #: Ingest-side async stall may cost at most this fraction of a chunk.
 STALL_BOUND = 0.05
@@ -124,41 +125,41 @@ def test_checkpoint_gates(benchmark):
 
     def measure() -> dict:
         monitor = _fitted_monitor(stream)
-        full_dir = os.path.join(workdir, "full")
+        empty_dir = os.path.join(workdir, "empty")
         delta_dir = os.path.join(workdir, "delta")
         async_dir = os.path.join(workdir, "async")
 
         # Seed the delta rotation so later saves have an entry to share
-        # blocks with — the steady state the delta format is built for.
-        save_checkpoint(delta_dir, monitor, keep_last=2, format="delta")
+        # blocks with — the steady state block reuse is built for.
+        save_checkpoint(delta_dir, monitor, keep_last=2)
 
-        # Gate 1: 1 dirty shard out of 8, timed full (no reuse: all eight
-        # blocks rewritten) vs timed delta of the *same* state through the
-        # same writer.  Each rep dirties one shard first so the delta save
-        # has exactly one block to write.
-        full_seconds, delta_seconds = [], []
+        # Gate 1: 1 dirty shard out of 8, timed save into an empty block
+        # store (no reuse possible: all eight blocks written) vs timed
+        # delta save of the *same* state through the same writer.  Each
+        # rep dirties one shard first so the delta save has exactly one
+        # block to write.
+        empty_seconds, delta_seconds = [], []
         reused = 0
         position = HISTORY
         for _ in range(N_REPS):
             _dirty_one_shard(monitor, stream.values[:, position : position + CHUNK])
             position += CHUNK
+            shutil.rmtree(empty_dir, ignore_errors=True)
             with Timer() as timer:
-                save_checkpoint(full_dir, monitor, keep_last=2, format="full")
-            full_seconds.append(timer.elapsed)
+                save_checkpoint(empty_dir, monitor, keep_last=2)
+            empty_seconds.append(timer.elapsed)
             with Timer() as timer:
-                info = save_checkpoint(
-                    delta_dir, monitor, keep_last=2, format="delta"
-                )
+                info = save_checkpoint(delta_dir, monitor, keep_last=2)
             delta_seconds.append(timer.elapsed)
             reused = info.shards_reused
 
-        # Restore parity: sync full and sync delta of the same state.
+        # Restore parity: empty-store and reusing saves of the same state.
         live = _shard_reprs(monitor)
-        restored_full = load_checkpoint(full_dir, rules=default_rules())
+        restored_empty = load_checkpoint(empty_dir, rules=default_rules())
         restored_delta = load_checkpoint(delta_dir, rules=default_rules())
-        assert _shard_reprs(restored_full) == live, "full restore drifted"
+        assert _shard_reprs(restored_empty) == live, "empty-store restore drifted"
         assert _shard_reprs(restored_delta) == live, "delta restore drifted"
-        restored_full.close()
+        restored_empty.close()
         restored_delta.close()
         bytes_written = info.bytes_written
         bytes_referenced = info.bytes_referenced
@@ -179,11 +180,7 @@ def test_checkpoint_gates(benchmark):
             if index % ASYNC_EVERY == 0:
                 with Timer() as timer:
                     info = save_checkpoint(
-                        async_dir,
-                        monitor,
-                        keep_last=2,
-                        format="delta",
-                        mode="async",
+                        async_dir, monitor, keep_last=2, mode="async"
                     )
                 save_call_seconds.append(timer.elapsed)
                 stall_seconds.append(info.stall_seconds)
@@ -199,9 +196,9 @@ def test_checkpoint_gates(benchmark):
         monitor.close()
 
         return {
-            "full_save_seconds": _median(full_seconds),
+            "empty_store_save_seconds": _median(empty_seconds),
             "delta_save_seconds": _median(delta_seconds),
-            "full_save_seconds_best": min(full_seconds),
+            "empty_store_save_seconds_best": min(empty_seconds),
             "delta_save_seconds_best": min(delta_seconds),
             "shards_reused": reused,
             "bytes_written": bytes_written,
@@ -222,7 +219,8 @@ def test_checkpoint_gates(benchmark):
         shutil.rmtree(workdir, ignore_errors=True)
 
     delta_fraction = (
-        result["delta_save_seconds_best"] / result["full_save_seconds_best"]
+        result["delta_save_seconds_best"]
+        / result["empty_store_save_seconds_best"]
     )
     stall_fraction = (
         result["async_stall_per_chunk_seconds"] / result["chunk_seconds"]
@@ -252,9 +250,9 @@ def test_checkpoint_gates(benchmark):
         f"{result['shards_reused']} — dirty tracking regressed"
     )
     assert delta_fraction < DELTA_BOUND, (
-        f"1-dirty/8-shard delta save costs {delta_fraction:.0%} of a full "
-        f"save ({result['delta_save_seconds_best'] * 1e3:.1f} ms vs "
-        f"{result['full_save_seconds_best'] * 1e3:.1f} ms; bound "
+        f"1-dirty/8-shard delta save costs {delta_fraction:.0%} of an "
+        f"empty-store save ({result['delta_save_seconds_best'] * 1e3:.1f} ms "
+        f"vs {result['empty_store_save_seconds_best'] * 1e3:.1f} ms; bound "
         f"{DELTA_BOUND:.0%}) — incremental persistence regressed"
     )
     assert stall_fraction < STALL_BOUND, (

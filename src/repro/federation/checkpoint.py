@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from ..io.delta import BLOCKS_DIRNAME, AsyncCheckpointWriter, state_digest
+from ..io.delta import BLOCKS_DIRNAME, state_digest
 from ..obs import OBS
 from ..service.alerts import AlertRule, AlertSink
 from ..service.checkpoint import (
@@ -48,6 +48,7 @@ from ..service.checkpoint import (
     _drain,
     _entry_path,
     _place_entry,
+    _record_save,
     _shard_state_paths,
     _write_manifest,
     compact_checkpoint,
@@ -86,7 +87,6 @@ class FederatedCheckpointInfo:
     directory: str
     step: int
     machines: tuple[str, ...]
-    format: str = "full"
     mode: str = "sync"
     stall_seconds: float = 0.0
 
@@ -116,23 +116,14 @@ class FederatedCheckpointInfo:
         return sum(os.path.getsize(path) for path in {os.path.abspath(p) for p in paths})
 
 
-def _machine_write(
-    monitor: FleetMonitor, target: str, blocks_dir: str, reuse: bool
-) -> None:
+def _machine_write(monitor: FleetMonitor, target: str, blocks_dir: str) -> None:
     """Worker-side: capture + commit one machine's entry in place, one
     shard at a time."""
-    base, blocks = _capture(monitor, blocks_dir, reuse=reuse, snapshot=False)
-    _commit_entry(
-        target,
-        base,
-        blocks,
-        blocks_dir,
-        rewrite=not reuse,
-        pull=monitor.shard_state_dict,
-    )
+    base, blocks = _capture(monitor, blocks_dir, snapshot=False)
+    _commit_entry(target, base, blocks, blocks_dir, pull=monitor.shard_state_dict)
 
 
-def _machine_capture(monitor: FleetMonitor, blocks_dir: str, reuse: bool):
+def _machine_capture(monitor: FleetMonitor, blocks_dir: str):
     """Worker-side: capture one machine's dirty shards for a deferred commit.
 
     The commit runs in the coordinator's writer thread, on pickled copies
@@ -142,7 +133,7 @@ def _machine_capture(monitor: FleetMonitor, blocks_dir: str, reuse: bool):
     instead, and the records the monitor keeps drop their state once the
     shipped copies are made.
     """
-    base, blocks = _capture(monitor, blocks_dir, reuse=reuse, snapshot=True)
+    base, blocks = _capture(monitor, blocks_dir, snapshot=True)
     for block in blocks:
         if not block.reused:
             block.digest = state_digest(block.state)
@@ -172,9 +163,7 @@ def save_federated_checkpoint(
     federated: FederatedMonitor,
     *,
     keep_last: int | None = None,
-    format: str = "full",
     mode: str = "sync",
-    writer: AsyncCheckpointWriter | None = None,
 ) -> FederatedCheckpointInfo:
     """Write the federation's full state under ``directory``.
 
@@ -187,24 +176,25 @@ def save_federated_checkpoint(
     ``keep_last`` the whole entry appears via the same atomic rename as
     a service rotation.
 
-    ``keep_last``, ``format``, ``mode`` and ``writer`` behave exactly
-    like :func:`repro.service.checkpoint.save_checkpoint`: every
-    machine's shard blocks go to ``<directory>/blocks``, ``"delta"``
-    re-references unchanged shards, ``mode="async"`` (requires
-    ``keep_last``) captures synchronously (dirty shards only) then
-    commits on the federation's background writer —
-    ``federated.flush_checkpoints()`` is the durability/error barrier —
-    and a sync save first drains that writer.
+    ``keep_last`` and ``mode`` behave exactly like
+    :func:`repro.service.checkpoint.save_checkpoint`: every machine's
+    shard blocks go to ``<directory>/blocks``, unchanged shards are
+    re-referenced, ``mode="async"`` (requires ``keep_last``) captures
+    synchronously (dirty shards only) then commits on the federation's
+    background writer — ``federated.flush_checkpoints()`` is the
+    durability/error barrier — a sync save first drains that writer, and
+    mixing in-place and rotated saves in one directory raises
+    :class:`~repro.service.checkpoint.CheckpointError`.
     """
-    _check_save_args(keep_last, format, mode)
     step = federated.step
     names = list(federated.machine_names)
     blocks_dir = os.path.join(directory, BLOCKS_DIRNAME)
-    reuse = format == "delta"
     start = time.perf_counter()
-    with OBS.span("checkpoint.federated_save", format=format, mode=mode):
+    with OBS.span("checkpoint.federated_save", mode=mode):
         if mode == "sync":
-            _drain(writer if writer is not None else federated._checkpoint_writer)
+            _drain(federated._checkpoint_writer)
+        _check_save_args(directory, keep_last, mode)
+        if mode == "sync":
             router_state = federated.router.state_dict()
 
             def write_machines(machines_root: str) -> None:
@@ -212,7 +202,7 @@ def save_federated_checkpoint(
                     federated,
                     _machine_write,
                     {
-                        name: (os.path.join(machines_root, name), blocks_dir, reuse)
+                        name: (os.path.join(machines_root, name), blocks_dir)
                         for name in names
                     },
                 )
@@ -221,18 +211,14 @@ def save_federated_checkpoint(
             captures = _on_machines(
                 federated,
                 _machine_capture,
-                {name: (blocks_dir, reuse) for name in names},
+                {name: (blocks_dir,) for name in names},
             )
             router_state = copy.deepcopy(federated.router.state_dict())
 
             def write_machines(machines_root: str) -> None:
                 for name, (base, blocks) in captures.items():
                     _commit_entry(
-                        os.path.join(machines_root, name),
-                        base,
-                        blocks,
-                        blocks_dir,
-                        rewrite=not reuse,
+                        os.path.join(machines_root, name), base, blocks, blocks_dir
                     )
 
         def write(target: str) -> None:
@@ -244,29 +230,20 @@ def save_federated_checkpoint(
         if mode == "sync":
             final = _place_entry(directory, step, keep_last, write)
         else:
-            if writer is None:
-                writer = federated._ensure_checkpoint_writer()
-            writer.submit(
+            federated._ensure_checkpoint_writer().submit(
                 lambda: _place_entry(directory, step, keep_last, write),
-                label=f"federation {format} step {step}",
+                label=f"federation step {step}",
             )
             final = _entry_path(directory, step)
         stall = time.perf_counter() - start
-        _record_federated_save(format, mode, stall)
+        _record_save("checkpoint.federated_saves", mode, stall)
         return FederatedCheckpointInfo(
             directory=final,
             step=step,
             machines=tuple(names),
-            format=format,
             mode=mode,
             stall_seconds=stall,
         )
-
-
-def _record_federated_save(format: str, mode: str, stall: float) -> None:
-    if OBS.enabled:
-        OBS.inc("checkpoint.federated_saves", format=format, mode=mode)
-        OBS.observe("checkpoint.stall_seconds", stall)
 
 
 def _write_federated_manifest(

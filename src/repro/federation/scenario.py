@@ -225,12 +225,12 @@ class FederatedScenarioRunner:
     deep_levels:
         When set (``"inline"``/``"deferred"``), overrides every machine
         workload's deep-level mode — the CLI's ``--deep-levels`` switch.
-    checkpoint_mode / checkpoint_format:
+    checkpoint_mode:
         Forwarded to :func:`save_federated_checkpoint` for the per-chunk
-        rotation saves: ``"async"`` hands the commit to the federation's
-        background writer (flushed before any entry is read back), and
-        ``"delta"`` writes only shards whose revision stamp moved since
-        the previous rotation entry.
+        rotation saves (which write only shards whose revision stamp
+        moved since the previous entry): ``"async"`` hands the commit to
+        the federation's background writer (flushed before any entry is
+        read back).
     """
 
     def __init__(
@@ -243,7 +243,6 @@ class FederatedScenarioRunner:
         max_workers: int | None = None,
         deep_levels: str | None = None,
         checkpoint_mode: str = "sync",
-        checkpoint_format: str = "full",
     ) -> None:
         if scenario.restart_after_chunk is not None:
             if checkpoint_dir is None:
@@ -289,8 +288,6 @@ class FederatedScenarioRunner:
                 )
         if checkpoint_mode not in ("sync", "async"):
             raise ValueError(f"unknown checkpoint mode {checkpoint_mode!r}")
-        if checkpoint_format not in ("full", "delta"):
-            raise ValueError(f"unknown checkpoint format {checkpoint_format!r}")
         self.scenario = scenario
         self.sinks = list(sinks)
         self.checkpoint_dir = checkpoint_dir
@@ -298,7 +295,6 @@ class FederatedScenarioRunner:
         self.max_workers = max_workers
         self.deep_levels = deep_levels
         self.checkpoint_mode = checkpoint_mode
-        self.checkpoint_format = checkpoint_format
 
     # ------------------------------------------------------------------ #
     def _build_router(self) -> AlertRouter:
@@ -420,7 +416,6 @@ class FederatedScenarioRunner:
                         self.checkpoint_dir,
                         federated,
                         keep_last=scenario.keep_last,
-                        format=self.checkpoint_format,
                         mode=self.checkpoint_mode,
                     )
                 if scenario.restart_after_chunk == index:

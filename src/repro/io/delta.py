@@ -1,19 +1,20 @@
 """Content-addressed delta blocks and the asynchronous checkpoint writer.
 
-Checkpointing a fleet rewrites every shard's state on every save, even
-though a steady-state ingest round touches a handful of shards (deep
-refreshes land asynchronously, quarantined shards do not move at all).
-This module supplies the two primitives that make persistence cost
+A steady-state ingest round touches a handful of a fleet's shards (deep
+refreshes land asynchronously, quarantined shards do not move at all), so
+rewriting every shard's state on every save would be wasted work.  This
+module supplies the two primitives that make persistence cost
 O(changed state) instead of O(total state):
 
 * :class:`BlockStore` — a directory of per-shard state blocks keyed by a
   content digest (:func:`state_digest`).  A checkpoint manifest lists
-  digests; under ``format="delta"`` unchanged shards point at the block
-  the previous save already wrote, so only dirty shards are serialised.
-  Blocks are written tmp+rename and their content never changes, which
-  makes concurrent writers (parallel federated machine saves) and torn
-  writes safe: the worst case is an orphan block that the next
-  :meth:`BlockStore.sweep` reclaims.
+  digests; every save points unchanged shards at the block an earlier
+  save already wrote, so only dirty shards are serialised.  Blocks are
+  written tmp+rename and their content never changes, which makes
+  concurrent writers (parallel federated machine saves) and torn writes
+  safe: the worst case is an orphan block that the next
+  :meth:`BlockStore.sweep` reclaims.  A block damaged on disk after it
+  was written is not repaired by later saves; loading it raises.
 * :class:`AsyncCheckpointWriter` — a bounded-queue background thread
   that takes the hash/compress/write tail of a save off the ingest
   critical path.  ``submit`` returns the stall time actually spent
@@ -147,21 +148,17 @@ class BlockStore:
     def has(self, digest: str) -> bool:
         return os.path.isfile(self.path(digest))
 
-    def put(
-        self, state: dict, digest: str | None = None, *, replace: bool = False
-    ) -> tuple[str, bool, int]:
+    def put(self, state: dict, digest: str | None = None) -> tuple[str, bool, int]:
         """Store ``state``; returns ``(digest, created, nbytes)``.
 
         ``created`` is False when the block already existed (the write is
         skipped — content addressing makes this exact, not heuristic).
-        ``replace=True`` writes it anyway: a full checkpoint re-serialises
-        every shard, which also heals a damaged block under its digest.
         Pass ``digest`` when the caller already computed it.
         """
         if digest is None:
             digest = state_digest(state)
         final = self.path(digest)
-        if not replace and os.path.isfile(final):
+        if os.path.isfile(final):
             return digest, False, os.path.getsize(final)
         os.makedirs(self.root, exist_ok=True)
         tmp = os.path.join(

@@ -182,7 +182,7 @@ def summarize(registry: MetricsRegistry) -> dict:
         }
 
     # Checkpoint digest: the persistence cost model of the delta/async
-    # pipeline — how many saves ran in which format/mode, how many bytes
+    # pipeline — how many saves ran in which mode, how many bytes
     # actually hit disk vs rode along as references to earlier entries,
     # and how long the ingest loop stalled on writer handoff.
     checkpoint: dict = {}

@@ -97,15 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default sync)",
     )
     parser.add_argument(
-        "--checkpoint-format",
-        choices=("full", "delta"),
-        default="full",
-        help="periodic/rotating checkpoint format; both write the "
-        "rotation's content-addressed block store: 'delta' re-references "
-        "the blocks of shards whose state did not change since the "
-        "previous save, 'full' rewrites every shard (default full)",
-    )
-    parser.add_argument(
         "--checkpoint-keep-last",
         type=int,
         default=3,
@@ -218,8 +209,7 @@ def _run(args: argparse.Namespace, name: str) -> int:
     if args.checkpoint_every is not None:
         print(
             f"periodic checkpoints: every {args.checkpoint_every} chunk(s), "
-            f"format={args.checkpoint_format}, mode={args.checkpoint_mode}, "
-            f"keep_last={args.checkpoint_keep_last}"
+            f"mode={args.checkpoint_mode}, keep_last={args.checkpoint_keep_last}"
         )
 
     sinks = [RingBufferSink()]
@@ -236,7 +226,6 @@ def _run(args: argparse.Namespace, name: str) -> int:
             deep_levels=args.deep_levels,
             checkpoint_every=args.checkpoint_every,
             checkpoint_mode=args.checkpoint_mode,
-            checkpoint_format=args.checkpoint_format,
             checkpoint_keep_last=args.checkpoint_keep_last,
         ).run()
 
@@ -313,7 +302,6 @@ def _run_federated(args: argparse.Namespace, name: str) -> int:
             max_workers=args.workers,
             deep_levels=args.deep_levels,
             checkpoint_mode=args.checkpoint_mode,
-            checkpoint_format=args.checkpoint_format,
         ).run()
 
     if args.checkpoint_dir is None:

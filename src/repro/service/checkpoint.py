@@ -38,28 +38,31 @@ Every save goes through one capture and one commit.  The capture checks
 each shard's
 :meth:`~repro.pipeline.online.OnlineAnalysisPipeline.state_stamp`
 against one save record per shard (stamp + content digest).  A shard
-that must be stored borrows its supervisor's recovery snapshot when that
+whose stamp is unchanged since its last save, and whose block the target
+store holds, re-references that block without ``state_dict()`` ever
+being pulled, so a steady-state save costs O(changed state).  Every other
+shard is stored; it borrows its supervisor's recovery snapshot when that
 was taken at the current stamp
 (:meth:`~repro.resilience.ShardRecoveryStore.snapshot_at`), so a save
-round never pulls the same state twice.  Two switches choose how much
-work a save does:
+round never pulls the same state twice.  A missing block is therefore
+written again, but a block damaged on disk after it was written is not:
+loading it raises :class:`CheckpointError` naming the file.  Blocks no
+manifest references are swept after every save; :func:`compact_checkpoint`
+copies the blocks an entry references into the entry's own ``blocks/``,
+making it self-contained.
 
-* ``format="delta"`` re-references the block of every shard whose stamp
-  is unchanged since its last save, when the target store holds that
-  block, skipping ``state_dict()`` entirely, so a steady-state save
-  costs O(changed state).  ``format="full"`` (default) re-serialises and
-  rewrites every shard's block.  Blocks no manifest references are swept
-  after every save; :func:`compact_checkpoint` copies the blocks an entry
-  references into the entry's own ``blocks/``, making it self-contained.
-* ``mode="async"`` (requires ``keep_last``) captures a decoupled snapshot
-  synchronously (cheap: stamps + dirty shards only) and defers the
-  hash/compress/write/rotate tail to a bounded background writer
-  (:class:`~repro.io.delta.AsyncCheckpointWriter`).  Crash consistency
-  is unchanged — blocks land before the entry rename, so a torn async
-  write leaves at worst orphan blocks and the newest *complete* entry
-  keeps loading.  ``monitor.flush_checkpoints()`` (or ``close()``) is
-  the barrier that surfaces deferred write errors; a sync save drains
-  pending async commits before it writes.
+``mode="async"`` (requires ``keep_last``) captures a decoupled snapshot
+synchronously (cheap: stamps + dirty shards only) and defers the
+hash/compress/write/rotate tail to a bounded background writer
+(:class:`~repro.io.delta.AsyncCheckpointWriter`).  Crash consistency is
+unchanged — blocks land before the entry rename, so a torn async write
+leaves at worst orphan blocks and the newest *complete* entry keeps
+loading.  ``monitor.flush_checkpoints()`` (or ``close()``) is the barrier
+that surfaces deferred write errors; a sync save drains pending async
+commits before it writes.
+
+A directory holds one layout: an in-place checkpoint or a rotation root,
+never both (the root manifest would shadow every rotation entry on load).
 
 Version-1/2 checkpoints (one ``shard_<k>.npz`` per shard inside the entry,
 listed as ``shard_files``) are still read; they are no longer written.
@@ -145,7 +148,6 @@ class CheckpointInfo:
     step: int
     n_shards: int
     files: tuple[str, ...]
-    format: str = "full"
     mode: str = "sync"
     shards_reused: int = 0
     bytes_written: int = 0
@@ -289,9 +291,8 @@ def save_checkpoint(
     monitor: FleetMonitor,
     *,
     keep_last: int | None = None,
-    format: str = "full",
+    format: str = "delta",
     mode: str = "sync",
-    writer: AsyncCheckpointWriter | None = None,
 ) -> CheckpointInfo:
     """Write the monitor's state under ``directory`` (created if needed).
 
@@ -310,30 +311,33 @@ def save_checkpoint(
     returned :class:`CheckpointInfo` then points at the step directory;
     :func:`load_checkpoint` accepts either form.
 
-    ``format="delta"`` re-references the stored block of every shard
-    whose state stamp is unchanged since its last save, when this store
-    holds that block, without serialising it; ``format="full"``
-    re-serialises and rewrites every shard.  ``mode="async"`` (requires
-    ``keep_last``) captures a decoupled snapshot synchronously and commits
-    on the monitor's background writer (or the explicitly passed
-    ``writer``); deferred write errors surface at the next
+    Every save re-references the stored block of each shard whose state
+    stamp is unchanged since its last save, when this store holds that
+    block, without serialising it; only the other shards are stored.
+    ``format`` is accepted for existing callers and must be ``"delta"``.
+    ``mode="async"`` (requires ``keep_last``) captures a decoupled
+    snapshot synchronously and commits on the monitor's background
+    writer; deferred write errors surface at the next
     ``monitor.flush_checkpoints()`` / ``close()`` barrier.  A sync save
     first waits for that writer's pending commits, so a late async entry
     never lands after (and discards) a newer sync one.  Restores are
-    bit-for-bit identical whichever format, mode and layout wrote them.
+    bit-for-bit identical whichever mode and layout wrote them.  Saving
+    in place into a rotation root, or rotating into a directory that
+    holds an in-place checkpoint, raises :class:`CheckpointError`.
     """
-    _check_save_args(keep_last, format, mode)
+    if format != "delta":
+        raise ValueError(
+            f"format={format!r} is not supported: every save now "
+            f"re-references unchanged shards (only 'delta' is accepted)"
+        )
     start = time.perf_counter()
-    with OBS.span("checkpoint.save", format=format, mode=mode):
+    with OBS.span("checkpoint.save", mode=mode):
         if mode == "sync":
-            _drain(writer if writer is not None else monitor._checkpoint_writer)
+            _drain(monitor._checkpoint_writer)
+        _check_save_args(directory, keep_last, mode)
         blocks_dir = os.path.join(directory, BLOCKS_DIRNAME)
         step = monitor.step
-        base, blocks = _capture(
-            monitor, blocks_dir, reuse=format == "delta", snapshot=mode == "async"
-        )
-        reused = sum(block.reused for block in blocks)
-        rewrite = format == "full"
+        base, blocks = _capture(monitor, blocks_dir, snapshot=mode == "async")
         if mode == "sync":
             info = _commit(
                 directory,
@@ -341,17 +345,12 @@ def save_checkpoint(
                 keep_last,
                 base,
                 blocks,
-                rewrite=rewrite,
                 pull=monitor.shard_state_dict,
             )
         else:
-            if writer is None:
-                writer = monitor._ensure_checkpoint_writer()
-            writer.submit(
-                lambda: _commit(
-                    directory, step, keep_last, base, blocks, rewrite=rewrite
-                ),
-                label=f"{format} step {step}",
+            monitor._ensure_checkpoint_writer().submit(
+                lambda: _commit(directory, step, keep_last, base, blocks),
+                label=f"step {step}",
             )
             info = CheckpointInfo(
                 directory=_entry_path(directory, step),
@@ -360,20 +359,23 @@ def save_checkpoint(
                 files=(),
             )
         stall = time.perf_counter() - start
-        _record_save(format, mode, stall)
+        _record_save("checkpoint.saves", mode, stall)
         return replace(
             info,
-            format=format,
             mode=mode,
-            shards_reused=reused,
+            shards_reused=sum(block.reused for block in blocks),
             stall_seconds=stall,
         )
 
 
-def _check_save_args(keep_last: int | None, format: str, mode: str) -> None:
-    """Validate the switches shared by the service and federated savers."""
-    if format not in ("full", "delta"):
-        raise ValueError(f"format must be 'full' or 'delta', got {format!r}")
+def _check_save_args(directory: str, keep_last: int | None, mode: str) -> None:
+    """Validate the switches shared by the service and federated savers.
+
+    Also refuses to mix layouts in one directory, at call time (so an
+    async save fails synchronously): a root manifest shadows every
+    rotation entry on load.  A sync save calls this after draining the
+    writer, so it also sees the entries of pending async saves.
+    """
     if mode not in ("sync", "async"):
         raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
     if keep_last is not None and keep_last < 1:
@@ -384,6 +386,20 @@ def _check_save_args(keep_last: int | None, format: str, mode: str) -> None:
             "atomic entry rename is what keeps deferred writes from "
             "corrupting the newest entry)"
         )
+    if keep_last is None and list_checkpoints(directory):
+        raise CheckpointError(
+            f"{directory!r} is a rotation root holding {STEP_DIR_PREFIX}* "
+            f"entries; an in-place save there would shadow them — pass "
+            f"keep_last=N or save into another directory"
+        )
+    if keep_last is not None and os.path.exists(
+        os.path.join(directory, MANIFEST_NAME)
+    ):
+        raise CheckpointError(
+            f"{directory!r} holds an in-place checkpoint ({MANIFEST_NAME}), "
+            f"which would shadow any rotation entry saved there — save in "
+            f"place (no keep_last) or into another directory"
+        )
 
 
 def _drain(writer: AsyncCheckpointWriter | None) -> None:
@@ -392,9 +408,9 @@ def _drain(writer: AsyncCheckpointWriter | None) -> None:
         writer.drain()
 
 
-def _record_save(format: str, mode: str, stall: float) -> None:
+def _record_save(counter: str, mode: str, stall: float) -> None:
     if OBS.enabled:
-        OBS.inc("checkpoint.saves", format=format, mode=mode)
+        OBS.inc(counter, mode=mode)
         OBS.observe("checkpoint.stall_seconds", stall)
 
 
@@ -458,16 +474,15 @@ def _capture(
     monitor: FleetMonitor,
     blocks_dir: str,
     *,
-    reuse: bool,
     snapshot: bool,
 ) -> tuple[dict, list[_ShardBlock]]:
     """One save's view of a monitor: manifest fields plus a block per shard.
 
-    With ``reuse`` a shard is *clean* when its state stamp equals the one
-    in its save record **and** the recorded block exists in this store
-    (self-healing against swept blocks, rollback-then-resave, a failed
-    deferred write, or a save to a different store); a clean shard
-    re-references its block.  Every other shard is dirty.  A dirty
+    A shard is *clean* when its state stamp equals the one in its save
+    record **and** the recorded block exists in this store (self-healing
+    against swept blocks, rollback-then-resave, a failed deferred write,
+    or a save to a different store); a clean shard re-references its
+    block.  Every other shard is dirty.  A dirty
     shard whose recovery snapshot was taken at its current stamp borrows
     that state instead of pulling it again.  ``snapshot`` pulls the other
     dirty states now, decoupled from the live pipelines, for a commit
@@ -483,8 +498,7 @@ def _capture(
         stamp = stamps[shard_id]
         previous = records.get(shard_id)
         if (
-            reuse
-            and previous is not None
+            previous is not None
             and previous.stamp == stamp
             and previous.digest is not None
             and store.has(previous.digest)
@@ -514,7 +528,6 @@ def _commit_entry(
     blocks: list[_ShardBlock],
     blocks_dir: str,
     *,
-    rewrite: bool,
     pull: Callable[[str], dict] | None = None,
 ) -> tuple[int, int]:
     """Write one checkpoint entry from captured state.
@@ -525,8 +538,7 @@ def _commit_entry(
     point leaves at worst orphan blocks, never a manifest naming absent
     state.  A dirty shard without a snapshot is pulled through
     ``pull(shard_id)``, stored and dropped before the next one, and a
-    snapshot is dropped once stored.  ``rewrite`` rewrites blocks that
-    already exist (``format="full"``).  Returns ``(bytes_written,
+    snapshot is dropped once stored.  Returns ``(bytes_written,
     bytes_referenced)``.
     """
     os.makedirs(entry_dir, exist_ok=True)
@@ -544,9 +556,7 @@ def _commit_entry(
         block.state = None
         # Publishes the digest to the shard's save record now the block
         # is durable, so the next capture can reuse it.
-        block.digest, created, nbytes = store.put(
-            state, block.digest, replace=rewrite
-        )
+        block.digest, created, nbytes = store.put(state, block.digest)
         del state
         if created:
             written += nbytes
@@ -612,7 +622,6 @@ def _commit(
     base: dict,
     blocks: list[_ShardBlock],
     *,
-    rewrite: bool,
     pull: Callable[[str], dict] | None = None,
 ) -> CheckpointInfo:
     """Commit a captured save under ``directory`` and sweep dead blocks."""
@@ -620,9 +629,7 @@ def _commit(
     stats = [0, 0]
 
     def write(entry_dir: str) -> None:
-        stats[:] = _commit_entry(
-            entry_dir, base, blocks, blocks_dir, rewrite=rewrite, pull=pull
-        )
+        stats[:] = _commit_entry(entry_dir, base, blocks, blocks_dir, pull=pull)
 
     final = _place_entry(directory, step, keep_last, write)
     store = BlockStore(blocks_dir)

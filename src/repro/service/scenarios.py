@@ -330,11 +330,11 @@ class ScenarioRunner:
         For scenarios that also restart mid-run, periodic entries live
         under ``<checkpoint_dir>/periodic`` so they never collide with
         the restart checkpoint at the root.
-    checkpoint_mode / checkpoint_format / checkpoint_keep_last:
-        Forwarded to :func:`save_checkpoint` for the periodic saves:
-        ``"async"`` moves serialisation off the chunk loop onto the
-        monitor's background writer (flushed at close), ``"delta"``
-        writes only shards whose revision stamp moved, and
+    checkpoint_mode / checkpoint_keep_last:
+        Forwarded to :func:`save_checkpoint` for the periodic saves
+        (which, like every save, write only shards whose revision stamp
+        moved): ``"async"`` moves serialisation off the chunk loop onto
+        the monitor's background writer (flushed at close), and
         ``checkpoint_keep_last`` bounds the rotation depth.
     """
 
@@ -349,7 +349,6 @@ class ScenarioRunner:
         deep_levels: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_mode: str = "sync",
-        checkpoint_format: str = "full",
         checkpoint_keep_last: int = 3,
     ) -> None:
         if scenario.restart_after_chunk is not None:
@@ -376,8 +375,6 @@ class ScenarioRunner:
                 raise ValueError("checkpoint_every requires checkpoint_dir")
         if checkpoint_mode not in ("sync", "async"):
             raise ValueError(f"unknown checkpoint mode {checkpoint_mode!r}")
-        if checkpoint_format not in ("full", "delta"):
-            raise ValueError(f"unknown checkpoint format {checkpoint_format!r}")
         if checkpoint_keep_last < 1:
             raise ValueError(
                 f"checkpoint_keep_last must be >= 1, got {checkpoint_keep_last!r}"
@@ -393,7 +390,6 @@ class ScenarioRunner:
         self.max_workers = max_workers
         self.checkpoint_every = checkpoint_every
         self.checkpoint_mode = checkpoint_mode
-        self.checkpoint_format = checkpoint_format
         self.checkpoint_keep_last = checkpoint_keep_last
 
     def _periodic_dir(self) -> str | None:
@@ -478,7 +474,6 @@ class ScenarioRunner:
                         periodic_dir,
                         monitor,
                         keep_last=self.checkpoint_keep_last,
-                        format=self.checkpoint_format,
                         mode=self.checkpoint_mode,
                     )
                 if scenario.restart_after_chunk == index:

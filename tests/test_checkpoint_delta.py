@@ -1,13 +1,12 @@
 """Checkpoint persistence: one writer, lossless by construction.
 
-Every save — ``format="full"`` or ``"delta"``, sync or async, written in
-place or into a rotation — goes through one capture and one commit into
-a content-addressed block store.  Delta saves only ever *skip*
-serialisation work (shards whose revision stamp has not moved
-re-reference their block), so every test here is a parity test at heart:
-whatever combination of format, mode, layout, pruning, rollback and
-compaction a run goes through, the restored monitor must be bit-for-bit
-identical to the live one.  Alongside the parity suite: block-store
+Every save — sync or async, written in place or into a rotation — goes
+through one capture and one commit into a content-addressed block store.
+Block reuse only ever *skips* serialisation work (shards whose revision
+stamp has not moved re-reference their block), so every test here is a
+parity test at heart: whatever combination of mode, layout, pruning,
+rollback and compaction a run goes through, the restored monitor must be
+bit-for-bit identical to the live one.  Alongside the parity suite: block-store
 garbage collection under ``keep_last`` pruning and in-place re-saves,
 ordering between async and sync saves, the resilience recovery
 snapshots a save borrows instead of pulling state again, stamp-based
@@ -43,6 +42,7 @@ from repro.pipeline import PipelineConfig
 from repro.resilience import ResiliencePolicy, ShardRecoveryStore
 from repro.service import (
     AlertEngine,
+    CheckpointError,
     FleetMonitor,
     RackSharding,
     compact_checkpoint,
@@ -65,11 +65,11 @@ CONFIG = PipelineConfig(
 )
 
 
-def small_machine() -> MachineDescription:
+def small_machine(racks: int = 2) -> MachineDescription:
     return MachineDescription(
         name="xc40",
         n_rows=1,
-        racks_per_row=2,
+        racks_per_row=racks,
         cabinets_per_rack=1,
         slots_per_cabinet=2,
         blades_per_slot=1,
@@ -79,14 +79,16 @@ def small_machine() -> MachineDescription:
     )
 
 
-def _stream(seed: int, steps: int = 400):
+def _stream(seed: int, steps: int = 400, racks: int = 2):
     return TelemetryGenerator(
-        small_machine(), seed=seed, utilization_target=0.3
+        small_machine(racks), seed=seed, utilization_target=0.3
     ).generate(steps, sensors=["cpu_temp"])
 
 
-def _build_monitor(seed: int, initial: int = 240) -> tuple[FleetMonitor, object]:
-    stream = _stream(seed)
+def _build_monitor(
+    seed: int, initial: int = 240, racks: int = 2
+) -> tuple[FleetMonitor, object]:
+    stream = _stream(seed, racks=racks)
     monitor = FleetMonitor.from_stream(
         stream,
         policy=RackSharding(),
@@ -106,32 +108,27 @@ def _dirty_one_shard(monitor: FleetMonitor, stream, lo: int, hi: int) -> str:
 # --------------------------------------------------------------------------- #
 # Bit-for-bit parity
 # --------------------------------------------------------------------------- #
-#: (mode, format, keep_last) — async needs a rotation root.
+#: (mode, keep_last) — async needs a rotation root.  Every save is a
+#: delta save: it re-references the blocks of unchanged shards.
 SAVE_VARIANTS = [
-    pytest.param("sync", "full", None, id="sync-full-in-place"),
-    pytest.param("sync", "delta", None, id="sync-delta-in-place"),
-    pytest.param("sync", "full", 2, id="sync-full-rotated"),
-    pytest.param("sync", "delta", 2, id="sync-delta-rotated"),
-    pytest.param("async", "full", 2, id="async-full-rotated"),
-    pytest.param("async", "delta", 2, id="async-delta-rotated"),
+    pytest.param("sync", None, id="sync-delta-in-place"),
+    pytest.param("sync", 2, id="sync-delta-rotated"),
+    pytest.param("async", 2, id="async-delta-rotated"),
 ]
 
 
-@pytest.mark.parametrize(("mode", "format", "keep_last"), SAVE_VARIANTS)
+@pytest.mark.parametrize(("mode", "keep_last"), SAVE_VARIANTS)
 def test_every_save_writes_version_3_and_restores_bit_for_bit(
-    tmp_path, mode, format, keep_last
+    tmp_path, mode, keep_last
 ):
     monitor, stream = _build_monitor(seed=80)
     root = str(tmp_path / "ckpt")
-    save_checkpoint(root, monitor, keep_last=keep_last, format=format, mode=mode)
+    save_checkpoint(root, monitor, keep_last=keep_last, mode=mode)
     monitor.flush_checkpoints()
     _dirty_one_shard(monitor, stream, 240, 320)
-    info = save_checkpoint(
-        root, monitor, keep_last=keep_last, format=format, mode=mode
-    )
+    info = save_checkpoint(root, monitor, keep_last=keep_last, mode=mode)
     monitor.flush_checkpoints()
-    expected_reuse = monitor.n_shards - 1 if format == "delta" else 0
-    assert info.shards_reused == expected_reuse
+    assert info.shards_reused == monitor.n_shards - 1
 
     entry = resolve_checkpoint_dir(root)
     manifest = read_manifest(entry)
@@ -145,20 +142,14 @@ def test_every_save_writes_version_3_and_restores_bit_for_bit(
     monitor.close(), restored.close()
 
 
-@pytest.mark.parametrize(("mode", "format", "keep_last"), SAVE_VARIANTS)
-def test_federated_save_variants_restore_bit_for_bit(
-    tmp_path, mode, format, keep_last
-):
+@pytest.mark.parametrize(("mode", "keep_last"), SAVE_VARIANTS)
+def test_federated_save_variants_restore_bit_for_bit(tmp_path, mode, keep_last):
     federated, streams = _build_federation(seeds=(81, 82))
     root = str(tmp_path / "ckpt")
-    save_federated_checkpoint(
-        root, federated, keep_last=keep_last, format=format, mode=mode
-    )
+    save_federated_checkpoint(root, federated, keep_last=keep_last, mode=mode)
     federated.flush_checkpoints()
     _dirty_one_shard(federated.machine("east"), streams[0], 240, 320)
-    save_federated_checkpoint(
-        root, federated, keep_last=keep_last, format=format, mode=mode
-    )
+    save_federated_checkpoint(root, federated, keep_last=keep_last, mode=mode)
     federated.flush_checkpoints()
 
     entry = resolve_checkpoint_dir(root)
@@ -169,21 +160,25 @@ def test_federated_save_variants_restore_bit_for_bit(
     federated.close(), restored.close()
 
 
-def test_delta_restore_matches_sync_full(tmp_path):
+def test_reusing_restore_matches_an_empty_store_save(tmp_path):
+    """A save that re-references blocks restores exactly like a save of
+    the same state into an empty store, which writes every block."""
     monitor, stream = _build_monitor(seed=51)
-    monitor.ingest(stream.values[:, 240:320])
-    full_dir, delta_dir = str(tmp_path / "full"), str(tmp_path / "delta")
-    save_checkpoint(full_dir, monitor, keep_last=2, format="full")
-    info = save_checkpoint(delta_dir, monitor, keep_last=2, format="delta")
-    assert info.format == "delta"
+    reuse_dir, empty_dir = str(tmp_path / "reuse"), str(tmp_path / "empty")
+    save_checkpoint(reuse_dir, monitor, keep_last=2)
+    _dirty_one_shard(monitor, stream, 240, 320)
+    reusing = save_checkpoint(reuse_dir, monitor, keep_last=2)
+    fresh = save_checkpoint(empty_dir, monitor, keep_last=2)
+    assert reusing.shards_reused == monitor.n_shards - 1
+    assert fresh.shards_reused == 0
 
     live = _shard_reprs(monitor)
-    restored_full = load_checkpoint(full_dir, rules=default_rules())
-    restored_delta = load_checkpoint(delta_dir, rules=default_rules())
-    assert _shard_reprs(restored_full) == live
-    assert _shard_reprs(restored_delta) == live
-    assert restored_delta.step == monitor.step
-    monitor.close(), restored_full.close(), restored_delta.close()
+    restored_reuse = load_checkpoint(reuse_dir, rules=default_rules())
+    restored_empty = load_checkpoint(empty_dir, rules=default_rules())
+    assert _shard_reprs(restored_reuse) == live
+    assert _shard_reprs(restored_empty) == live
+    assert restored_reuse.step == monitor.step
+    monitor.close(), restored_reuse.close(), restored_empty.close()
 
 
 def test_second_delta_save_reuses_unchanged_shards(tmp_path):
@@ -232,17 +227,6 @@ def test_async_delta_restore_matches_live(tmp_path):
     monitor.close(), restored.close()
 
 
-def test_async_full_restore_matches_live(tmp_path):
-    monitor, stream = _build_monitor(seed=55)
-    root = str(tmp_path / "ckpt")
-    monitor.ingest(stream.values[:, 240:320])
-    save_checkpoint(root, monitor, keep_last=2, format="full", mode="async")
-    monitor.flush_checkpoints()
-    restored = load_checkpoint(root, rules=default_rules())
-    assert _shard_reprs(restored) == _shard_reprs(monitor)
-    monitor.close(), restored.close()
-
-
 def test_monitor_close_flushes_pending_async_saves(tmp_path):
     monitor, _stream_ = _build_monitor(seed=56)
     root = str(tmp_path / "ckpt")
@@ -269,23 +253,61 @@ def test_async_requires_keep_last(tmp_path):
     monitor.close()
 
 
-def test_full_save_rewrites_every_block_and_seeds_delta_reuse(tmp_path):
-    """"full" is a delta save without reuse: nothing is re-referenced,
-    every block is rewritten, and the stamps it records let the next
-    delta save to the same store reuse everything."""
-    monitor, _stream_ = _build_monitor(seed=72)
+def _block_files(blocks_dir: str) -> dict[str, int]:
+    """Digest -> inode of every block file; a rewrite changes the inode."""
+    store = BlockStore(blocks_dir)
+    return {digest: os.stat(store.path(digest)).st_ino for digest in store.digests()}
+
+
+def test_default_save_reuses_clean_shards(tmp_path):
+    """A save with default arguments re-references the seven clean blocks
+    of an 8-shard fleet and writes the one dirty shard's block."""
+    monitor, stream = _build_monitor(seed=72, racks=8)
+    assert monitor.n_shards == 8
     root = str(tmp_path / "ckpt")
-    first = save_checkpoint(root, monitor, keep_last=2)
-    again = save_checkpoint(root, monitor, keep_last=2)
-    assert first.shards_reused == again.shards_reused == 0
-    assert again.bytes_written == first.bytes_written > 0
-    assert again.bytes_referenced == 0
-    delta = save_checkpoint(root, monitor, keep_last=2, format="delta")
-    assert delta.shards_reused == monitor.n_shards
-    assert delta.bytes_written == 0
+    save_checkpoint(root, monitor, keep_last=2)
+    before = _block_files(os.path.join(root, "blocks"))
+    _dirty_one_shard(monitor, stream, 240, 320)
+    info = save_checkpoint(root, monitor, keep_last=2)
+    after = _block_files(os.path.join(root, "blocks"))
+
+    assert info.shards_reused == 7
+    written = [d for d, inode in after.items() if before.get(d) != inode]
+    assert len(written) == 1
+    store = BlockStore(os.path.join(root, "blocks"))
+    assert info.bytes_written == os.path.getsize(store.path(written[0]))
     restored = load_checkpoint(root, rules=default_rules())
     assert _shard_reprs(restored) == _shard_reprs(monitor)
     monitor.close(), restored.close()
+
+
+def test_default_federated_save_reuses_clean_shards(tmp_path):
+    """The federated saver re-references clean shards by default too."""
+    east, stream = _build_monitor(seed=90, racks=8)
+    federated = FederatedMonitor(
+        MachineRegistry({"east": east}), router=AlertRouter()
+    )
+    root = str(tmp_path / "ckpt")
+    save_federated_checkpoint(root, federated, keep_last=2)
+    before = _block_files(os.path.join(root, "blocks"))
+    assert len(before) == 8
+    _dirty_one_shard(east, stream, 240, 320)
+    save_federated_checkpoint(root, federated, keep_last=2)
+    after = _block_files(os.path.join(root, "blocks"))
+
+    written = [d for d, inode in after.items() if before.get(d) != inode]
+    assert len(written) == 1
+    restored = load_federated_checkpoint(root)
+    assert _federated_reprs(restored) == _federated_reprs(federated)
+    federated.close(), restored.close()
+
+
+def test_save_refuses_the_retired_full_format(tmp_path):
+    monitor, _stream_ = _build_monitor(seed=91)
+    with pytest.raises(ValueError, match="re-references unchanged shards"):
+        save_checkpoint(str(tmp_path / "ckpt"), monitor, keep_last=2, format="full")
+    assert not os.path.exists(tmp_path / "ckpt")
+    monitor.close()
 
 
 def test_sync_save_waits_for_a_pending_async_commit(tmp_path):
@@ -329,7 +351,7 @@ def test_federated_sync_save_waits_for_a_pending_async_commit(tmp_path):
     timer = threading.Timer(0.3, release.set)
     try:
         save_federated_checkpoint(
-            root, federated, keep_last=2, format="delta", mode="async"
+            root, federated, keep_last=2, mode="async"
         )
         federated.ingest(
             {
@@ -532,15 +554,14 @@ def _federated_reprs(federated: FederatedMonitor) -> dict[str, dict[str, str]]:
 def test_federated_delta_round_trip(tmp_path):
     federated, streams = _build_federation()
     root = str(tmp_path / "ckpt")
-    save_federated_checkpoint(root, federated, keep_last=2, format="delta")
+    save_federated_checkpoint(root, federated, keep_last=2)
     federated.ingest(
         {
             "east": streams[0].values[:, 240:320],
             "west": streams[1].values[:, 240:320],
         }
     )
-    info = save_federated_checkpoint(root, federated, keep_last=2, format="delta")
-    assert info.format == "delta"
+    save_federated_checkpoint(root, federated, keep_last=2)
 
     restored = load_federated_checkpoint(root)
     assert _federated_reprs(restored) == _federated_reprs(federated)
@@ -552,7 +573,7 @@ def test_federated_async_delta_flush_and_restore(tmp_path):
     federated, streams = _build_federation(seeds=(65, 66))
     root = str(tmp_path / "ckpt")
     save_federated_checkpoint(
-        root, federated, keep_last=2, format="delta", mode="async"
+        root, federated, keep_last=2, mode="async"
     )
     federated.ingest(
         {
@@ -561,7 +582,7 @@ def test_federated_async_delta_flush_and_restore(tmp_path):
         }
     )
     save_federated_checkpoint(
-        root, federated, keep_last=2, format="delta", mode="async"
+        root, federated, keep_last=2, mode="async"
     )
     federated.flush_checkpoints()
     restored = load_federated_checkpoint(root)
@@ -588,12 +609,96 @@ def test_federated_parallel_save_matches_serial(tmp_path):
 def test_compact_federated_checkpoint(tmp_path):
     federated, streams = _build_federation(seeds=(69, 70))
     root = str(tmp_path / "ckpt")
-    save_federated_checkpoint(root, federated, keep_last=2, format="delta")
+    save_federated_checkpoint(root, federated, keep_last=2)
     live = _federated_reprs(federated)
     compact_federated_checkpoint(root)
     restored = load_federated_checkpoint(root)
     assert _federated_reprs(restored) == live
     federated.close(), restored.close()
+
+
+# --------------------------------------------------------------------------- #
+# One layout per directory
+# --------------------------------------------------------------------------- #
+def test_rotated_save_into_an_in_place_checkpoint_raises(tmp_path):
+    """The root manifest would shadow the rotation entry: a load after the
+    rotated save would silently restore the older in-place state."""
+    monitor, stream = _build_monitor(seed=92)
+    directory = str(tmp_path / "ckpt")
+    save_checkpoint(directory, monitor)
+    monitor.ingest(stream.values[:, 240:320])
+    for mode in ("sync", "async"):
+        with pytest.raises(CheckpointError, match="in-place checkpoint"):
+            save_checkpoint(directory, monitor, keep_last=2, mode=mode)
+    monitor.flush_checkpoints()
+    assert list_checkpoints(directory) == []
+    restored = load_checkpoint(directory)
+    assert restored.step == 240
+    monitor.close(), restored.close()
+
+
+def test_in_place_save_into_a_rotation_root_raises(tmp_path):
+    monitor, stream = _build_monitor(seed=93)
+    root = str(tmp_path / "ckpt")
+    save_checkpoint(root, monitor, keep_last=2)
+    monitor.ingest(stream.values[:, 240:320])
+    with pytest.raises(CheckpointError, match="rotation root"):
+        save_checkpoint(root, monitor)
+    assert not os.path.exists(os.path.join(root, "manifest.json"))
+    restored = load_checkpoint(root)
+    assert restored.step == 240
+    monitor.close(), restored.close()
+
+
+def test_in_place_save_sees_a_pending_async_rotation(tmp_path):
+    """A sync save drains the writer before it checks the layout, so a
+    rotation entry still queued behind a slow commit counts."""
+    monitor, _stream_ = _build_monitor(seed=94)
+    root = str(tmp_path / "ckpt")
+    release = threading.Event()
+    monitor._ensure_checkpoint_writer().submit(
+        lambda: release.wait(10), label="blocker"
+    )
+    timer = threading.Timer(0.3, release.set)
+    try:
+        save_checkpoint(root, monitor, keep_last=2, mode="async")
+        timer.start()
+        with pytest.raises(CheckpointError, match="rotation root"):
+            save_checkpoint(root, monitor)
+    finally:
+        timer.cancel()
+        release.set()
+    monitor.flush_checkpoints()
+    assert [entry.step for entry in list_checkpoints(root)] == [240]
+    assert not os.path.exists(os.path.join(root, "manifest.json"))
+    monitor.close()
+
+
+def test_federated_saves_refuse_mixed_layouts(tmp_path):
+    federated, streams = _build_federation(seeds=(95, 96))
+    in_place, rotated = str(tmp_path / "in_place"), str(tmp_path / "rotated")
+    save_federated_checkpoint(in_place, federated)
+    save_federated_checkpoint(rotated, federated, keep_last=2)
+    step = federated.step
+    federated.ingest(
+        {
+            "east": streams[0].values[:, 240:320],
+            "west": streams[1].values[:, 240:320],
+        }
+    )
+    for mode in ("sync", "async"):
+        with pytest.raises(CheckpointError, match="in-place checkpoint"):
+            save_federated_checkpoint(in_place, federated, keep_last=2, mode=mode)
+    with pytest.raises(CheckpointError, match="rotation root"):
+        save_federated_checkpoint(rotated, federated)
+    federated.flush_checkpoints()
+    assert list_checkpoints(in_place) == []
+    assert not os.path.exists(os.path.join(rotated, "manifest.json"))
+    for directory in (in_place, rotated):
+        restored = load_federated_checkpoint(directory)
+        assert restored.step == step
+        restored.close()
+    federated.close()
 
 
 # --------------------------------------------------------------------------- #
