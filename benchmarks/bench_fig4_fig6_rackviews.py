@@ -12,7 +12,10 @@ Paper content:
 
 The benchmarks time the z-score mapping + SVG generation and assert the
 figure-level findings (hot nodes flagged, error overlay disjoint from the
-hot set in case 1, hot window redder than cool window in case 2).
+hot set in case 1, hot window redder than cool window in case 2).  Every
+SVG is also checked byte for byte against the per-cell oracle renderer
+(``tests/reference_viz.py``), on the figure's own inputs plus a variant
+with missing (NaN) and secondary-outlined nodes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,19 @@ from repro.pipeline import (
 from repro.viz import RackLayout, RackView
 
 from conftest import scaled
+from reference_viz import reference_render_svg, reference_values_array
+
+
+def assert_matches_oracle(view, values, svg, **kwargs):
+    """``svg`` is the oracle's rendering of ``values``; so is a variant
+    with every fifth node missing and the first nodes secondary-outlined."""
+    assert svg == reference_render_svg(view, values, **kwargs)
+    dense = reference_values_array(view, values)
+    dense[::5] = np.nan
+    variant = dict(kwargs, secondary_outlined_nodes=list(range(0, 40, 3)))
+    assert view.render_svg(dense, **variant) == reference_render_svg(
+        view, dense, **variant
+    )
 
 
 def test_fig2_node_down_rack_view(benchmark):
@@ -43,11 +59,12 @@ def test_fig2_node_down_rack_view(benchmark):
     view = RackView(layout, title="Polaris node down hours")
     hours = hwlog.downtime_hours(machine.n_nodes, machine.dt_seconds)
 
+    values = {i: float(h) for i, h in enumerate(hours)}
     svg = benchmark.pedantic(
-        lambda: view.render_svg({i: float(h) for i, h in enumerate(hours)}),
-        rounds=3, iterations=1, warmup_rounds=0,
+        lambda: view.render_svg(values), rounds=3, iterations=1, warmup_rounds=0,
     )
     assert svg.count("<rect") >= machine.n_nodes
+    assert_matches_oracle(view, values, svg)
     benchmark.extra_info["n_nodes"] = machine.n_nodes
     benchmark.extra_info["total_down_hours"] = round(float(hours.sum()), 1)
 
@@ -90,6 +107,9 @@ def test_fig4_case1_rack_view(benchmark, case1_view_inputs):
     overlap = len(detected_hot & set(int(n) for n in memory_nodes))
     assert overlap <= 0.5 * max(len(detected_hot), 1)
     assert svg.count("<rect") >= scenario.machine.n_nodes
+    assert_matches_oracle(
+        view, node_scores.as_dict(), svg, outlined_nodes=[int(n) for n in memory_nodes]
+    )
     benchmark.extra_info["hot_nodes_detected"] = len(detected_hot)
     benchmark.extra_info["memory_error_nodes"] = int(memory_nodes.size)
     benchmark.extra_info["overlap"] = overlap
@@ -112,18 +132,24 @@ def test_fig6_case2_window_rack_views(benchmark):
     def run():
         fractions = []
         svgs = []
+        values = []
         for window, band in zip(((0, half), (half, stream.n_timesteps)),
                                 scenario.window_baselines):
             data = recon[:, window[0]:window[1]]
             model = BaselineModel.from_data(data, BaselineSpec(value_range=band))
             node_scores = map_zscores_to_nodes(model.score(data), stream.node_indices)
-            svgs.append(view.render_svg(node_scores.as_dict()))
+            values.append(node_scores.as_dict())
+            svgs.append(view.render_svg(values[-1]))
             fractions.append(float(np.mean(node_scores.zscores > 2.0)))
-        return fractions, svgs
+        return fractions, svgs, values
 
-    fractions, svgs = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    fractions, svgs, values = benchmark.pedantic(
+        run, rounds=1, iterations=1, warmup_rounds=0
+    )
     # The hot window shows far more above-baseline nodes than the cool one.
     assert fractions[0] > fractions[1]
     assert all(svg.count("<rect") >= scenario.machine.n_nodes for svg in svgs)
+    for window_values, svg in zip(values, svgs):
+        assert_matches_oracle(view, window_values, svg)
     benchmark.extra_info["fraction_hot_window_above_2"] = round(fractions[0], 3)
     benchmark.extra_info["fraction_cool_window_above_2"] = round(fractions[1], 3)

@@ -3,7 +3,7 @@
 from .correlate import CorrelationReport, correlate_with_hardware, correlate_with_jobs
 from .report import AlignmentReport, build_alignment_report
 from .timeline import Timeline, bin_events, event_presence_matrix, job_activity_matrix
-from .zscore_map import NodeZScores, map_zscores_to_nodes
+from .zscore_map import NodeZScores, map_zscores_to_nodes, reduce_by_node
 
 __all__ = [
     "CorrelationReport",
@@ -17,4 +17,5 @@ __all__ = [
     "job_activity_matrix",
     "NodeZScores",
     "map_zscores_to_nodes",
+    "reduce_by_node",
 ]

@@ -14,7 +14,9 @@ import numpy as np
 
 from ..core.baseline import ZScoreCategory, ZScoreResult, classify_zscores
 
-__all__ = ["NodeZScores", "map_zscores_to_nodes"]
+__all__ = ["NodeZScores", "map_zscores_to_nodes", "reduce_by_node"]
+
+_REDUCERS = ("mean", "max", "absmax")
 
 
 @dataclass
@@ -84,21 +86,50 @@ def map_zscores_to_nodes(
     near = result.near if near is None else near
     extreme = result.extreme if extreme is None else extreme
 
-    unique_nodes = np.unique(node_of_row)
-    aggregated = np.zeros(unique_nodes.size, dtype=float)
-    for i, node in enumerate(unique_nodes):
-        rows = result.zscores[node_of_row == node]
-        if reducer == "mean":
-            aggregated[i] = rows.mean()
-        elif reducer == "max":
-            aggregated[i] = rows.max()
-        elif reducer == "absmax":
-            aggregated[i] = rows[np.argmax(np.abs(rows))]
-        else:
-            raise ValueError(f"unknown reducer {reducer!r}")
+    unique_nodes, aggregated = reduce_by_node(node_of_row, result.zscores, reducer)
     categories = classify_zscores(aggregated, near=near, extreme=extreme)
     return NodeZScores(
         node_indices=unique_nodes,
         zscores=aggregated,
         categories=categories,
     )
+
+
+def reduce_by_node(
+    nodes: np.ndarray, values: np.ndarray, reducer: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse ``values`` onto their ``nodes`` with one segment reduce.
+
+    Returns ``(unique_nodes, reduced)``: the sorted distinct nodes and one
+    value per node.  ``reducer`` is ``"mean"``, ``"max"`` (NaN propagates)
+    or ``"absmax"`` (the value of largest magnitude, keeping its sign; the
+    first such value in input order wins a tie, and a NaN value wins over
+    any number, as ``np.argmax`` would pick it).
+
+    The rows of one node are combined in input order, so ``"max"`` and
+    ``"absmax"`` equal a per-node loop exactly.  ``"mean"`` sums with
+    ``np.bincount``, a sequential sum: it equals ``rows.mean()`` bit for
+    bit for 1-7 rows per node, and within ``rtol=1e-12`` from 8 rows on,
+    where ``ndarray.mean`` switches to pairwise summation.
+    """
+    if reducer not in _REDUCERS:
+        raise ValueError(f"unknown reducer {reducer!r}")
+    nodes = np.asarray(nodes, dtype=int)
+    values = np.asarray(values, dtype=float)
+    unique, inverse = np.unique(nodes, return_inverse=True)
+    if reducer == "mean":
+        sums = np.bincount(inverse, weights=values, minlength=unique.size)
+        return unique, sums / np.bincount(inverse, minlength=unique.size)
+    if unique.size == 0:
+        return unique, np.zeros(0, dtype=float)
+    order = np.argsort(inverse, kind="stable")
+    segment = inverse[order]
+    ordered = values[order]
+    starts = np.flatnonzero(np.diff(segment, prepend=-1))
+    if reducer == "max":
+        return unique, np.maximum.reduceat(ordered, starts)
+    magnitude = np.abs(ordered)
+    peak = np.maximum.reduceat(magnitude, starts)
+    hits = np.flatnonzero((magnitude == peak[segment]) | np.isnan(magnitude))
+    first = hits[np.diff(segment[hits], prepend=-1) != 0]
+    return unique, ordered[first]

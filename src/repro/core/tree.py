@@ -300,16 +300,28 @@ class MrDMDTree:
         # re-concatenating every node's mode arrays.
         self._mode_table_cache: ModeTable | None = None
         self._mode_table_revision: int = -1
+        # Each node's level-independent mode_table rows, parallel to
+        # _nodes and filled on first use (see _node_rows): a rebuild after
+        # an ingest computes only the new nodes' spectra.
+        self._node_row_cache: list[tuple | None] = []
 
     # ------------------------------------------------------------------ #
-    # Pickling: the memoised mode table is derived state — drop it so
-    # process-pool payloads and checkpoints stay compact.
+    # Pickling: the memoised mode tables are derived state — leave them
+    # out so process-pool payloads and checkpoints stay compact.
     # ------------------------------------------------------------------ #
+    _DERIVED = ("_mode_table_cache", "_mode_table_revision", "_node_row_cache")
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_mode_table_cache"] = None
-        state["_mode_table_revision"] = -1
+        for key in self._DERIVED:
+            state.pop(key, None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._mode_table_cache = None
+        self._mode_table_revision = -1
+        self._node_row_cache = [None] * len(self._nodes)
 
     def _reindex(self) -> None:
         """Rebuild the per-node index after nodes were removed."""
@@ -370,6 +382,7 @@ class MrDMDTree:
                 )
             )
         self._nodes.append(node)
+        self._node_row_cache.append(None)
         self._bounds.append(np.array(node.contribution_window, dtype=np.int64))
         self._total_modes += node.n_modes
         self._revision += 1
@@ -441,7 +454,9 @@ class MrDMDTree:
 
     def replace_level(self, level: int, new_nodes: list[MrDMDNode]) -> None:
         """Drop all nodes at ``level`` and insert ``new_nodes`` instead."""
-        self._nodes = [n for n in self._nodes if n.level != level]
+        keep = [i for i, n in enumerate(self._nodes) if n.level != level]
+        self._nodes = [self._nodes[i] for i in keep]
+        self._node_row_cache = [self._node_row_cache[i] for i in keep]
         self._reindex()
         self._revision += 1
         self._reset_revision = self._revision
@@ -492,28 +507,30 @@ class MrDMDTree:
         self._mode_table_revision = self._revision
         return table
 
+    def _node_rows(self, index: int) -> tuple:
+        """Node ``index``'s level-independent mode_table rows, memoised:
+        ``(frequencies, power, growth_rates, |amplitudes|, modes.T)``.
+
+        Everything here is fixed once the node is added; its level is not
+        (:meth:`shift_levels`), so levels are read at build time.
+        """
+        rows = self._node_row_cache[index]
+        if rows is None:
+            node = self._nodes[index]
+            omega = node.omega
+            rows = (
+                np.abs(omega.imag) / (2.0 * np.pi),
+                node.power,
+                omega.real,
+                np.abs(node.amplitudes),
+                node.modes.T,
+            )
+            self._node_row_cache[index] = rows
+        return rows
+
     def _build_mode_table(self) -> ModeTable:
-        freqs, power, growth, amps = [], [], [], []
-        levels, bins, node_ids, vectors = [], [], [], []
-        for node_id, node in enumerate(self._nodes):
-            m = node.n_modes
-            if m == 0:
-                continue
-            freqs.append(node.frequencies)
-            power.append(node.power)
-            growth.append(node.growth_rates)
-            amps.append(np.abs(node.amplitudes))
-            levels.append(np.full(m, node.level, dtype=int))
-            bins.append(np.full(m, node.bin_index, dtype=int))
-            node_ids.append(np.full(m, node_id, dtype=int))
-            if node.n_features < self.n_features:
-                # Pre-topology-event node: zero-extend to the grown width.
-                padded = np.zeros((m, self.n_features), dtype=complex)
-                padded[:, : node.n_features] = node.modes.T
-                vectors.append(padded)
-            else:
-                vectors.append(node.modes.T)
-        if not freqs:
+        present = [i for i, node in enumerate(self._nodes) if node.n_modes]
+        if not present:
             empty_f = np.zeros(0, dtype=float)
             empty_i = np.zeros(0, dtype=int)
             return ModeTable(
@@ -526,14 +543,27 @@ class MrDMDTree:
                 node_ids=empty_i.copy(),
                 mode_vectors=np.zeros((0, self.n_features), dtype=complex),
             )
+        nodes = [self._nodes[i] for i in present]
+        counts = [node.n_modes for node in nodes]
+        freqs, power, growth, amps, vectors = zip(
+            *(self._node_rows(i) for i in present)
+        )
+        # Pre-topology-event nodes are narrower: zero-extend to the width.
+        vectors = [
+            v if v.shape[1] == self.n_features
+            else np.pad(v, ((0, 0), (0, self.n_features - v.shape[1])))
+            for v in vectors
+        ]
         return ModeTable(
             frequencies=np.concatenate(freqs),
             power=np.concatenate(power),
             growth_rates=np.concatenate(growth),
             amplitudes=np.concatenate(amps),
-            levels=np.concatenate(levels),
-            bin_indices=np.concatenate(bins),
-            node_ids=np.concatenate(node_ids),
+            levels=np.repeat(np.array([n.level for n in nodes], dtype=int), counts),
+            bin_indices=np.repeat(
+                np.array([n.bin_index for n in nodes], dtype=int), counts
+            ),
+            node_ids=np.repeat(np.array(present, dtype=int), counts),
             mode_vectors=np.vstack(vectors),
         )
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..align.zscore_map import NodeZScores
+from ..align.zscore_map import NodeZScores, reduce_by_node
 from ..core.baseline import classify_zscores
 from ..core.imrdmd import TopologyChange
 from ..core.spectrum import MrDMDSpectrum
@@ -1609,30 +1609,33 @@ class FleetMonitor:
         """Aggregate per-shard node scores into one fleet-level set.
 
         Shards absent from ``per_shard`` (not yet fitted, or outside the
-        scored window) simply contribute nothing.
+        scored window) simply contribute nothing.  A node scored by several
+        shards (metric sharding) is reduced over its shards in
+        ``self.shards`` order.
         """
-        per_node: dict[int, list[float]] = {}
-        for spec in self.shards:
-            shard_scores = per_shard.get(spec.shard_id)
-            if shard_scores is None:
-                continue
-            for node, z in zip(shard_scores.node_indices, shard_scores.zscores):
-                per_node.setdefault(int(node), []).append(float(z))
-        nodes = np.array(sorted(per_node), dtype=int)
-        merged = np.empty(nodes.size, dtype=float)
-        for i, node in enumerate(nodes):
-            samples = np.asarray(per_node[int(node)], dtype=float)
-            if reducer == "mean":
-                merged[i] = samples.mean()
-            elif reducer == "max":
-                merged[i] = samples.max()
-            elif reducer == "absmax":
-                merged[i] = samples[np.argmax(np.abs(samples))]
-            else:
-                raise ValueError(f"unknown reducer {reducer!r}")
+        t_start = now() if OBS.enabled else 0.0
+        present = [
+            per_shard[spec.shard_id] for spec in self.shards if spec.shard_id in per_shard
+        ]
+        empty = [np.zeros(0)]
+        nodes, merged = reduce_by_node(
+            np.concatenate([s.node_indices for s in present] or empty),
+            np.concatenate([s.zscores for s in present] or empty),
+            reducer,
+        )
         categories = classify_zscores(
             merged, near=self.config.zscore_near, extreme=self.config.zscore_extreme
         )
+        if OBS.enabled:
+            # A trace event under the open span (the round); a read outside
+            # any span — a federated worker answering a query — could never
+            # chain onto the merged timeline, so it feeds only the span
+            # histogram, as executor.task does.
+            if OBS.tracer.current_span_id() is None:
+                OBS.observe("span.service.merge_node_scores", now() - t_start)
+            else:
+                OBS.record("service.merge_node_scores", now() - t_start,
+                           shards=len(present))
         return NodeZScores(node_indices=nodes, zscores=merged, categories=categories)
 
     def node_zscores(

@@ -5,7 +5,10 @@ The paper colours node z-scores with the **Turbo** map used divergingly
 red hues showing more positive z-scores", Sec. V).  Turbo is implemented
 with Google's published polynomial approximation so no plotting library is
 required; values are mapped to ``#rrggbb`` strings for the SVG renderer and
-to a small palette of glyphs for the ASCII renderer.
+to a small palette of glyphs for the ASCII renderer.  Both mappings take a
+whole vector at once (:meth:`DivergingTurbo.hex_array`,
+:meth:`DivergingTurbo.glyph_array`): a rack view colours every node with
+one polynomial pass instead of one per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["turbo_rgb", "to_hex", "DivergingTurbo"]
+
+#: ``"%02x"`` of every 8-bit channel value, indexed by the value.
+_HEX_BYTE = [f"{i:02x}" for i in range(256)]
+#: A channel scaled to ``[0, 255]`` this close to a ``k + 0.5`` rounding
+#: edge is recomputed on the scalar path.  NumPy's SIMD ``power`` over an
+#: array and the C library's ``pow`` on a scalar differ in the last bits
+#: (up to ~1e-11 after scaling by 255), which would otherwise move a
+#: channel across the edge and change a colour.
+_EDGE_MARGIN = 1e-8
 
 
 # Coefficients of Google's 5th-order polynomial approximation of Turbo
@@ -74,23 +86,61 @@ class DivergingTurbo:
         """RGB triples for raw (un-normalised) values."""
         return turbo_rgb(self.normalize(values))
 
+    def hex_array(
+        self, values: np.ndarray | list[float], *, missing: str | None = None
+    ) -> list[str]:
+        """``#rrggbb`` colours for raw values, one per element.
+
+        One Turbo pass over the whole vector, then an 8-bit lookup; every
+        colour equals the one the scalar chain
+        ``to_hex(turbo_rgb(float(self.normalize(v))))`` gives, and ``+inf``
+        / ``-inf`` saturate like values beyond the limit.  NaN maps to
+        ``missing`` when given; without it a NaN raises ``ValueError``
+        (it has no colour).
+        """
+        v = np.asarray(values, dtype=float).ravel()
+        nan = np.isnan(v)
+        if missing is None and nan.any():
+            raise ValueError(
+                "cannot colour NaN values; pass missing= for their colour"
+            )
+        x = self.normalize(np.where(nan, 0.0, v))
+        scaled = turbo_rgb(x) * 255
+        codes = np.rint(scaled).astype(np.intp)
+        near_edge = np.abs(scaled - np.floor(scaled) - 0.5) < _EDGE_MARGIN
+        for i in np.flatnonzero(near_edge.any(axis=1)).tolist():
+            codes[i] = np.rint(turbo_rgb(float(x[i])) * 255)
+        out = [
+            f"#{_HEX_BYTE[r]}{_HEX_BYTE[g]}{_HEX_BYTE[b]}"
+            for r, g, b in codes.tolist()
+        ]
+        for i in np.flatnonzero(nan).tolist():
+            out[i] = missing
+        return out
+
     def hex(self, value: float) -> str:
-        """``#rrggbb`` colour for one raw value."""
-        return to_hex(turbo_rgb(float(self.normalize(value))))
+        """``#rrggbb`` colour for one raw value (see :meth:`hex_array`)."""
+        return self.hex_array([value])[0]
+
+    def glyph_array(self, values: np.ndarray | list[float]) -> np.ndarray:
+        """Single-character glyphs for ASCII rendering, one per element.
+
+        ``.`` near baseline (and for NaN), ``-``/``=`` cool, ``+``/``#``
+        hot, matching the sign convention of the colour scale; every
+        threshold is strict.
+        """
+        v = np.asarray(values, dtype=float).ravel()
+        return np.select(
+            [
+                v > self.limit * 0.4,
+                v > self.limit * 0.2,
+                v < -self.limit * 0.4,
+                v < -self.limit * 0.2,
+            ],
+            ["#", "+", "=", "-"],
+            default=".",
+        )
 
     def glyph(self, value: float) -> str:
-        """Single-character glyph for ASCII rendering.
-
-        ``.`` near baseline, ``-``/``=`` cool, ``+``/``#`` hot, matching the
-        sign convention of the colour scale.
-        """
-        v = float(value)
-        if v > self.limit * 0.4:
-            return "#"
-        if v > self.limit * 0.2:
-            return "+"
-        if v < -self.limit * 0.4:
-            return "="
-        if v < -self.limit * 0.2:
-            return "-"
-        return "."
+        """Glyph for one raw value (see :meth:`glyph_array`)."""
+        return str(self.glyph_array([value])[0])

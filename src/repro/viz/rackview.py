@@ -12,6 +12,7 @@ browser, and a compact ASCII rendering for terminals and tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -52,9 +53,10 @@ class RackView:
         n = self.layout.n_nodes
         out = np.full(n, np.nan)
         if isinstance(values, Mapping):
-            for node, value in values.items():
-                if 0 <= int(node) < n:
-                    out[int(node)] = float(value)
+            nodes = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
+            vals = np.fromiter(values.values(), dtype=float, count=len(values))
+            keep = (nodes >= 0) & (nodes < n)
+            out[nodes[keep]] = vals[keep]
         else:
             arr = np.asarray(values, dtype=float)
             if arr.ndim != 1:
@@ -99,12 +101,10 @@ class RackView:
         outline_set = {int(n) for n in outlined_nodes}
         secondary_set = {int(n) for n in secondary_outlined_nodes}
 
+        fills = self.colormap.hex_array(vals, missing=missing_color)
+        cells = vals.tolist()
         for geom in self.layout.geometries:
-            value = vals[geom.index]
-            if np.isnan(value):
-                fill = missing_color
-            else:
-                fill = self.colormap.hex(value)
+            value = cells[geom.index]
             stroke, stroke_width = "#ffffff", 0.3
             if geom.index in outline_set:
                 stroke, stroke_width = "#cc0000", 1.6
@@ -115,13 +115,13 @@ class RackView:
                 if node_names is not None and geom.index < len(node_names)
                 else f"node {geom.index}"
             )
-            title = f"{name}: {value:.2f}" if not np.isnan(value) else f"{name}: n/a"
+            title = f"{name}: n/a" if math.isnan(value) else f"{name}: {value:.2f}"
             canvas.rect(
                 margin + geom.x * scale,
                 20 + margin + geom.y * scale,
                 geom.width * scale,
                 geom.height * scale,
-                fill=fill,
+                fill=fills[geom.index],
                 stroke=stroke,
                 stroke_width=stroke_width,
                 title=title,
@@ -135,15 +135,17 @@ class RackView:
         x0 = margin
         y0 = canvas.height - bar_height - 4
         steps = 24
-        for i in range(steps):
-            frac = i / (steps - 1)
-            value = -self.colormap.limit + 2 * self.colormap.limit * frac
+        limit = self.colormap.limit
+        fills = self.colormap.hex_array(
+            [-limit + 2 * limit * (i / (steps - 1)) for i in range(steps)]
+        )
+        for i, fill in enumerate(fills):
             canvas.rect(
                 x0 + i * bar_width / steps,
                 y0,
                 bar_width / steps + 0.5,
                 bar_height,
-                fill=self.colormap.hex(value),
+                fill=fill,
                 stroke="none",
             )
         canvas.text(x0, y0 - 2, f"-{self.colormap.limit:g}", size=8.0)
@@ -180,16 +182,12 @@ class RackView:
         n_cols = int(np.ceil(width)) + 1
         n_rows = int(np.ceil(height)) + 1
         grid = np.full((n_rows, n_cols), " ", dtype="<U1")
+        glyphs = self.colormap.glyph_array(vals)
+        glyphs[np.isnan(vals)] = "?"
         for geom in self.layout.geometries:
             col = int(round(geom.x))
             row = int(round(geom.y))
             if not (0 <= row < n_rows and 0 <= col < n_cols):
                 continue
-            if geom.index in outline_set:
-                glyph = "!"
-            elif np.isnan(vals[geom.index]):
-                glyph = "?"
-            else:
-                glyph = self.colormap.glyph(vals[geom.index])
-            grid[row, col] = glyph
+            grid[row, col] = "!" if geom.index in outline_set else glyphs[geom.index]
         return "\n".join("".join(row).rstrip() for row in grid)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.align import (
     Timeline,
@@ -14,10 +16,13 @@ from repro.align import (
     event_presence_matrix,
     job_activity_matrix,
     map_zscores_to_nodes,
+    reduce_by_node,
 )
 from repro.core.baseline import BaselineModel, BaselineSpec, ZScoreCategory
 from repro.hwlog import HardwareEvent, HardwareEventType, HardwareLog
 from repro.joblog import JobLog, JobRecord
+
+from reference_viz import reference_reduce
 
 
 class TestTimeline:
@@ -133,6 +138,76 @@ class TestZScoreMapping:
         ).score(np.ones((3, 5)) * 50)
         with pytest.raises(ValueError):
             map_zscores_to_nodes(scores, np.arange(2))
+
+
+REDUCERS = ("mean", "max", "absmax")
+
+#: Row values drawn from a small pool so ties in |z| (3 vs -3, repeats)
+#: and NaN/inf rows are common.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 3.0, -3.0, 1.5, -1.5, np.nan, np.inf, -np.inf]),
+    st.floats(-10, 10, allow_nan=False),
+)
+
+
+@st.composite
+def _rows(draw, max_per_node):
+    """Node ids (each used 1..max_per_node times, in shuffled order) and
+    one value per row."""
+    counts = draw(st.lists(st.integers(1, max_per_node), max_size=12))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=len(counts),
+                        max_size=len(counts), unique=True))
+    nodes = [node for node, count in zip(ids, counts) for _ in range(count)]
+    nodes = draw(st.permutations(nodes))
+    values = draw(st.lists(_VALUES, min_size=len(nodes), max_size=len(nodes)))
+    return np.array(nodes, dtype=int), np.array(values, dtype=float)
+
+
+class TestReduceByNode:
+    """The segment reduce against the per-node loop it replaced."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=_rows(max_per_node=7), reducer=st.sampled_from(REDUCERS))
+    def test_exact_for_up_to_seven_rows_per_node(self, rows, reducer):
+        nodes, values = rows
+        got_nodes, got = reduce_by_node(nodes, values, reducer)
+        want_nodes, want = reference_reduce(nodes, values, reducer)
+        assert np.array_equal(got_nodes, want_nodes)
+        assert got.dtype == want.dtype == float
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=_rows(max_per_node=40), reducer=st.sampled_from(REDUCERS))
+    def test_mean_within_rtol_from_eight_rows(self, rows, reducer):
+        nodes, values = rows
+        got_nodes, got = reduce_by_node(nodes, values, reducer)
+        want_nodes, want = reference_reduce(nodes, values, reducer)
+        assert np.array_equal(got_nodes, want_nodes)
+        if reducer == "mean":
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_ties_keep_the_first_row_and_nan_wins(self):
+        nodes = np.array([4, 4, 2, 2, 2, 9, 9, 9])
+        values = np.array([-3.0, 3.0, 1.0, np.nan, -5.0, 2.0, -2.0, 0.5])
+        got_nodes, got = reduce_by_node(nodes, values, "absmax")
+        assert got_nodes.tolist() == [2, 4, 9]
+        assert np.isnan(got[0]) and got[1:].tolist() == [-3.0, 2.0]
+        _, peak = reduce_by_node(nodes, values, "max")
+        assert np.isnan(peak[0]) and peak[1:].tolist() == [3.0, 2.0]
+
+    @pytest.mark.parametrize("reducer", REDUCERS)
+    def test_empty_input(self, reducer):
+        nodes, values = reduce_by_node(np.zeros(0, dtype=int), np.zeros(0), reducer)
+        assert nodes.size == 0 and values.size == 0
+        assert nodes.dtype == int and values.dtype == float
+
+    def test_unknown_reducer(self):
+        with pytest.raises(ValueError, match="unknown reducer"):
+            reduce_by_node(np.zeros(0, dtype=int), np.zeros(0), "median")
 
 
 class TestCorrelation:

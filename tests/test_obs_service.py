@@ -154,6 +154,30 @@ def test_disabled_provider_leaves_no_trace_and_same_results(fleet_stream):
     assert products["snapshots"][0] == disabled_snapshots[0]
 
 
+def test_merge_is_a_named_layer_of_the_round_and_the_read(fleet_stream):
+    """The fleet merge of per-shard node scores is its own layer: a span
+    nested in the alerting round, and a span-histogram sample for every
+    node_zscores read (a read outside any span stays out of the trace)."""
+    obs.enable()
+    monitor = FleetMonitor.from_stream(
+        fleet_stream,
+        policy=RackSharding(),
+        config=CONFIG,
+        alert_engine=AlertEngine(rules=default_rules()),
+    )
+    monitor.ingest(fleet_stream.values[:, :240])
+    monitor.ingest_and_alert(fleet_stream.values[:, 240:320], window=150)
+    monitor.rack_values(time_range=(170, 320))
+    events = OBS.ring.events
+    by_id = {event["span_id"]: event for event in events}
+    merges = [e for e in events if e["name"] == "service.merge_node_scores"]
+    assert len(merges) == 1
+    assert by_id[merges[0]["parent_id"]]["name"] == "service.ingest_and_alert"
+    assert OBS.metrics.totals()["span.service.merge_node_scores.count"] == 2
+    digest = obs.report.summarize(OBS.metrics)
+    assert "service.merge_node_scores" in {s["span"] for s in digest["spans"]}
+
+
 def test_ingest_stats_expose_padded_rows(fleet_stream):
     """Satellite fix: rows actually received by nan-padded shards are
     visible both on the snapshot and as a per-shard gauge."""

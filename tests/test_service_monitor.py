@@ -8,7 +8,12 @@ import os
 import numpy as np
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.align import NodeZScores
 from repro.core import MrDMDConfig
+from repro.core.baseline import classify_zscores
 from repro.pipeline import OnlineAnalysisPipeline, PipelineConfig
 from repro.service import (
     FleetMonitor,
@@ -21,6 +26,8 @@ from repro.service import (
 from repro.service.checkpoint import MANIFEST_NAME
 from repro.service.scenarios import quiet_fleet
 from repro.telemetry import HotNodes, TelemetryGenerator
+
+from reference_viz import reference_merge
 
 
 CONFIG = PipelineConfig(
@@ -112,6 +119,67 @@ def test_metric_sharding_merges_duplicate_nodes(fleet_stream):
     scores = monitor.node_zscores()
     assert scores.node_indices.size == stream.machine.n_nodes
     assert np.unique(scores.node_indices).size == scores.node_indices.size
+
+
+@pytest.fixture(scope="module")
+def metric_monitor():
+    """An unfitted metric-sharded monitor: its merge reads only the shard
+    order and the thresholds."""
+    scenario = quiet_fleet()
+    generator = TelemetryGenerator(scenario.machine, seed=5, utilization_target=0.3)
+    stream = generator.generate(
+        8, sensors=["cpu_temp", "node_power", "water_temp", "vccp_voltage"]
+    )
+    return FleetMonitor.from_stream(stream, policy=MetricSharding(), config=CONFIG)
+
+
+@st.composite
+def _per_shard(draw, shard_ids):
+    """Random per-shard node scores over a small node pool (so nodes
+    repeat across shards), ties in |z| and NaN included; any subset of
+    shards may be missing, and dict order is shuffled."""
+    present = draw(st.permutations(shard_ids))
+    present = present[: draw(st.integers(0, len(present)))]
+    values = st.one_of(
+        st.sampled_from([2.0, -2.0, 0.0, np.nan]), st.floats(-9, 9, allow_nan=False)
+    )
+    out = {}
+    for shard_id in present:
+        nodes = sorted(draw(st.sets(st.integers(0, 12), max_size=8)))
+        z = np.array(draw(st.lists(values, min_size=len(nodes), max_size=len(nodes))))
+        out[shard_id] = NodeZScores(
+            node_indices=np.array(nodes, dtype=int),
+            zscores=z,
+            categories=classify_zscores(z),
+        )
+    return out
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data(), reducer=st.sampled_from(["mean", "max", "absmax"]))
+def test_merge_matches_the_per_node_loop(metric_monitor, data, reducer):
+    shard_ids = [spec.shard_id for spec in metric_monitor.shards]
+    per_shard = data.draw(_per_shard(shard_ids))
+    merged = metric_monitor._merge_node_scores(per_shard, reducer)
+    nodes, values = reference_merge(shard_ids, per_shard, reducer)
+    assert np.array_equal(merged.node_indices, nodes)
+    assert merged.zscores.tobytes() == values.tobytes()
+    assert list(merged.categories) == list(
+        classify_zscores(
+            values,
+            near=metric_monitor.config.zscore_near,
+            extreme=metric_monitor.config.zscore_extreme,
+        )
+    )
+
+
+def test_merge_of_no_shards_is_empty(metric_monitor):
+    merged = metric_monitor._merge_node_scores({}, "mean")
+    assert merged.node_indices.size == 0 and merged.zscores.size == 0
+    assert merged.node_indices.dtype == int and merged.zscores.dtype == float
+    assert merged.as_dict() == {}
 
 
 def test_ingest_rejects_bad_shapes(rack_monitor):

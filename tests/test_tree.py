@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core import IncrementalMrDMD
 from repro.core.tree import ModeTable, MrDMDNode, MrDMDTree
+
+from helpers import make_multiscale_signal
+from reference_viz import reference_mode_table
 
 
 def make_node(
@@ -253,6 +259,63 @@ class TestModeTableAndReconstruction:
         tree.add(make_node(level=1, n_snapshots=100))
         recon = tree.reconstruct(40)
         assert recon.shape == (4, 40)
+
+
+def assert_tables_identical(got: ModeTable, want: ModeTable) -> None:
+    for name in ModeTable.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+class TestMemoisedModeTable:
+    """mode_table() memoises each node's rows; the uncached builder is
+    the oracle across every structural edit."""
+
+    def test_every_edit_matches_the_uncached_builder(self):
+        tree = MrDMDTree(dt=1.0, n_features=4)
+        assert_tables_identical(tree.mode_table(), reference_mode_table(tree))
+        steps = [
+            lambda t: t.add(make_node(level=1, n_modes=2)),
+            lambda t: t.add(make_node(level=2, n_modes=0)),
+            lambda t: t.add(make_node(level=2, bin_index=1, start=50, n_modes=3)),
+            lambda t: t.shift_levels(1),
+            lambda t: t.add_features(2),
+            lambda t: t.add(make_node(level=1, n_features=6, n_modes=1)),
+            lambda t: t.replace_level(3, [make_node(level=3, bin_index=4, n_features=5)]),
+            lambda t: t.shift_levels(2),
+            lambda t: t.add(make_node(level=1, bin_index=7, n_features=6, n_modes=4)),
+        ]
+        for step in steps:
+            tree.mode_table()  # warm the memo before the edit
+            step(tree)
+            assert_tables_identical(tree.mode_table(), reference_mode_table(tree))
+
+    def test_streaming_model_matches_the_uncached_builder(self):
+        data, dt = make_multiscale_signal(n_sensors=8, n_timesteps=960)
+        model = IncrementalMrDMD(dt=dt, max_levels=4)
+        model.fit(data[:, :480])
+        for lo in range(480, 960, 120):
+            model.partial_fit(data[:, lo : lo + 120])
+            if lo == 600:
+                model.add_rows(2)
+                data = np.vstack([data, data[:2]])
+            assert_tables_identical(
+                model.tree.mode_table(), reference_mode_table(model.tree)
+            )
+
+    def test_memo_is_not_pickled(self):
+        tree = MrDMDTree(dt=1.0, n_features=4)
+        tree.add(make_node(level=1, n_modes=3))
+        cold = pickle.dumps(tree)
+        tree.mode_table()
+        warm = pickle.dumps(tree)
+        assert warm == cold
+        restored = pickle.loads(warm)
+        assert_tables_identical(restored.mode_table(), reference_mode_table(tree))
+        restored.add(make_node(level=2, n_modes=2))
+        assert_tables_identical(restored.mode_table(), reference_mode_table(restored))
+        assert "_node_row_cache" not in tree.to_dict()
 
 
 class TestWindowedReconstruction:

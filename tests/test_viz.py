@@ -21,6 +21,15 @@ from repro.viz import (
     turbo_rgb,
 )
 
+from reference_viz import (
+    float_hex,
+    reference_glyph,
+    reference_hex,
+    reference_render_ascii,
+    reference_render_svg,
+    rounding_edges,
+)
+
 
 class TestColormap:
     def test_turbo_rgb_bounds(self):
@@ -62,6 +71,115 @@ class TestColormap:
         assert cmap.glyph(1.5) == "+"
         assert cmap.glyph(-3.0) == "="
         assert cmap.glyph(-1.5) == "-"
+
+
+class TestVectorisedColormap:
+    """hex_array / glyph_array against the scalar chains they replaced."""
+
+    LIMIT = 5.0
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        """>=400k values across +/-1.1 limit with their oracle colours, and
+        the adjacent-double pairs straddling every 8-bit rounding edge."""
+        grid = np.linspace(-1.1 * self.LIMIT, 1.1 * self.LIMIT, 400_001)
+        colours = [float_hex(self.LIMIT, v) for v in grid.tolist()]
+        return grid, colours, rounding_edges(self.LIMIT, grid, colours)
+
+    def test_dense_grid_matches_the_scalar_chain(self, dense):
+        grid, colours, _ = dense
+        assert DivergingTurbo(self.LIMIT).hex_array(grid) == colours
+
+    def test_rounding_edges_match_the_scalar_chain(self, dense):
+        *_, edges = dense
+        cmap = DivergingTurbo(self.LIMIT)
+        assert len(edges) > 1000
+        expected = [reference_hex(cmap, v) for v in edges]
+        # The fast transcription agrees with the scalar chain exactly where
+        # a last-bit difference would show...
+        assert [float_hex(self.LIMIT, v) for v in edges] == expected
+        # ...and so does the vectorised pass, vector and scalar entry.
+        assert cmap.hex_array(edges) == expected
+        assert [cmap.hex(v) for v in edges[:200]] == expected[:200]
+
+    def test_infinities_saturate(self):
+        cmap = DivergingTurbo(self.LIMIT)
+        assert cmap.hex_array([np.inf, -np.inf]) == ["#900d00", "#23171b"]
+        assert cmap.hex(np.inf) == reference_hex(cmap, np.inf) == "#900d00"
+        assert cmap.hex(-np.inf) == reference_hex(cmap, -np.inf) == "#23171b"
+
+    def test_nan_needs_a_missing_colour(self):
+        cmap = DivergingTurbo(self.LIMIT)
+        with pytest.raises(ValueError, match="NaN"):
+            cmap.hex_array([0.0, np.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            cmap.hex(np.nan)
+        assert cmap.hex_array([np.nan, 0.0, np.nan], missing="#e8e8e8") == [
+            "#e8e8e8", reference_hex(cmap, 0.0), "#e8e8e8",
+        ]
+        assert cmap.hex_array([], missing="#e8e8e8") == []
+
+    def test_glyph_thresholds_are_strict(self):
+        cmap = DivergingTurbo(self.LIMIT)
+        cuts = [f * self.LIMIT for f in (-0.4, -0.2, 0.2, 0.4)]
+        values = [0.0, np.nan, np.inf, -np.inf]
+        for cut in cuts:
+            values += [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf)]
+        values += np.linspace(-1.1 * self.LIMIT, 1.1 * self.LIMIT, 2001).tolist()
+        expected = [reference_glyph(cmap, v) for v in values]
+        assert cmap.glyph_array(values).tolist() == expected
+        assert [cmap.glyph(v) for v in values] == expected
+
+
+class TestRackViewOracle:
+    """The vectorised renderers are byte-identical to the per-cell ones."""
+
+    @pytest.fixture(scope="class")
+    def perfbench_view(self):
+        """The end-to-end benchmark's 256-node Theta layout."""
+        machine = theta_machine(racks_per_row=2, node_limit=256)
+        return RackView(RackLayout.from_machine(machine), title="rack view")
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(0.0, 3.0, 256)
+        values[[5, 17, 200]] = np.nan
+        values[[9, 10]] = [np.inf, -np.inf]
+        values[11] = 2.0  # exactly on a glyph threshold
+        return values
+
+    def test_svg_dict_input(self, perfbench_view, values):
+        as_dict = {i: float(v) for i, v in enumerate(values) if i % 13}
+        as_dict[-1] = 3.0
+        as_dict[999] = -3.0  # outside the layout: ignored
+        kwargs = dict(outlined_nodes=[1, 2, 40], secondary_outlined_nodes=[2, 3, 77])
+        assert perfbench_view.render_svg(as_dict, **kwargs) == reference_render_svg(
+            perfbench_view, as_dict, **kwargs
+        )
+
+    def test_svg_dense_input_names_and_missing_colour(self, perfbench_view, values):
+        names = [f"nid{i:05d}" for i in range(100)]
+        kwargs = dict(
+            secondary_outlined_nodes=[5, 6], missing_color="#123456", node_names=names
+        )
+        for dense in (values, values[:100], np.zeros(300)):
+            assert perfbench_view.render_svg(dense, **kwargs) == reference_render_svg(
+                perfbench_view, dense, **kwargs
+            )
+
+    def test_svg_other_limit(self, values):
+        machine = theta_machine(racks_per_row=1, n_rows=1, node_limit=32)
+        view = RackView(
+            RackLayout.from_machine(machine), DivergingTurbo(limit=2.5), cell_pixels=7.0
+        )
+        assert view.render_svg(values[:32]) == reference_render_svg(view, values[:32])
+
+    def test_ascii(self, perfbench_view, values):
+        for outlined in ((), (0, 5, 30)):
+            assert perfbench_view.render_ascii(
+                values, outlined_nodes=outlined
+            ) == reference_render_ascii(perfbench_view, values, outlined_nodes=outlined)
 
 
 class TestLayoutParsing:
