@@ -737,10 +737,10 @@ class IncrementalMrDMD:
           so this form is O(T) by necessity.
 
         Either way the mode-tree revision is bumped exactly once, so every
-        derived cache (mode tables, reconstruction buffers, power-quantile
-        thresholds) and every revision-tracking baseline invalidates
-        correctly, and subsequent :meth:`partial_fit` chunks must carry the
-        grown row count.  Returns the :class:`TopologyChange` record (also
+        derived cache (reconstruction buffers, power-quantile thresholds)
+        and every revision-tracking baseline invalidates correctly, and
+        subsequent :meth:`partial_fit` chunks must carry the grown row
+        count.  Returns the :class:`TopologyChange` record (also
         appended to :attr:`topology_history` and checkpointed).
         """
         self._require_fitted()

@@ -85,6 +85,10 @@ class MrDMDSpectrum:
     label:
         Optional name carried into exports (used to overlay "hot" vs
         "cool" spectra as in Fig. 7).
+
+    The spectrum holds only the table's four read-only columns
+    (frequency, power, |amplitude|, level), so it pickles to a few
+    scalars per mode; mode shapes stay on the tree's nodes.
     """
 
     def __init__(self, source: MrDMDTree | ModeTable, label: str = "") -> None:
@@ -102,7 +106,7 @@ class MrDMDSpectrum:
     # ------------------------------------------------------------------ #
     @property
     def table(self) -> ModeTable:
-        """The underlying flat mode table."""
+        """The underlying flat mode table (read-only columns)."""
         return self._table
 
     @property

@@ -232,20 +232,37 @@ class MrDMDNode:
 
 @dataclass
 class ModeTable:
-    """Flat table of every mode in a tree (one row per mode).
+    """Flat spectrum table of every mode in a tree (one row per mode).
 
     Produced by :meth:`MrDMDTree.mode_table` and consumed by the spectrum
-    and baseline/z-score analyses.  All arrays share the first dimension.
+    (Figs. 5/7) and the power-quantile threshold.  The four columns share
+    one length:
+
+    * ``frequencies`` — oscillation frequency in Hz (Eq. 9);
+    * ``power`` — mrDMD power ``||phi_i||_2^2`` (Eq. 10);
+    * ``amplitudes`` — amplitude magnitude ``|a_i|``;
+    * ``levels`` — level of the mode's node (1 = slowest).
+
+    The columns are read-only views.  Mode shapes, growth rates and window
+    positions stay on the tree's nodes.
     """
 
     frequencies: np.ndarray
     power: np.ndarray
-    growth_rates: np.ndarray
     amplitudes: np.ndarray
     levels: np.ndarray
-    bin_indices: np.ndarray
-    node_ids: np.ndarray
-    mode_vectors: np.ndarray  # (n_modes_total, P) complex
+
+    def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            column = np.asarray(getattr(self, name)).view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writable; a table from a process worker
+        # keeps the same contract as a local one.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def __len__(self) -> int:
         return int(self.frequencies.size)
@@ -256,21 +273,17 @@ class ModeTable:
         return ModeTable(
             frequencies=self.frequencies[mask],
             power=self.power[mask],
-            growth_rates=self.growth_rates[mask],
             amplitudes=self.amplitudes[mask],
             levels=self.levels[mask],
-            bin_indices=self.bin_indices[mask],
-            node_ids=self.node_ids[mask],
-            mode_vectors=self.mode_vectors[mask, :],
         )
 
 
 class MrDMDTree:
     """Container of :class:`MrDMDNode` objects covering one timeline.
 
-    Nodes are stored in insertion order; the tree is *not* required to be a
-    perfect binary tree — the incremental update deliberately produces an
-    uneven split at the append point (Fig. 1(c)).
+    Nodes are stored in insertion order and never removed; the tree is
+    *not* required to be a perfect binary tree — the incremental update
+    deliberately produces an uneven split at the append point (Fig. 1(c)).
     """
 
     def __init__(self, dt: float, n_features: int) -> None:
@@ -295,44 +308,30 @@ class MrDMDTree:
         # touched_since).
         self._reset_revision = 0
         self._total_modes = 0
-        # mode_table() output memoised per revision: spectrum/threshold
-        # queries between structural edits cost a tuple compare instead of
-        # re-concatenating every node's mode arrays.
-        self._mode_table_cache: ModeTable | None = None
-        self._mode_table_revision: int = -1
-        # Each node's level-independent mode_table rows, parallel to
-        # _nodes and filled on first use (see _node_rows): a rebuild after
-        # an ingest computes only the new nodes' spectra.
-        self._node_row_cache: list[tuple | None] = []
+        self._reset_table()
 
     # ------------------------------------------------------------------ #
-    # Pickling: the memoised mode tables are derived state — leave them
-    # out so process-pool payloads and checkpoints stay compact.
+    # Pickling: the mode-table rows are derived state — leave them out so
+    # process-pool payloads and checkpoints stay compact.
     # ------------------------------------------------------------------ #
-    _DERIVED = ("_mode_table_cache", "_mode_table_revision", "_node_row_cache")
+    def _reset_table(self) -> None:
+        """Empty the mode-table rows: frequency, power and |amplitude| of
+        every mode of ``_nodes[:_table_nodes]``, one column per mode."""
+        self._table_rows = GrowableMatrix(3)
+        self._table_nodes = 0
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in self._DERIVED:
-            state.pop(key, None)
+        del state["_table_rows"], state["_table_nodes"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._mode_table_cache = None
-        self._mode_table_revision = -1
-        self._node_row_cache = [None] * len(self._nodes)
-
-    def _reindex(self) -> None:
-        """Rebuild the per-node index after nodes were removed."""
-        self._bounds = GrowableMatrix(2, dtype=np.int64)
-        for node in self._nodes:
-            self._bounds.append(np.array(node.contribution_window, dtype=np.int64))
-        self._total_modes = sum(n.n_modes for n in self._nodes)
+        self._reset_table()
 
     @property
     def revision(self) -> int:
-        """Counter bumped on every structural edit (add/shift/replace).
+        """Counter bumped on every structural edit (add/shift/add_features).
 
         Derived products (e.g. the pipeline's power-quantile threshold)
         key their caches on this value so they recompute only when the
@@ -346,7 +345,7 @@ class MrDMDTree:
         when no edit did).
 
         :meth:`add` touches from the node's contribution start,
-        :meth:`add_features` and :meth:`replace_level` from column 0, and
+        :meth:`add_features` from column 0, and
         :meth:`shift_levels` touches nothing (levels do not enter the
         summed reconstruction).  An incremental update only adds nodes
         over the appended chunk, so consumers that keep a reconstruction
@@ -382,7 +381,6 @@ class MrDMDTree:
                 )
             )
         self._nodes.append(node)
-        self._node_row_cache.append(None)
         self._bounds.append(np.array(node.contribution_window, dtype=np.int64))
         self._total_modes += node.n_modes
         self._revision += 1
@@ -443,39 +441,19 @@ class MrDMDTree:
             node.level += offset
         self._revision += 1
 
-    def extend(self, other: "MrDMDTree") -> None:
-        """Append every node of ``other`` (same dt / feature count required)."""
-        if not np.isclose(other.dt, self.dt):
-            raise ValueError(f"dt mismatch: {other.dt} vs {self.dt}")
-        if other.n_features != self.n_features:
-            raise ValueError("feature-count mismatch between trees")
-        for node in other:
-            self.add(node)
-
-    def replace_level(self, level: int, new_nodes: list[MrDMDNode]) -> None:
-        """Drop all nodes at ``level`` and insert ``new_nodes`` instead."""
-        keep = [i for i, n in enumerate(self._nodes) if n.level != level]
-        self._nodes = [self._nodes[i] for i in keep]
-        self._node_row_cache = [self._node_row_cache[i] for i in keep]
-        self._reindex()
-        self._revision += 1
-        self._reset_revision = self._revision
-        for node in new_nodes:
-            self.add(node)
-
     def add_features(self, n_new: int) -> None:
         """Widen the row space by ``n_new`` features (elastic topology).
 
         Existing nodes are *not* touched: they keep their birth-time
-        width, and every consumer (:meth:`reconstruct`,
-        :meth:`mode_table`) zero-extends them on the fly — sensors that
-        join mid-stream contribute nothing to windows decomposed before
-        they existed.  That makes the topology event O(1) in the tree
-        size, so onboarding cost stays independent of how long the stream
-        has been running (the node count grows with the timeline).  Bumps
-        the revision and touches from column 0 (see :meth:`touched_since`)
-        so every derived product (mode tables, reconstruction buffers,
-        baselines keyed on the revision) invalidates.
+        width, and :meth:`reconstruct` zero-extends them on the fly —
+        sensors that join mid-stream contribute nothing to windows
+        decomposed before they existed.  That makes the topology event
+        O(1) in the tree size, so onboarding cost stays independent of how
+        long the stream has been running (the node count grows with the
+        timeline).  Bumps the revision and touches from column 0 (see
+        :meth:`touched_since`) so every derived product (reconstruction
+        buffers, baselines keyed on the revision) invalidates.  Mode
+        powers are unchanged: the new rows of an old mode are zero.
         """
         if n_new < 0:
             raise ValueError(f"n_new must be non-negative, got {n_new!r}")
@@ -489,82 +467,33 @@ class MrDMDTree:
     # Analysis products
     # ------------------------------------------------------------------ #
     def mode_table(self) -> ModeTable:
-        """Flatten every node's modes into a single :class:`ModeTable`.
+        """Every mode's frequency, power, |amplitude| and level.
 
-        The table is cached per tree :attr:`revision`: between structural
-        edits, every spectrum/threshold query shares one flattened table
-        instead of re-concatenating all nodes per call.  Callers must
-        treat the returned table (and tables derived from it via
-        ``filter``) as read-only.
+        The tree is append-only, and no edit changes an existing mode's
+        frequency, power or |amplitude| (:meth:`add_features` zero-pads,
+        which leaves power unchanged).  Those rows therefore live in one
+        growable buffer, and a read appends only the modes of the nodes
+        added since the last read: O(new modes).  Levels are read from the
+        nodes, because :meth:`shift_levels` renumbers them.  The returned
+        table is read-only, and later edits do not change it.
         """
-        if (
-            self._mode_table_cache is not None
-            and self._mode_table_revision == self._revision
-        ):
-            return self._mode_table_cache
-        table = self._build_mode_table()
-        self._mode_table_cache = table
-        self._mode_table_revision = self._revision
-        return table
-
-    def _node_rows(self, index: int) -> tuple:
-        """Node ``index``'s level-independent mode_table rows, memoised:
-        ``(frequencies, power, growth_rates, |amplitudes|, modes.T)``.
-
-        Everything here is fixed once the node is added; its level is not
-        (:meth:`shift_levels`), so levels are read at build time.
-        """
-        rows = self._node_row_cache[index]
-        if rows is None:
-            node = self._nodes[index]
-            omega = node.omega
-            rows = (
-                np.abs(omega.imag) / (2.0 * np.pi),
-                node.power,
-                omega.real,
-                np.abs(node.amplitudes),
-                node.modes.T,
-            )
-            self._node_row_cache[index] = rows
-        return rows
-
-    def _build_mode_table(self) -> ModeTable:
-        present = [i for i, node in enumerate(self._nodes) if node.n_modes]
-        if not present:
-            empty_f = np.zeros(0, dtype=float)
-            empty_i = np.zeros(0, dtype=int)
-            return ModeTable(
-                frequencies=empty_f,
-                power=empty_f.copy(),
-                growth_rates=empty_f.copy(),
-                amplitudes=empty_f.copy(),
-                levels=empty_i,
-                bin_indices=empty_i.copy(),
-                node_ids=empty_i.copy(),
-                mode_vectors=np.zeros((0, self.n_features), dtype=complex),
-            )
-        nodes = [self._nodes[i] for i in present]
-        counts = [node.n_modes for node in nodes]
-        freqs, power, growth, amps, vectors = zip(
-            *(self._node_rows(i) for i in present)
-        )
-        # Pre-topology-event nodes are narrower: zero-extend to the width.
-        vectors = [
-            v if v.shape[1] == self.n_features
-            else np.pad(v, ((0, 0), (0, self.n_features - v.shape[1])))
-            for v in vectors
+        blocks = [
+            np.vstack((node.frequencies, node.power, np.abs(node.amplitudes)))
+            for node in self._nodes[self._table_nodes :]
+            if node.n_modes
         ]
+        if blocks:
+            self._table_rows.append(np.hstack(blocks))
+        self._table_nodes = len(self._nodes)
+        rows = self._table_rows.frozen_view()
+        per_node = np.array(
+            [(node.level, node.n_modes) for node in self._nodes], dtype=int
+        ).reshape(-1, 2)
         return ModeTable(
-            frequencies=np.concatenate(freqs),
-            power=np.concatenate(power),
-            growth_rates=np.concatenate(growth),
-            amplitudes=np.concatenate(amps),
-            levels=np.repeat(np.array([n.level for n in nodes], dtype=int), counts),
-            bin_indices=np.repeat(
-                np.array([n.bin_index for n in nodes], dtype=int), counts
-            ),
-            node_ids=np.repeat(np.array(present, dtype=int), counts),
-            mode_vectors=np.vstack(vectors),
+            frequencies=rows[0],
+            power=rows[1],
+            amplitudes=rows[2],
+            levels=np.repeat(per_node[:, 0], per_node[:, 1]),
         )
 
     def reconstruct(

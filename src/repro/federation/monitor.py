@@ -43,7 +43,12 @@ from ..obs.flight import FLIGHT
 from ..obs.health import HealthScore, aggregate, percentile, score_shard
 from ..util.growbuf import RingBuffer
 from ..service.alerts import Alert
-from ..service.monitor import FleetMonitor, FleetSnapshot, FleetSpectrum
+from ..service.monitor import (
+    FleetMonitor,
+    FleetSnapshot,
+    FleetSpectrum,
+    _grouped_power,
+)
 from ..util.parallel import (
     ShardExecutor,
     make_shard_executor,
@@ -133,27 +138,14 @@ class FederatedSpectrum:
             return float("nan")
         return float(self.frequencies[int(np.argmax(self.power))])
 
-    def _grouped_power(self, keys: np.ndarray) -> dict[str, float]:
-        # Masked .sum() (not a running accumulator): the same pairwise
-        # summation FleetSpectrum.total_power_by_shard uses, so federated
-        # aggregates are bit-for-bit the standalone per-machine ones.
-        out: dict[str, float] = {}
-        as_str = keys.astype(str)
-        for key in np.unique(as_str):
-            out[str(key)] = float(self.power[as_str == key].sum())
-        return out
-
     def total_power_by_shard(self) -> dict[str, float]:
         """Summed mode power keyed ``machine/shard``."""
-        keys = np.array(
-            [f"{m}/{s}" for m, s in zip(self.machine_ids, self.shard_ids)],
-            dtype=object,
-        )
-        return self._grouped_power(keys)
+        keys = [f"{m}/{s}" for m, s in zip(self.machine_ids, self.shard_ids)]
+        return _grouped_power(self.power, keys)
 
     def total_power_by_machine(self) -> dict[str, float]:
         """Summed mode power per machine (coarse site fingerprint)."""
-        return self._grouped_power(np.asarray(self.machine_ids, dtype=object))
+        return _grouped_power(self.power, self.machine_ids)
 
 
 # --------------------------------------------------------------------------- #

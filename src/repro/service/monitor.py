@@ -170,15 +170,24 @@ class TopologyUpdate:
     minted: tuple[str, ...] = ()
 
 
+def _grouped_power(power: np.ndarray, keys: np.ndarray) -> dict[str, float]:
+    """Summed ``power`` per distinct key (as ``str``, in sorted order).
+
+    One masked ``.sum()`` per key (NumPy's pairwise summation, not a
+    running accumulator), so a federated aggregate is bit-for-bit the
+    standalone per-machine one.
+    """
+    keys = np.asarray(keys).astype(str)
+    return {str(key): float(power[keys == key].sum()) for key in np.unique(keys)}
+
+
 @dataclass
 class FleetSpectrum:
     """Fleet-level power/frequency table merged across shards.
 
-    Per-shard mode vectors live in different row spaces, so the merged
-    product keeps the scalar columns (frequency, power, level) plus the
-    shard each mode came from; per-shard :class:`MrDMDSpectrum` objects
-    remain available from :meth:`FleetMonitor.spectra` when mode shapes
-    are needed.
+    The frequency, power and level columns of every shard's
+    :class:`MrDMDSpectrum` (see :meth:`FleetMonitor.spectra`), plus the
+    shard each mode came from.
     """
 
     frequencies: np.ndarray
@@ -198,11 +207,7 @@ class FleetSpectrum:
 
     def total_power_by_shard(self) -> dict[str, float]:
         """Summed mode power per shard (coarse health fingerprint)."""
-        out: dict[str, float] = {}
-        for shard_id in np.unique(self.shard_ids.astype(str)):
-            mask = self.shard_ids.astype(str) == shard_id
-            out[str(shard_id)] = float(self.power[mask].sum())
-        return out
+        return _grouped_power(self.power, self.shard_ids)
 
 
 # --------------------------------------------------------------------------- #
@@ -1685,8 +1690,10 @@ class FleetMonitor:
     def spectra(self) -> dict[str, MrDMDSpectrum]:
         """Per-shard (filtered) spectra keyed by shard id.
 
-        Shards still awaiting their first chunk (minted mid-run) have no
-        decomposition yet and are omitted.
+        Each spectrum carries its shard's frequency, power, |amplitude|
+        and level columns — O(modes) scalars, read-only.  Shards still
+        awaiting their first chunk (minted mid-run) have no decomposition
+        yet and are omitted.
         """
         results = self._query_map(
             _shard_spectrum,

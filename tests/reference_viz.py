@@ -4,8 +4,9 @@ per-node reductions and the mode table, one element at a time.
 The library colours a rack view with one vectorised colormap pass
 (:meth:`~repro.viz.DivergingTurbo.hex_array`), collapses row z-scores onto
 nodes with one segment reduce (:func:`~repro.align.reduce_by_node`) and
-memoises each tree node's mode-table rows.  The per-element code those
-replaced is kept here verbatim as the oracle the tests compare against:
+appends only new tree nodes' rows to its mode table.  The per-element code
+those replaced is kept here verbatim as the oracle the tests compare
+against:
 
 * :func:`reference_hex` / :func:`reference_glyph` — the scalar colour and
   glyph chains;
@@ -13,7 +14,7 @@ replaced is kept here verbatim as the oracle the tests compare against:
   per-cell renderers built on them;
 * :func:`reference_reduce` / :func:`reference_merge` — the per-node loops
   of ``map_zscores_to_nodes`` and ``FleetMonitor._merge_node_scores``;
-* :func:`reference_mode_table` — the uncached mode-table builder.
+* :func:`reference_mode_table` — the mode table rebuilt from every node.
 
 :func:`float_hex` transcribes :func:`reference_hex` into plain Python
 floats (the same IEEE operations and the same C ``pow``), ~20x faster, so
@@ -232,48 +233,28 @@ def reference_merge(
 # Mode table
 # ---------------------------------------------------------------------- #
 def reference_mode_table(tree: MrDMDTree) -> ModeTable:
-    """Every node's mode rows recomputed and concatenated, no memo."""
-    freqs, power, growth, amps = [], [], [], []
-    levels, bins, node_ids, vectors = [], [], [], []
-    for node_id, node in enumerate(tree.nodes):
-        m = node.n_modes
-        if m == 0:
+    """Every node's spectrum rows recomputed and concatenated, no buffer."""
+    freqs, power, amps, levels = [], [], [], []
+    for node in tree.nodes:
+        if node.n_modes == 0:
             continue
         freqs.append(node.frequencies)
         power.append(node.power)
-        growth.append(node.growth_rates)
         amps.append(np.abs(node.amplitudes))
-        levels.append(np.full(m, node.level, dtype=int))
-        bins.append(np.full(m, node.bin_index, dtype=int))
-        node_ids.append(np.full(m, node_id, dtype=int))
-        if node.n_features < tree.n_features:
-            padded = np.zeros((m, tree.n_features), dtype=complex)
-            padded[:, : node.n_features] = node.modes.T
-            vectors.append(padded)
-        else:
-            vectors.append(node.modes.T)
+        levels.append(np.full(node.n_modes, node.level, dtype=int))
     if not freqs:
-        empty_f = np.zeros(0, dtype=float)
-        empty_i = np.zeros(0, dtype=int)
+        empty = np.zeros(0, dtype=float)
         return ModeTable(
-            frequencies=empty_f,
-            power=empty_f.copy(),
-            growth_rates=empty_f.copy(),
-            amplitudes=empty_f.copy(),
-            levels=empty_i,
-            bin_indices=empty_i.copy(),
-            node_ids=empty_i.copy(),
-            mode_vectors=np.zeros((0, tree.n_features), dtype=complex),
+            frequencies=empty,
+            power=empty,
+            amplitudes=empty,
+            levels=np.zeros(0, dtype=int),
         )
     return ModeTable(
         frequencies=np.concatenate(freqs),
         power=np.concatenate(power),
-        growth_rates=np.concatenate(growth),
         amplitudes=np.concatenate(amps),
         levels=np.concatenate(levels),
-        bin_indices=np.concatenate(bins),
-        node_ids=np.concatenate(node_ids),
-        mode_vectors=np.vstack(vectors),
     )
 
 

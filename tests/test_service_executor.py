@@ -69,6 +69,7 @@ def _drive(stream, backend, *, with_engine=False):
             "spectra_power": {
                 sid: spec.power for sid, spec in monitor.spectra().items()
             },
+            "fleet_spectrum": monitor.fleet_spectrum(),
             "states": monitor.shard_state_dicts(),
         }
     return monitor, products
@@ -107,6 +108,20 @@ def test_backend_products_match_serial(backend_products, backend):
     assert products["total_modes"] == reference["total_modes"]
     for sid, power in products["spectra_power"].items():
         assert np.array_equal(power, reference["spectra_power"][sid])
+        assert not power.flags.writeable
+
+
+@pytest.mark.parametrize("backend", ["process"])
+def test_backend_fleet_spectrum_matches_serial(backend_products, backend):
+    _, reference = backend_products["serial"]
+    _, products = backend_products[backend]
+    got, want = products["fleet_spectrum"], reference["fleet_spectrum"]
+    assert got.n_modes == want.n_modes > 0
+    for name in ("frequencies", "power", "levels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.shard_ids.tolist() == want.shard_ids.tolist()
+    assert got.total_power_by_shard() == want.total_power_by_shard()
 
 
 @pytest.mark.parametrize("backend", ["process"])

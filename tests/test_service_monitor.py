@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -106,6 +107,30 @@ def test_fleet_spectrum_merges_all_shards(rack_monitor):
     for shard_id, spectrum in per_shard.items():
         assert by_shard[shard_id] == pytest.approx(spectrum.total_power())
     assert np.isfinite(fleet.dominant_frequency())
+
+
+def test_spectra_are_read_only(rack_monitor):
+    before = rack_monitor.fleet_spectrum()
+    for spectrum in rack_monitor.spectra().values():
+        with pytest.raises(ValueError):
+            spectrum.power[:] = 0
+        with pytest.raises(ValueError):
+            spectrum.table.levels[:] = 0
+    after = rack_monitor.fleet_spectrum()
+    assert after.power.tobytes() == before.power.tobytes()
+    assert after.levels.tobytes() == before.levels.tobytes()
+    assert after.total_power_by_shard() == before.total_power_by_shard()
+
+
+def test_a_pickled_spectrum_carries_only_scalar_columns(fleet_stream):
+    # The spectrum is a few scalars per mode, whatever the shard's width.
+    monitor = FleetMonitor.from_stream(fleet_stream, policy=SingleShard(), config=CONFIG)
+    monitor.ingest(fleet_stream.values[:, :240])
+    monitor.ingest(fleet_stream.values[:, 240:])
+    assert monitor.pipeline("all").model.n_features >= 64
+    spectrum = monitor.spectra()["all"]
+    assert spectrum.n_modes > 0
+    assert len(pickle.dumps(spectrum)) < 100 * spectrum.n_modes
 
 
 def test_metric_sharding_merges_duplicate_nodes(fleet_stream):

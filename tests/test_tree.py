@@ -130,7 +130,7 @@ class TestMrDMDTreeStructure:
         tree.add(make_node(n_features=4))
         with pytest.raises(ValueError):
             tree.add(make_node(n_features=3))  # narrower than pre-event
-        assert tree.mode_table().mode_vectors.shape[1] == 5
+        assert np.array_equal(tree.mode_table().power, tree[0].power)
         assert tree.reconstruct(100).shape == (5, 100)
 
     def test_invalid_constructor_args(self):
@@ -155,26 +155,6 @@ class TestMrDMDTreeStructure:
         with pytest.raises(ValueError):
             tree.shift_levels(-1)
 
-    def test_extend_and_mismatch(self):
-        a = MrDMDTree(dt=1.0, n_features=4)
-        a.add(make_node(level=1))
-        b = MrDMDTree(dt=1.0, n_features=4)
-        b.add(make_node(level=2))
-        a.extend(b)
-        assert len(a) == 2
-        with pytest.raises(ValueError):
-            a.extend(MrDMDTree(dt=2.0, n_features=4))
-        with pytest.raises(ValueError):
-            a.extend(MrDMDTree(dt=1.0, n_features=3))
-
-    def test_replace_level(self):
-        tree = MrDMDTree(dt=1.0, n_features=4)
-        tree.add(make_node(level=1))
-        tree.add(make_node(level=2))
-        tree.replace_level(2, [make_node(level=2, bin_index=5)])
-        nodes = tree.nodes_at_level(2)
-        assert len(nodes) == 1 and nodes[0].bin_index == 5
-
     def test_total_modes_and_summary(self):
         tree = MrDMDTree(dt=1.0, n_features=4)
         tree.add(make_node(level=1, n_modes=3))
@@ -191,14 +171,16 @@ class TestModeTableAndReconstruction:
         tree.add(make_node(level=2, n_modes=3))
         table = tree.mode_table()
         assert len(table) == 5
-        assert table.mode_vectors.shape == (5, 4)
-        assert set(table.levels.tolist()) == {1, 2}
+        assert list(ModeTable.__dataclass_fields__) == [
+            "frequencies", "power", "amplitudes", "levels",
+        ]
+        assert table.levels.tolist() == [1, 1, 2, 2, 2]
 
     def test_mode_table_empty_tree(self):
         tree = MrDMDTree(dt=1.0, n_features=4)
         table = tree.mode_table()
         assert len(table) == 0
-        assert table.mode_vectors.shape == (0, 4)
+        assert table.power.dtype == float and table.levels.dtype == int
 
     def test_mode_table_filter(self):
         tree = MrDMDTree(dt=1.0, n_features=4)
@@ -268,30 +250,37 @@ def assert_tables_identical(got: ModeTable, want: ModeTable) -> None:
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
 
 
-class TestMemoisedModeTable:
-    """mode_table() memoises each node's rows; the uncached builder is
-    the oracle across every structural edit."""
+class TestModeTableOracle:
+    """mode_table() appends only new nodes' rows; the table rebuilt from
+    every node is the oracle across every structural edit."""
 
-    def test_every_edit_matches_the_uncached_builder(self):
+    STEPS = [
+        lambda t: t.add(make_node(level=1, n_modes=2)),
+        lambda t: t.add(make_node(level=2, n_modes=0)),
+        lambda t: t.add(make_node(level=2, bin_index=1, start=50, n_modes=3)),
+        lambda t: t.shift_levels(1),
+        lambda t: t.add_features(2),
+        lambda t: t.add(make_node(level=1, n_features=6, n_modes=1)),
+        lambda t: t.shift_levels(2),
+        lambda t: t.add(make_node(level=1, bin_index=7, n_features=6, n_modes=4)),
+        lambda t: t.add(make_node(level=2, bin_index=8, n_features=6, n_modes=0)),
+    ]
+
+    def test_every_edit_matches_the_oracle(self):
         tree = MrDMDTree(dt=1.0, n_features=4)
         assert_tables_identical(tree.mode_table(), reference_mode_table(tree))
-        steps = [
-            lambda t: t.add(make_node(level=1, n_modes=2)),
-            lambda t: t.add(make_node(level=2, n_modes=0)),
-            lambda t: t.add(make_node(level=2, bin_index=1, start=50, n_modes=3)),
-            lambda t: t.shift_levels(1),
-            lambda t: t.add_features(2),
-            lambda t: t.add(make_node(level=1, n_features=6, n_modes=1)),
-            lambda t: t.replace_level(3, [make_node(level=3, bin_index=4, n_features=5)]),
-            lambda t: t.shift_levels(2),
-            lambda t: t.add(make_node(level=1, bin_index=7, n_features=6, n_modes=4)),
-        ]
-        for step in steps:
-            tree.mode_table()  # warm the memo before the edit
+        for step in self.STEPS:
+            tree.mode_table()  # extend the rows before the edit
             step(tree)
             assert_tables_identical(tree.mode_table(), reference_mode_table(tree))
 
-    def test_streaming_model_matches_the_uncached_builder(self):
+    def test_edits_between_reads_match_the_oracle(self):
+        tree = MrDMDTree(dt=1.0, n_features=4)
+        for step in self.STEPS:
+            step(tree)
+        assert_tables_identical(tree.mode_table(), reference_mode_table(tree))
+
+    def test_streaming_model_matches_the_oracle(self):
         data, dt = make_multiscale_signal(n_sensors=8, n_timesteps=960)
         model = IncrementalMrDMD(dt=dt, max_levels=4)
         model.fit(data[:, :480])
@@ -304,7 +293,25 @@ class TestMemoisedModeTable:
                 model.tree.mode_table(), reference_mode_table(model.tree)
             )
 
-    def test_memo_is_not_pickled(self):
+    def test_a_table_is_read_only_and_outlives_later_edits(self):
+        tree = MrDMDTree(dt=1.0, n_features=4)
+        for step in self.STEPS:
+            before = tree.mode_table()
+            kept = {
+                name: getattr(before, name).copy()
+                for name in ModeTable.__dataclass_fields__
+            }
+            step(tree)
+            tree.mode_table()
+            for name, column in kept.items():
+                assert np.array_equal(getattr(before, name), column), name
+                with pytest.raises(ValueError):
+                    getattr(before, name)[:] = 0
+        filtered = tree.mode_table().filter(tree.mode_table().levels > 1)
+        with pytest.raises(ValueError):
+            filtered.power[:] = 0
+
+    def test_rows_are_not_pickled(self):
         tree = MrDMDTree(dt=1.0, n_features=4)
         tree.add(make_node(level=1, n_modes=3))
         cold = pickle.dumps(tree)
@@ -315,7 +322,7 @@ class TestMemoisedModeTable:
         assert_tables_identical(restored.mode_table(), reference_mode_table(tree))
         restored.add(make_node(level=2, n_modes=2))
         assert_tables_identical(restored.mode_table(), reference_mode_table(restored))
-        assert "_node_row_cache" not in tree.to_dict()
+        assert "_table_rows" not in tree.to_dict()
 
 
 class TestWindowedReconstruction:
@@ -389,9 +396,6 @@ class TestTouchedColumns:
         grown = tree.revision
         tree.add_features(2)
         assert tree.touched_since(grown, len(tree)) == 0
-        replaced = tree.revision
-        tree.replace_level(3, [])
-        assert tree.touched_since(replaced, len(tree)) == 0
         assert tree.touched_since(tree.revision, len(tree)) is None
 
     def test_windowed_reconstruct_skips_nodes_outside_the_window(self, monkeypatch):
@@ -407,17 +411,6 @@ class TestTouchedColumns:
         tree.reconstruct(100, time_range=(65, 100))
         # Insertion order: the level-1 append node, then the right level 2.
         assert expanded == [(1, 0), (2, 60)]
-
-    def test_replace_level_reindexes_the_bounds(self):
-        tree = TestWindowedReconstruction()._multi_node_tree()
-        tree.replace_level(3, [make_node(level=3, start=10, n_snapshots=20)])
-        reference = MrDMDTree(dt=1.0, n_features=4)
-        for node in tree:
-            reference.add(node)
-        assert np.array_equal(
-            tree.reconstruct(100, time_range=(0, 40)),
-            reference.reconstruct(100, time_range=(0, 40)),
-        )
 
 
 class TestSerialization:
