@@ -104,7 +104,7 @@ def _fitted_monitor(stream) -> FleetMonitor:
 def _dirty_one_shard(monitor: FleetMonitor, chunk) -> None:
     """Advance exactly one shard's pipeline (serial backend, in-process)."""
     spec = monitor.shards[0]
-    monitor._pipelines[spec.shard_id].ingest(spec.take(chunk))
+    monitor.pipeline(spec.shard_id).ingest(spec.take(chunk))
 
 
 def _median(samples: list[float]) -> float:

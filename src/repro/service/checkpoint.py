@@ -509,7 +509,7 @@ def _capture(
         block.state = monitor._recovery.snapshot_at(shard_id, stamp)
         if block.state is None and snapshot:
             block.state = monitor.shard_state_dict(shard_id)
-            if not monitor._resident_remote:
+            if monitor.executor.backend == "serial":
                 # The serial backend hands back state sharing arrays
                 # with the live pipeline; a deferred write needs its own
                 # copy.  The process backend already returned a copy.
@@ -860,9 +860,9 @@ def load_checkpoint(
     the caller passes rules/sinks; persisted cooldown bookkeeping, when
     present, is restored so alert deduplication continues seamlessly.
     ``executor``/``max_workers`` configure the restored monitor's shard
-    fan-out exactly as the :class:`FleetMonitor` constructor does; the
-    executor starts lazily on first use, after the restored pipelines are
-    installed.
+    fan-out exactly as the :class:`FleetMonitor` constructor does: the
+    restored pipelines are installed into its serial executor, and the
+    configured backend takes them over at the first ingest round.
 
     ``directory`` may be either a concrete checkpoint or a rotation root
     written with ``save_checkpoint(..., keep_last=N)`` — the latter
@@ -939,8 +939,9 @@ def _load_checkpoint(
         fault_plan=fault_plan,
     )
     for index, spec in enumerate(shards):
-        monitor._pipelines[spec.shard_id] = OnlineAnalysisPipeline.from_state_dict(
-            load_shard_state(shard_paths[index])
+        monitor.executor.install(
+            spec.shard_id,
+            OnlineAnalysisPipeline.from_state_dict(load_shard_state(shard_paths[index])),
         )
     monitor._step = int(_manifest_entry(manifest, "step", directory))
     monitor._chunk_index = int(manifest.get("chunks_ingested", 0))

@@ -298,6 +298,13 @@ def _return_pipeline(pipeline: OnlineAnalysisPipeline) -> OnlineAnalysisPipeline
     return pipeline
 
 
+def _serial_executor(pipelines: dict[str, OnlineAnalysisPipeline]) -> ShardExecutor:
+    """A started serial executor holding ``pipelines``."""
+    executor = make_shard_executor("serial")
+    executor.start(pipelines)
+    return executor
+
+
 class FleetMonitor:
     """Sharded online monitoring of one machine's sensor matrix.
 
@@ -320,9 +327,13 @@ class FleetMonitor:
         Shard fan-out backend: ``None``/``"serial"`` (default),
         ``"process"``, or a fresh
         :class:`~repro.util.parallel.ShardExecutor` instance; checked
-        here, started lazily on first use and then **held open across
-        ingests** — close it with :meth:`close` or by using the monitor
-        as a context manager (``with FleetMonitor(...) as mon:``).
+        here.  The monitor always holds one started executor and the
+        shard pipelines live only there: a serial one over the fresh
+        pipelines until the first ingest round, which moves them onto
+        this backend and **holds it open across ingests** — close it with
+        :meth:`close` or by using the monitor as a context manager
+        (``with FleetMonitor(...) as mon:``).  Reads before the first
+        round spawn no workers.
     max_workers:
         Worker count for the process backend (default: one per shard,
         capped at the CPU count).
@@ -415,14 +426,16 @@ class FleetMonitor:
         # thread, so it never pickles and is flushed/closed with the
         # monitor (flush_checkpoints() is the error barrier).
         self._checkpoint_writer = None
-        self._pipelines: dict[str, OnlineAnalysisPipeline] = {
-            spec.shard_id: self._make_pipeline(spec) for spec in self.shards
-        }
-        if len(self._pipelines) != len(self.shards):
+        pipelines = {spec.shard_id: self._make_pipeline(spec) for spec in self.shards}
+        if len(pipelines) != len(self.shards):
             raise ValueError("shard ids must be unique")
-        self._executor_spec: str | ShardExecutor | None = executor
+        # The backend the first round moves the pipelines onto; None once
+        # they are there (or when the serial executor is the target).
+        self._executor_spec: str | ShardExecutor | None = (
+            None if executor in (None, "serial") else executor
+        )
         self._max_workers = max_workers
-        self._executor: ShardExecutor | None = None
+        self._executor = _serial_executor(pipelines)
         self._step = 0
         # Deferred deep-level bookkeeping: in-flight background refresh
         # task handles and per-shard chunk counters driving the
@@ -487,33 +500,40 @@ class FleetMonitor:
     # Executor lifecycle
     # ------------------------------------------------------------------ #
     @property
-    def executor(self) -> ShardExecutor | None:
-        """The live executor (None until first use or after :meth:`close`)."""
+    def executor(self) -> ShardExecutor:
+        """The executor holding the shard pipelines — never ``None``.
+
+        A serial executor until the first ingest round, the configured
+        backend from then on, and a serial one again after :meth:`close`.
+        After a close that failed it is the closed executor, whose calls
+        raise.
+        """
         return self._executor
 
     def _ensure_executor(self) -> ShardExecutor:
-        """Start the configured executor lazily; reuse it across calls."""
-        if self._executor is None:
+        """The live executor.  The first round moves the pipelines off the
+        serial executor they were built on onto the configured backend; a
+        backend that fails to start is left in place, closed."""
+        if self._executor_spec is not None:
+            pipelines = self._executor.pull()
             self._executor = make_shard_executor(
                 self._executor_spec, max_workers=self._max_workers
             )
+            self._executor_spec = None
             # A process executor switches its workers' metrics on and
             # calibrates their clocks as it starts (when OBS is enabled).
-            self._executor.start(self._pipelines)
+            self._executor.start(pipelines)
         return self._executor
-
-    @property
-    def _resident_remote(self) -> bool:
-        """Whether pipeline state lives in worker processes, not in-process."""
-        return self._executor is not None and self._executor.backend == "process"
 
     def close(self) -> None:
         """Shut the executor down, landing shard state back in-process.
 
-        For the process backend the resident pipelines are pulled back
-        first, so every analysis product (rack values, spectra,
+        The resident pipelines are pulled back first and a serial executor
+        takes them over, so every analysis product (rack values, spectra,
         checkpoints) keeps working after close — subsequent calls simply
-        run serially.  Idempotent.
+        run serially.  If the pull fails (a worker died and its state is
+        gone), the closed executor stays in place: later calls raise
+        instead of answering from stale state.  Idempotent.
 
         Also the final barrier for asynchronous checkpointing: pending
         background commits are drained first, and a deferred write error
@@ -527,20 +547,19 @@ class FleetMonitor:
             self._close_executor()
 
     def _close_executor(self) -> None:
-        if self._executor is None:
+        executor = self._executor
+        if executor.closed:
             return
+        self._executor_spec = None
         try:
             self.drain_refreshes()
             self.collect_metrics()
-            if self._resident_remote and not self._executor.closed:
-                self._pipelines = self._executor.pull()
+            pipelines = executor.pull()
         finally:
-            # Even if the pull fails (a worker died and its state is
-            # gone), the remaining workers must still be shut down and
-            # the monitor left in its degraded-serial state.
-            self._executor.close()
-            self._executor = None
-            self._executor_spec = "serial"
+            # Even if the pull fails, the remaining workers must still be
+            # shut down.
+            executor.close()
+        self._executor = _serial_executor(pipelines)
 
     def collect_metrics(self):
         """Merge any process-worker metric registries into the session
@@ -551,8 +570,7 @@ class FleetMonitor:
         double-counts.  A no-op for the serial backend and when the
         provider is disabled.
         """
-        if self._executor is not None and not self._executor.closed:
-            self._executor.collect_obs()
+        self._executor.collect_obs()
         return OBS.metrics
 
     def __enter__(self) -> "FleetMonitor":
@@ -567,19 +585,21 @@ class FleetMonitor:
     def __getstate__(self) -> dict:
         """Pickle the monitor as its *state*, never its worker pool.
 
-        A pickled monitor carries the in-process pipelines (pulled fresh
-        from process-resident workers first, so no state is lost), the
-        shard layout and the executor *specification* — the live executor
-        itself (pipes, child processes) stays behind and is
-        lazily recreated on the other side at the next ingest.  This is
-        what lets :class:`repro.federation.FederatedMonitor` ship whole
-        machines to resident federation workers.
+        A pickled monitor carries the pipelines (pulled fresh from
+        process-resident workers first, so no state is lost), the shard
+        layout and the executor's *backend name* — the live executor
+        itself (pipes, child processes) stays behind.  The copy starts on
+        a serial executor and moves onto that backend at its first ingest
+        round, so unpickling never spawns a pool.  This is what lets
+        :class:`repro.federation.FederatedMonitor` ship whole machines to
+        resident federation workers.
         """
         self.drain_refreshes()
         state = self.__dict__.copy()
-        if self._resident_remote and not self._executor.closed:
-            state["_pipelines"] = self._executor.pull()
-        state["_executor"] = None
+        state["_executor"] = self._executor.pull()
+        spec = self._executor_spec or self._executor
+        backend = spec if isinstance(spec, str) else spec.backend
+        state["_executor_spec"] = None if backend == "serial" else backend
         # Task handles carry events/pipe references and never travel; the
         # drain above guaranteed there is nothing in flight to lose.
         state["_refresh_tasks"] = []
@@ -587,14 +607,11 @@ class FleetMonitor:
         # its own lazily.  (Pending commits keep running here — they hold
         # their own captured state, nothing to flush for the copy.)
         state["_checkpoint_writer"] = None
-        spec = state["_executor_spec"]
-        if isinstance(spec, ShardExecutor):
-            # A live instance cannot travel; its backend name can.
-            state["_executor_spec"] = spec.backend
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._executor = _serial_executor(self._executor)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -617,57 +634,29 @@ class FleetMonitor:
         not affect the service — use shard commands for that).
         """
         self.drain_refreshes()
-        if self._resident_remote:
-            self._pipelines = self._executor.pull()
-        return dict(self._pipelines)
+        return self._executor.pull()
 
     def pipeline(self, shard_id: str) -> OnlineAnalysisPipeline:
-        """The pipeline of one shard (see :attr:`pipelines` for semantics)."""
-        if shard_id not in self._pipelines:
-            raise KeyError(f"unknown shard {shard_id!r}")
+        """The pipeline of one shard (see :attr:`pipelines` for semantics).
+
+        On the process backend this fetches just this shard's resident
+        copy — one pickle, not a full-fleet pull.
+        """
         self.drain_refreshes()
-        if self._resident_remote:
-            # Fetch just this shard's resident copy — one pickle, not a
-            # full-fleet pull.
-            return self._executor.call(shard_id, _return_pipeline)
-        return self._pipelines[shard_id]
+        return self._executor.call(shard_id, _return_pipeline)
 
     @property
     def total_modes(self) -> int:
         """Total slow modes across every shard's tree."""
-        return sum(self._query_all(_shard_total_modes).values())
+        return sum(self._executor.broadcast(_shard_total_modes).values())
 
     def last_updates(self) -> dict[str, object | None]:
         """Latest UpdateRecord per shard (None before first partial_fit)."""
-        return self._query_all(_shard_last_update)
+        return self._executor.broadcast(_shard_last_update)
 
     # ------------------------------------------------------------------ #
-    # Shard command routing
+    # Shard state
     # ------------------------------------------------------------------ #
-    def _query_all(self, fn, *args, **kwargs) -> dict:
-        """Fan a shard command out over the executor; gather in shard order.
-
-        Before the executor has started (no ingest yet, or right after a
-        restore) the in-process pipelines are authoritative, so queries
-        answer from them directly instead of spawning workers as a side
-        effect of a read.
-        """
-        if self._executor is None:
-            return {
-                spec.shard_id: fn(self._pipelines[spec.shard_id], *args, **kwargs)
-                for spec in self.shards
-            }
-        return self._executor.broadcast(fn, *args, **kwargs)
-
-    def _query_map(self, fn, args_by_shard: dict[str, tuple]) -> dict:
-        """Fan ``fn`` out with *per-shard* positional args (see _query_all)."""
-        if self._executor is None:
-            return {
-                shard_id: fn(self._pipelines[shard_id], *args)
-                for shard_id, args in args_by_shard.items()
-            }
-        return self._executor.map(fn, args_by_shard)
-
     def shard_state_dicts(self) -> dict[str, dict]:
         """Full per-shard pipeline state, keyed by shard id.
 
@@ -676,14 +665,10 @@ class FleetMonitor:
         memory-bounded one-shard-at-a-time walk (large fleets with
         retained data), use :meth:`shard_state_dict` per shard instead.
         """
-        return self._query_all(_shard_state_dict)
+        return self._executor.broadcast(_shard_state_dict)
 
     def shard_state_dict(self, shard_id: str) -> dict:
         """One shard's full pipeline state (a single executor round trip)."""
-        if shard_id not in self._pipelines:
-            raise KeyError(f"unknown shard {shard_id!r}")
-        if self._executor is None:
-            return _shard_state_dict(self._pipelines[shard_id])
         return self._executor.call(shard_id, _shard_state_dict)
 
     def shard_state_stamps(self) -> dict[str, tuple]:
@@ -693,14 +678,10 @@ class FleetMonitor:
         uses: O(1) per shard, no serialisation — for remote-resident
         backends only a tuple of ints travels home per shard.
         """
-        return self._query_all(_shard_state_stamp)
+        return self._executor.broadcast(_shard_state_stamp)
 
     def shard_state_stamp(self, shard_id: str) -> tuple:
         """One shard's state stamp (a single executor round trip)."""
-        if shard_id not in self._pipelines:
-            raise KeyError(f"unknown shard {shard_id!r}")
-        if self._executor is None:
-            return self._pipelines[shard_id].state_stamp()
         return self._executor.call(shard_id, _shard_state_stamp)
 
     def _ensure_checkpoint_writer(self):
@@ -1011,7 +992,7 @@ class FleetMonitor:
         if shard_id not in self._quarantined:
             raise KeyError(f"shard {shard_id!r} is not quarantined")
         del self._quarantined[shard_id]
-        self._rehydrate_shard(self._executor, shard_id)
+        self._rehydrate_shard(shard_id)
 
     @staticmethod
     def _failure_kind(exc: BaseException) -> str:
@@ -1053,15 +1034,11 @@ class FleetMonitor:
                 OBS.inc("service.resilience.replayed_chunks", replayed)
         return pipeline, replayed
 
-    def _rehydrate_shard(
-        self, executor: ShardExecutor | None, shard_id: str
-    ) -> None:
+    def _rehydrate_shard(self, shard_id: str) -> None:
         """Replace one shard's (possibly partially mutated) pipeline with
         an exact rebuild — the task failed, so the chunk was not applied."""
         pipeline, _ = self._rehydrate_pipeline(shard_id)
-        self._pipelines[shard_id] = pipeline
-        if executor is not None:
-            executor.install(shard_id, pipeline)
+        self._executor.install(shard_id, pipeline)
 
     def _recover_worker(
         self, executor: ShardExecutor, shard_id: str
@@ -1074,8 +1051,6 @@ class FleetMonitor:
         for rsid in residents:
             objects[rsid], _ = self._rehydrate_pipeline(rsid)
         executor.respawn(shard_id, objects)
-        for rsid, pipeline in objects.items():
-            self._pipelines[rsid] = pipeline
         FLIGHT.record_note(
             "worker_lost",
             scope=f"shard:{shard_id}",
@@ -1235,7 +1210,7 @@ class FleetMonitor:
                         if rsid not in pending:
                             pending.append(rsid)
                 else:
-                    self._rehydrate_shard(executor, shard_id)
+                    self._rehydrate_shard(shard_id)
                 if attempt >= policy.max_attempts:
                     self._quarantine(shard_id, exc, attempt)
                     continue
@@ -1279,7 +1254,7 @@ class FleetMonitor:
                     return None
                 self._recover_worker(executor, shard_id)
             else:
-                self._rehydrate_shard(executor, shard_id)
+                self._rehydrate_shard(shard_id)
             return None
 
     # ------------------------------------------------------------------ #
@@ -1379,7 +1354,7 @@ class FleetMonitor:
         values reflect every refresh already scheduled for a shard (the
         query queues behind it).  All zeros under ``deep_levels="inline"``.
         """
-        return self._query_all(_shard_deep_staleness)
+        return self._executor.broadcast(_shard_deep_staleness)
 
     def _deep_stale_ages(self) -> dict[str, int]:
         """Nonzero per-shard staleness ages for alert-context stamping."""
@@ -1484,14 +1459,9 @@ class FleetMonitor:
                 shard_history = np.ascontiguousarray(
                     history[new_rows_abs - row_offset][:, old.start_step :]
                 )
-            if self._executor is None:
-                change = _shard_add_sensors(
-                    self._pipelines[spec.shard_id], new_nodes, shard_history
-                )
-            else:
-                change = self._executor.call(
-                    spec.shard_id, _shard_add_sensors, new_nodes, shard_history
-                )
+            change = self._executor.call(
+                spec.shard_id, _shard_add_sensors, new_nodes, shard_history
+            )
             update.extended[spec.shard_id] = change
             final_specs.append(spec)
         for index, spec in enumerate(minted):
@@ -1509,9 +1479,7 @@ class FleetMonitor:
                         final_specs[position] = seeded
                         break
                 minted[index] = spec = seeded
-            self._pipelines[spec.shard_id] = pipeline
-            if self._executor is not None:
-                self._executor.add_shard(spec.shard_id, pipeline)
+            self._executor.add_shard(spec.shard_id, pipeline)
         update.minted = tuple(spec.shard_id for spec in minted)
         self.shards = final_specs
         return update
@@ -1532,7 +1500,7 @@ class FleetMonitor:
         spec (stamped with the current fleet step as its ``start_step``
         unless the caller set one).
         """
-        if spec.shard_id in self._pipelines:
+        if spec.shard_id in self._executor.shard_ids:
             raise ValueError(f"shard {spec.shard_id!r} already exists")
         if spec.start_step == 0 and self._step > 0:
             spec = replace(spec, start_step=self._step)
@@ -1541,10 +1509,8 @@ class FleetMonitor:
         ) + 1
         validate_partition([*self.shards, spec], n_rows)
         pipeline = pipeline or self._make_pipeline(spec)
+        self._executor.add_shard(spec.shard_id, pipeline)
         self.shards = [*self.shards, spec]
-        self._pipelines[spec.shard_id] = pipeline
-        if self._executor is not None:
-            self._executor.add_shard(spec.shard_id, pipeline)
         return spec
 
     def _shard_window(self, spec: ShardSpec, time_range):
@@ -1606,7 +1572,7 @@ class FleetMonitor:
     # ------------------------------------------------------------------ #
     def fit_baselines(self, **kwargs) -> None:
         """Fit every shard's baseline (from its reconstruction by default)."""
-        self._query_all(_shard_fit_baseline, kwargs)
+        self._executor.broadcast(_shard_fit_baseline, kwargs)
 
     def _merge_node_scores(
         self, per_shard: dict[str, NodeZScores], reducer: str
@@ -1670,7 +1636,7 @@ class FleetMonitor:
             if local is False:
                 continue
             args[spec.shard_id] = (local, reducer)
-        results = self._query_map(_shard_node_zscores, args)
+        results = self._executor.map(_shard_node_zscores, args)
         per_shard = {
             shard_id: scores
             for shard_id, scores in results.items()
@@ -1695,7 +1661,7 @@ class FleetMonitor:
         awaiting their first chunk (minted mid-run) have no decomposition
         yet and are omitted.
         """
-        results = self._query_map(
+        results = self._executor.map(
             _shard_spectrum,
             {
                 spec.shard_id: (spec.shard_id,)

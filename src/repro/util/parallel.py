@@ -297,11 +297,14 @@ class ShardExecutor(ABC):
     def _start(self) -> None:
         """Backend hook run after ``self._objects`` is populated."""
 
-    def _check_ready(self, shard_id: str) -> None:
+    def _check_started(self) -> None:
         if self._closed:
             raise RuntimeError("executor is closed")
         if not self.started:
             raise RuntimeError("executor is not started")
+
+    def _check_ready(self, shard_id: str) -> None:
+        self._check_started()
         if shard_id not in self._objects:
             raise KeyError(f"unknown shard {shard_id!r}")
 
@@ -363,8 +366,7 @@ class ShardExecutor(ABC):
 
     def broadcast(self, fn: Callable, /, *args, **kwargs) -> dict[str, Any]:
         """Run ``fn`` on every shard with the same arguments; gather."""
-        if not self.started:
-            raise RuntimeError("executor is not started")
+        self._check_started()
         tasks = [
             (shard_id, self.submit(shard_id, fn, *args, **kwargs))
             for shard_id in self._objects
@@ -387,10 +389,7 @@ class ShardExecutor(ABC):
         assigned to a worker deterministically (registration order modulo
         pool size), so every backend routes identically.
         """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if not self.started:
-            raise RuntimeError("executor is not started")
+        self._check_started()
         if shard_id in self._objects:
             raise ValueError(f"shard {shard_id!r} is already resident")
         self._objects[shard_id] = obj
@@ -448,8 +447,7 @@ class ShardExecutor(ABC):
         plain lookup; the process backend round-trips each object through
         its worker (one pickle per shard — the same price ``start`` paid).
         """
-        if not self.started:
-            raise RuntimeError("executor is not started")
+        self._check_started()
         return dict(self._objects)
 
     # -- shutdown -------------------------------------------------------- #
@@ -598,9 +596,22 @@ class _ProcessWorker:
         self._next_task_id = 0
         self._next_payload_id = 0
 
+    def _send(self, message: tuple, shard_id: str) -> None:
+        """Ship one command.  A worker that cannot take it (dead, or the
+        message does not pickle) raises a crash-kind
+        :class:`ShardTaskError` naming the shard."""
+        try:
+            self.conn.send(message)
+        except Exception as exc:
+            raise ShardTaskError(
+                f"could not ship {message[0]} for shard {shard_id!r} to "
+                f"worker {self.process.name}: {exc!r}",
+                shard_id=shard_id, kind="crash",
+            ) from exc
+
     def install(self, shard_id: str, obj: Any) -> None:
         self.drain()
-        self.conn.send(("install", shard_id, obj))
+        self._send(("install", shard_id, obj), shard_id)
         ack = self.conn.recv()
         if ack != ("installed", shard_id):  # pragma: no cover - defensive
             raise ShardTaskError(f"unexpected install ack {ack!r}")
@@ -609,28 +620,26 @@ class _ProcessWorker:
                ctx=None) -> None:
         task_id = self._next_task_id
         self._next_task_id += 1
+        self._send(("task", task_id, task.shard_id, fn, args, kwargs, ctx),
+                   task.shard_id)
         self._pending[task_id] = task
-        try:
-            self.conn.send(("task", task_id, task.shard_id, fn, args, kwargs, ctx))
-        except Exception as exc:
-            del self._pending[task_id]
-            raise ShardTaskError(
-                f"could not ship task for shard {task.shard_id!r} to worker: {exc!r}",
-                shard_id=task.shard_id, kind="crash",
-            ) from exc
 
-    def send_payload(self, fn: Callable, args, kwargs, uses: int) -> int:
-        """Ship one broadcast payload; the next ``uses`` ptasks reference it."""
+    def send_payload(self, fn: Callable, args, kwargs,
+                     shard_ids: list[str]) -> int:
+        """Ship one broadcast payload; the next ptasks, one per shard in
+        ``shard_ids``, reference it."""
         payload_id = self._next_payload_id
         self._next_payload_id += 1
-        self.conn.send(("payload", payload_id, fn, args, kwargs, uses))
+        self._send(("payload", payload_id, fn, args, kwargs, len(shard_ids)),
+                   shard_ids[0])
         return payload_id
 
     def submit_ptask(self, task: ShardTask, payload_id: int, ctx=None) -> None:
         task_id = self._next_task_id
         self._next_task_id += 1
+        self._send(("ptask", task_id, task.shard_id, payload_id, ctx),
+                   task.shard_id)
         self._pending[task_id] = task
-        self.conn.send(("ptask", task_id, task.shard_id, payload_id, ctx))
 
     @property
     def pending_shards(self) -> tuple[str, ...]:
@@ -779,8 +788,7 @@ class ProcessShardExecutor(ShardExecutor):
     def broadcast(self, fn: Callable, /, *args, **kwargs) -> dict[str, Any]:
         """Fan ``fn`` out to every shard, shipping the payload once per
         worker process instead of once per shard (see module docstring)."""
-        if not self.started:
-            raise RuntimeError("executor is not started")
+        self._check_started()
         by_worker: dict[int, list[str]] = {}
         for shard_id in self._objects:
             by_worker.setdefault(self._worker_of_shard[shard_id], []).append(shard_id)
@@ -788,7 +796,7 @@ class ProcessShardExecutor(ShardExecutor):
         ctx = _current_trace_context()
         for worker_index, shard_ids in by_worker.items():
             worker = self._workers[worker_index]
-            payload_id = worker.send_payload(fn, args, kwargs, uses=len(shard_ids))
+            payload_id = worker.send_payload(fn, args, kwargs, shard_ids)
             for shard_id in shard_ids:
                 self._record_submit(shard_id, depth=len(worker._pending))
                 task = ShardTask(shard_id, worker=worker)
@@ -936,8 +944,6 @@ class ProcessShardExecutor(ShardExecutor):
         self._start_worker_obs((shard_id,))
 
     def pull(self) -> dict[str, Any]:
-        if not self.started:
-            raise RuntimeError("executor is not started")
         synced = self.broadcast(_return_shard_object)
         self._objects.update(synced)
         return dict(self._objects)
@@ -980,9 +986,10 @@ def validate_executor_spec(
 ) -> None:
     """Raise the :class:`ValueError` :func:`make_shard_executor` would.
 
-    Monitors start their executor lazily; they call this when they are
-    built so a bad ``executor``/``max_workers`` fails there, not at the
-    first ingest.
+    A monitor builds its configured executor only at its first ingest
+    round (a serial executor holds its pipelines until then); it calls
+    this when it is built so a bad ``executor``/``max_workers`` fails
+    there, not at the first ingest.
     """
     if isinstance(backend, ShardExecutor):
         if max_workers is not None:

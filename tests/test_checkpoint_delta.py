@@ -101,7 +101,7 @@ def _build_monitor(
 
 def _dirty_one_shard(monitor: FleetMonitor, stream, lo: int, hi: int) -> str:
     spec = monitor.shards[0]
-    monitor._pipelines[spec.shard_id].ingest(spec.take(stream.values[:, lo:hi]))
+    monitor.pipeline(spec.shard_id).ingest(spec.take(stream.values[:, lo:hi]))
     return spec.shard_id
 
 
@@ -749,7 +749,7 @@ def test_recovery_store_rebuild_bit_for_bit(tmp_path):
     tail = [stream.values[:, 240:280], stream.values[:, 280:320]]
     for chunk in tail:
         store.record_chunk(shard_id, spec.take(chunk))
-        monitor._pipelines[shard_id].ingest(spec.take(chunk))
+        monitor.pipeline(shard_id).ingest(spec.take(chunk))
 
     rebuilt, n_replayed = store.rebuild(shard_id)
     assert n_replayed == len(tail)
@@ -781,7 +781,7 @@ def test_recovery_store_skips_unchanged_stamp(tmp_path):
 
     # The stamp moves on ingest: the next call snapshots again and the
     # newly covered tail is dropped.
-    monitor._pipelines[shard_id].ingest(spec.take(stream.values[:, 240:280]))
+    monitor.pipeline(shard_id).ingest(spec.take(stream.values[:, 240:280]))
     moved = monitor.shard_state_stamp(shard_id)
     assert moved != stamp
     assert store.record_snapshot_if_changed(shard_id, moved, provider)

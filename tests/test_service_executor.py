@@ -10,6 +10,8 @@ context manager) and the overlapped ``ingest_and_alert`` path.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.service import (
 from repro.service.alerts import AlertEngine, default_rules
 from repro.service.scenarios import quiet_fleet
 from repro.telemetry import HotNodes, TelemetryGenerator
+from repro.util.parallel import ShardTaskError
 
 BACKENDS = ["serial", "process"]
 
@@ -151,8 +154,9 @@ def test_monitor_usable_after_close(backend_products, fleet_stream):
     """close() lands worker-resident state; post-close queries run serially."""
     for backend in BACKENDS:
         monitor, products = backend_products[backend]
-        # Post-close work degrades to a lazily started serial executor.
-        assert monitor.executor is None or monitor.executor.backend == "serial"
+        # Post-close work runs on the serial executor close installed.
+        assert monitor.executor.backend == "serial"
+        assert monitor.executor.started and not monitor.executor.closed
         assert monitor.rack_values() == products["rack_values"], backend
         follow_up = monitor.ingest(fleet_stream.values[:, :480][:, -60:])
         assert follow_up.step == 540, backend
@@ -164,14 +168,68 @@ def test_executor_is_held_open_across_ingests(fleet_stream):
         max_workers=2,
     )
     with monitor:
-        assert monitor.executor is None, "executor starts lazily"
+        assert monitor.executor.backend == "serial", "process starts lazily"
+        assert monitor.total_modes == 0, "a read spawns no workers"
+        assert monitor.executor.backend == "serial"
         monitor.ingest(fleet_stream.values[:, :240])
         executor = monitor.executor
-        assert executor is not None and executor.started
+        assert executor.backend == "process" and executor.started
         monitor.ingest(fleet_stream.values[:, 240:])
         assert monitor.executor is executor, "same executor across ingests"
-    assert monitor.executor is None
+    assert monitor.executor.backend == "serial"
     assert executor.closed
+
+
+def test_process_monitor_spawns_no_worker_before_its_first_round(
+    fleet_stream, tmp_path
+):
+    """Reads after construction, restore and unpickling run on a serial
+    executor; the first ingest round moves the pipelines onto workers."""
+    monitor = FleetMonitor.from_stream(
+        fleet_stream, policy=RackSharding(), config=CONFIG, executor="process",
+        max_workers=2,
+    )
+    assert monitor.last_updates() == dict.fromkeys(monitor.pipelines)
+    assert monitor.executor.backend == "serial"
+    with monitor:
+        monitor.ingest(fleet_stream.values[:, :240])
+        assert monitor.executor.backend == "process"
+        save_checkpoint(str(tmp_path / "ckpt"), monitor)
+        copy = pickle.loads(pickle.dumps(monitor))
+    restored = load_checkpoint(
+        str(tmp_path / "ckpt"), executor="process", max_workers=2
+    )
+    for other in (copy, restored):
+        with other:
+            assert other.rack_values() == monitor.rack_values()
+            assert other.executor.backend == "serial"
+            other.ingest(fleet_stream.values[:, 240:300])
+            assert other.executor.backend == "process"
+
+
+def test_failed_close_leaves_the_monitor_closed(fleet_stream):
+    """A close whose pull meets a dead worker raises, and the monitor then
+    refuses every call instead of answering from pre-ingest state."""
+    monitor = FleetMonitor.from_stream(
+        fleet_stream, policy=RackSharding(), config=CONFIG, executor="process",
+        max_workers=2,
+    )
+    monitor.ingest(fleet_stream.values[:, :240])
+    assert monitor.total_modes > 0
+    worker = monitor.executor._workers[-1].process
+    worker.kill()
+    worker.join(timeout=30)
+    with pytest.raises(ShardTaskError) as caught:
+        monitor.close()
+    assert caught.value.kind == "crash"
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        monitor.total_modes
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        monitor.rack_values()
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        monitor.ingest(fleet_stream.values[:, 240:300])
+    assert monitor.step == 240
+    monitor.close()  # a second close is a no-op
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

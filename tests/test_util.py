@@ -24,6 +24,7 @@ from repro.util import (
 from repro.util.parallel import (
     ProcessShardExecutor,
     SerialShardExecutor,
+    ShardTaskError,
 )
 
 
@@ -209,6 +210,33 @@ class TestShardExecutor:
         executor.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             executor.submit("a", _read_total)
+
+    def test_closed_executor_refuses_fan_outs(self, executor):
+        executor.start({"a": _Accumulator(), "b": _Accumulator()})
+        executor.close()
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            executor.broadcast(_read_total)
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            executor.pull()
+
+    @pytest.mark.parametrize("send, shard_id", [
+        ("broadcast", "a"), ("pull", "a"), ("install", "b"),
+    ])
+    def test_dead_worker_raises_a_crash_error_naming_the_shard(self, send, shard_id):
+        with make_shard_executor("process", max_workers=1) as ex:
+            ex.start({"a": _Accumulator(), "b": _Accumulator()})
+            worker = ex._workers[0].process
+            worker.kill()
+            worker.join(timeout=30)
+            sends = {
+                "broadcast": lambda: ex.broadcast(_read_total),
+                "pull": ex.pull,
+                "install": lambda: ex.install("b", _Accumulator(7)),
+            }
+            with pytest.raises(ShardTaskError, match=repr(shard_id)) as caught:
+                sends[send]()
+            assert caught.value.kind == "crash"
+            assert caught.value.shard_id == shard_id
 
     def test_start_requires_shards(self, executor):
         with pytest.raises(ValueError, match="at least one"):
