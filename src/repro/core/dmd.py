@@ -163,26 +163,28 @@ def _fit_window_amplitudes(
 ) -> np.ndarray:
     """Least-squares mode amplitudes against every snapshot of the window.
 
-    Solves ``min_a || sum_i a_i phi_i lambda_i^t - x_t ||`` jointly over all
-    ``t`` by flattening the (P, T) problem into a single tall least-squares
-    system with ``r`` unknowns.  ``powers`` optionally gives the snapshot
-    index of each data column (default ``0 .. T-1``); the streaming path
-    uses this to fit against a trailing slice of a longer window without
-    touching the rest of it.
+    Solves ``min_a sum_t || Phi diag(lambda^t) a - x_t ||^2`` jointly over
+    all ``t``.  With the reduced QR factorisation ``Phi = Q R`` (``Q`` has
+    orthonormal columns) each term splits into ``|| R diag(lambda^t) a -
+    Q^H x_t ||^2`` plus a part of ``x_t`` no ``a`` can reach, so the
+    ``(P T) x r`` problem becomes the stacked ``(T r) x r`` system whose
+    block ``t`` is ``R diag(lambda^t)``, solved against the columns of
+    ``Q^H X``.  Same minimiser and minimum-norm solution, at ``O(P r (r +
+    T) + T r^3)`` instead of ``O(P T r^2)``.  ``powers`` optionally gives
+    the snapshot index of each data column (default ``0 .. T-1``); the
+    streaming path uses this to fit against a trailing slice of a longer
+    window without touching the rest of it.
     """
-    n_snapshots = data.shape[1]
-    r = modes.shape[1]
-    # Vandermonde of eigenvalues: (r, T)
     if powers is None:
-        powers = np.arange(n_snapshots)
-    vander = eigenvalues[:, None] ** powers[None, :]
-    # Design matrix: column i is vec(phi_i outer lambda_i^t); build (P, T, r)
-    # then flatten the first two axes to obtain the (P*T, r) system.
-    design = np.transpose(modes[:, :, None] * vander[None, :, :], (0, 2, 1)).reshape(
-        -1, r
-    )
-    target = np.asarray(data, dtype=complex).reshape(-1)
-    amplitudes, *_ = np.linalg.lstsq(design, target, rcond=None)
+        powers = np.arange(data.shape[1])
+    # Vandermonde of eigenvalues: (T, r)
+    vander = eigenvalues[None, :] ** powers[:, None]
+    q, rfac = np.linalg.qr(modes)
+    # (T, k) rows of Q^H X, k = min(P, r); complex even when every mode is real
+    target = np.asarray((q.conj().T @ data).T, dtype=complex).reshape(-1)
+    # Block t of the stacked system is R diag(lambda^t): (T, k, r) -> (T k, r)
+    system = (rfac[None, :, :] * vander[:, None, :]).reshape(-1, modes.shape[1])
+    amplitudes, *_ = np.linalg.lstsq(system, target, rcond=None)
     return amplitudes
 
 
@@ -258,8 +260,9 @@ def compute_dmd(
         least squares against the first snapshot only — Eq. 6's
         ``a_i(0)``) or ``"window"`` (least squares against every snapshot
         of the window, markedly more robust when the first snapshot is
-        unrepresentative; cost ``O(P T r^2)`` which is negligible on the
-        subsampled windows mrDMD feeds in).
+        unrepresentative; solved in the ``r``-dimensional mode space after
+        one QR factorisation of the modes, at ``O(P r (r + T) + T r^3)``
+        rather than the ``O(P T r^2)`` of the full ``(P T) x r`` system).
     """
     data = np.asarray(data)
     if data.ndim != 2:

@@ -148,11 +148,12 @@ def _on_machines(federated: FederatedMonitor, fn, args_by_name: dict) -> dict:
 
     Runs on the federation's fan-out pool when one is already running
     (refreshed against the registry so membership changes since start
-    are honoured), in-process otherwise: saving never *starts* a pool —
+    are honoured; a pool left closed by a failed close raises),
+    in-process otherwise: saving never *starts* a pool —
     a federation that has not ingested yet holds its machines
     in-process, where a serial walk is exact.
     """
-    if federated.executor is not None and not federated.executor.closed:
+    if federated.executor is not None:
         return federated._ensure_executor().map(fn, args_by_name)
     monitors = federated.registry.monitors()
     return {name: fn(monitors[name], *args) for name, args in args_by_name.items()}

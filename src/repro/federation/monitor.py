@@ -292,7 +292,8 @@ class FederatedMonitor:
 
     @property
     def executor(self) -> ShardExecutor | None:
-        """The live fan-out executor (None until first use / after close)."""
+        """The live fan-out executor (None until first use / after close;
+        a closed one after a close whose pull failed)."""
         return self._executor
 
     @property
@@ -362,15 +363,24 @@ class FederatedMonitor:
         return OBS.metrics
 
     def _land_and_drop_executor(self) -> None:
+        """Land process-resident machine state and drop the pool.
+
+        If the pull fails (a worker died and its machines' state is gone)
+        the closed pool stays in place, so later calls raise instead of
+        answering from the registry's pre-pool monitors.
+        """
+        executor = self._executor
         try:
             self.collect_metrics()
-            if self._resident_remote and not self._executor.closed:
-                for name, monitor in self._executor.pull().items():
+            if self._resident_remote:
+                for name, monitor in executor.pull().items():
                     self._land_pulled(name, monitor)
-        finally:
-            self._executor.close()
-            self._executor = None
-            self._shipped = {}
+        except BaseException:
+            executor.close()
+            raise
+        self._executor = None
+        self._shipped = {}
+        executor.close()
 
     def _ensure_checkpoint_writer(self):
         """The federation's background checkpoint writer (created lazily)."""
@@ -395,19 +405,23 @@ class FederatedMonitor:
         Machine monitors themselves stay open (the registry owns them);
         close those via ``registry.close()``.  Also drains the background
         checkpoint writer, surfacing any deferred write error after the
-        pool teardown ran.  Idempotent.
+        pool teardown ran.  If the pull meets a dead worker it raises
+        :class:`~repro.util.parallel.ShardTaskError` and the closed pool
+        stays in place: later calls raise ``RuntimeError("executor is
+        closed")`` rather than answer from the registry's pre-pool
+        monitors.  Idempotent.
         """
         writer, self._checkpoint_writer = self._checkpoint_writer, None
         try:
             if writer is not None:
                 writer.close(flush=True)
         finally:
-            if self._executor is not None:
-                self._land_and_drop_executor()
+            if self._executor is not None and not self._executor.closed:
                 if isinstance(self._executor_spec, ShardExecutor):
-                    # The instance was consumed by the closed pool; fall
+                    # The instance is consumed by the closing pool; fall
                     # back to its backend name for any later restart.
                     self._executor_spec = self._executor_spec.backend
+                self._land_and_drop_executor()
 
     def __enter__(self) -> "FederatedMonitor":
         return self

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dmd import DMDResult, compute_dmd, slow_mode_mask
+from repro.core.dmd import DMDResult, _fit_window_amplitudes, compute_dmd, slow_mode_mask
 
 from helpers import make_multiscale_signal
+from reference_dmd import reference_window_amplitudes, window_residual_norm
 
 
 def linear_system_data(n_steps: int = 200, dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
@@ -190,3 +191,67 @@ class TestSlowModeMask:
         result = compute_dmd(data, dt)
         with pytest.raises(ValueError):
             slow_mode_mask(result, rho=-1.0)
+
+
+def _window_case(n_features, n_snapshots, rank, *, seed, offset=0, dtype=float):
+    """Modes, near-unit eigenvalues, powers and noisy real data of one window."""
+    rng = np.random.default_rng(seed)
+    modes = rng.standard_normal((n_features, rank)) + 1j * rng.standard_normal(
+        (n_features, rank)
+    )
+    eigenvalues = np.exp(rng.uniform(-2e-3, 1e-4, rank) + 1j * rng.uniform(-1, 1, rank))
+    powers = offset + np.arange(n_snapshots)
+    truth = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+    clean = modes @ (truth[:, None] * eigenvalues[:, None] ** powers[None, :])
+    data = clean.real + 0.1 * rng.standard_normal(clean.shape)
+    return modes, eigenvalues, powers, data.astype(dtype)
+
+
+class TestWindowAmplitudesMatchFullSpaceOracle:
+    """The QR-reduced amplitude fit solves the oracle's least squares."""
+
+    @staticmethod
+    def _assert_matches(modes, eigenvalues, data, powers):
+        got = _fit_window_amplitudes(modes, eigenvalues, data, powers=powers)
+        want = reference_window_amplitudes(modes, eigenvalues, data, powers=powers)
+        assert got.dtype == want.dtype == np.complex128
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        res_got = window_residual_norm(modes, eigenvalues, data, got, powers)
+        res_want = window_residual_norm(modes, eigenvalues, data, want, powers)
+        assert abs(res_got - res_want) <= 1e-12 * res_want
+
+    @pytest.mark.parametrize("rank", [1, 4, 7])
+    @pytest.mark.parametrize("n_snapshots", [1, 8, 25])
+    @pytest.mark.parametrize("n_features", [64, 192])
+    def test_shapes(self, n_features, n_snapshots, rank):
+        modes, eigenvalues, powers, data = _window_case(
+            n_features, n_snapshots, rank, seed=n_features * 100 + n_snapshots * 10 + rank
+        )
+        self._assert_matches(modes, eigenvalues, data, powers)
+
+    def test_duplicated_mode_gives_the_same_minimum_norm_answer(self):
+        modes, eigenvalues, powers, data = _window_case(128, 16, 4, seed=5)
+        modes = np.concatenate([modes, modes[:, 1:2]], axis=1)
+        eigenvalues = np.concatenate([eigenvalues, eigenvalues[1:2]])
+        self._assert_matches(modes, eigenvalues, data, powers)
+        got = _fit_window_amplitudes(modes, eigenvalues, data, powers=powers)
+        assert abs(got[1] - got[4]) <= 1e-12 * abs(got[1])
+
+    def test_float32_data(self):
+        modes, eigenvalues, powers, data = _window_case(96, 12, 5, seed=7, dtype=np.float32)
+        self._assert_matches(modes, eigenvalues, data, powers)
+
+    def test_late_absolute_powers(self):
+        modes, eigenvalues, powers, data = _window_case(128, 10, 6, seed=11, offset=3000)
+        self._assert_matches(modes, eigenvalues, data, powers)
+
+    def test_real_modes_still_give_complex_amplitudes(self):
+        data, _ = linear_system_data(n_steps=40)
+        modes, eigenvalues, powers, _ = _window_case(2, 40, 2, seed=13)
+        self._assert_matches(modes.real, eigenvalues.real, data, powers)
+
+    def test_compute_dmd_window_path_uses_the_reduced_fit(self):
+        data, dt = make_multiscale_signal(n_sensors=64, n_timesteps=25)
+        result = compute_dmd(data, dt, amplitude_method="window")
+        want = reference_window_amplitudes(result.modes, result.eigenvalues, data)
+        assert np.linalg.norm(result.amplitudes - want) <= 1e-12 * np.linalg.norm(want)

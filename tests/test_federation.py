@@ -45,6 +45,7 @@ from repro.service import (
 )
 from repro.telemetry import HotNodes, MachineDescription, TelemetryGenerator
 from repro.telemetry.sensors import xc40_sensor_suite
+from repro.util.parallel import ShardTaskError
 
 
 CONFIG = PipelineConfig(
@@ -392,6 +393,34 @@ def _run_with_backends(streams, executor, shard_executor=None):
     federated.close()
     federated.registry.close()
     return rack, [a.to_dict() for a in alerts], power
+
+
+def test_failed_close_leaves_the_federation_closed(streams, tmp_path):
+    """A close whose pull meets a dead worker raises, and the federation
+    then refuses every call instead of answering from (or re-fitting on)
+    the registry's pre-pool monitors."""
+    federated = build_federated(streams, executor="process")
+    federated.ingest({n: s.values[:, :INITIAL] for n, s in streams.items()})
+    worker = federated.executor._workers[-1].process
+    worker.kill()
+    worker.join(timeout=30)
+    with pytest.raises(ShardTaskError) as caught:
+        federated.close()
+    assert caught.value.kind == "crash"
+    for name in streams:
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            federated.machine(name).step
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        federated.machines
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        federated.fleet_spectrum()
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        federated.ingest({n: s.values[:, INITIAL:280] for n, s in streams.items()})
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        save_federated_checkpoint(str(tmp_path / "ckpt"), federated)
+    assert federated.step == INITIAL
+    federated.close()  # a second close is a no-op
+    federated.registry.close()
 
 
 def test_process_pool_does_not_resurrect_replaced_machine(streams):
