@@ -26,6 +26,10 @@ are only acceptable if they are *actually* cheap and *provably* lossless:
    with and without reuse, on and off the critical path — must all
    restore bit-for-bit identical shard state dicts.
 
+The writer's per-block cost is recorded too (not gated): for the
+largest shard's state, the content digest, the ``save_state`` write and
+the block's size on disk.
+
 Results land in ``BENCH_checkpoint.json`` next to this file
 (machine-readable; uploaded as a CI artifact).
 """
@@ -38,6 +42,8 @@ import shutil
 import tempfile
 
 from repro.core import MrDMDConfig
+from repro.io.delta import state_digest
+from repro.io.storage import save_state
 from repro.pipeline import PipelineConfig
 from repro.service import FleetMonitor, RackSharding
 from repro.service.alerts import AlertEngine, default_rules
@@ -119,6 +125,31 @@ def _shard_reprs(monitor: FleetMonitor) -> dict[str, str]:
     }
 
 
+def _largest_block_cost(monitor: FleetMonitor, workdir: str) -> dict:
+    """Best-of-``N_REPS`` writer cost of the largest shard's block: the
+    content digest and the ``save_state`` write, the two steps the
+    writer thread runs per dirty shard."""
+    path = os.path.join(workdir, "largest_block.npz")
+    sizes = {}
+    for spec in monitor.shards:
+        save_state(path, monitor.shard_state_dict(spec.shard_id))
+        sizes[spec.shard_id] = os.path.getsize(path)
+    state = monitor.shard_state_dict(max(sizes, key=sizes.get))
+    digest_seconds, write_seconds = [], []
+    for _ in range(N_REPS):
+        with Timer() as timer:
+            state_digest(state)
+        digest_seconds.append(timer.elapsed)
+        with Timer() as timer:
+            save_state(path, state)
+        write_seconds.append(timer.elapsed)
+    return {
+        "largest_block_digest_ms": min(digest_seconds) * 1e3,
+        "largest_block_write_ms": min(write_seconds) * 1e3,
+        "largest_block_bytes": os.path.getsize(path),
+    }
+
+
 def test_checkpoint_gates(benchmark):
     stream = _fleet_stream()
     workdir = tempfile.mkdtemp(prefix="bench-checkpoint-")
@@ -163,6 +194,7 @@ def test_checkpoint_gates(benchmark):
         restored_delta.close()
         bytes_written = info.bytes_written
         bytes_referenced = info.bytes_referenced
+        block_cost = _largest_block_cost(monitor, workdir)
         monitor.close()
 
         # Gate 2: streaming with periodic async delta saves; the chunk
@@ -209,6 +241,7 @@ def test_checkpoint_gates(benchmark):
             "async_stall_per_chunk_seconds": sum(stall_seconds) / N_CHUNKS,
             "async_save_call_seconds": _median(save_call_seconds),
             "n_async_saves": len(stall_seconds),
+            **block_cost,
         }
 
     try:

@@ -16,16 +16,17 @@ O(changed state) instead of O(total state):
   :meth:`BlockStore.sweep` reclaims.  A block damaged on disk after it
   was written is not repaired by later saves; loading it raises.
 * :class:`AsyncCheckpointWriter` — a bounded-queue background thread
-  that takes the hash/compress/write tail of a save off the ingest
+  that takes the hash/serialise/write tail of a save off the ingest
   critical path.  ``submit`` returns the stall time actually spent
   waiting for a slot (zero in steady state, non-zero only under
   backpressure), ``flush``/``close`` are barriers that re-raise the
   first deferred write error.
 
 The content digest is computed over the *flattened* state (structure
-JSON plus each array's dtype/shape/bytes), never over compressed
-``.npz`` bytes: zip containers embed timestamps, so equal states would
-hash unequal.  Two saves of an untouched shard therefore produce the
+JSON plus each array's dtype/shape/bytes), never over the ``.npz``
+container's bytes: zip containers embed timestamps, so equal states
+would hash unequal, and blocks written deflated by earlier releases keep
+their digests.  Two saves of an untouched shard therefore produce the
 same digest and the second write is skipped entirely.
 """
 
@@ -121,7 +122,10 @@ def state_digest(state: dict) -> str:
         digest.update(b"\x00" + key.encode())
         digest.update(b"\x00" + array.dtype.str.encode())
         digest.update(b"\x00" + repr(tuple(array.shape)).encode())
-        digest.update(b"\x00" + np.ascontiguousarray(array).tobytes())
+        # Hashed in place, without a ``tobytes()`` copy: the C-order
+        # bytes, which the names of blocks already on disk depend on.
+        digest.update(b"\x00")
+        digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 

@@ -7,7 +7,9 @@ A deployed monitoring pipeline has to persist two very different things:
   formats a facility's collectors most easily produce; and
 * the *analysis state* — the mrDMD mode tree, which is the paper's
   "terabytes to megabytes" compressed summary and the thing an operator
-  would archive per analysis window.
+  would archive per analysis window — and the service checkpoint state
+  (:func:`save_state`), stored uncompressed because it is rewritten on
+  the ingest machine's cores.
 
 All functions take/return the in-memory objects used throughout the package,
 round-trip exactly (asserted by the tests), and avoid any dependency beyond
@@ -176,13 +178,6 @@ def load_hardware_log(path: str) -> HardwareLog:
 # --------------------------------------------------------------------------- #
 # Generic nested state (.npz) — the service checkpoint format
 # --------------------------------------------------------------------------- #
-#: Deflate level of :func:`save_state` containers.  Checkpoint state is
-#: mostly floating-point noise: level 1 stores it within 0.1 % of the
-#: default level's (6) size at half the CPU, and that CPU is the
-#: asynchronous checkpoint writer's throughput.
-STATE_COMPRESSLEVEL = 1
-
-
 def _flatten_state(obj, arrays: dict[str, np.ndarray]):
     """JSON-safe mirror of ``obj`` with arrays swapped for ``.npz`` keys."""
     if isinstance(obj, np.ndarray):
@@ -222,13 +217,19 @@ def _unflatten_state(obj, arrays):
 
 
 def save_state(path: str, state: dict) -> str:
-    """Write an arbitrarily nested state dict to one compressed ``.npz``.
+    """Write an arbitrarily nested state dict to one uncompressed ``.npz``.
 
     ``state`` may mix NumPy arrays (any dtype, stored losslessly) with
     JSON-representable scalars, ``None``, lists, tuples and string-keyed
     dicts.  This is the container format for every service checkpoint
     artifact (per-shard pipeline state, iSVD factors, baselines); tuples
     survive the round trip, unlike a plain JSON dump.
+
+    Members are stored, not deflated.  Checkpoint state is mostly
+    floating-point noise that deflate shrinks only 1.3-1.6x, for 11-16x
+    the CPU of a stored write, and that CPU is taken from the shard
+    workers by the asynchronous checkpoint writer.  Each member's zip
+    CRC-32 still detects a damaged block on load.
 
     Returns the path actually written: ``np.savez`` appends ``.npz`` when
     the suffix is missing, and the return value reflects that, so
@@ -239,10 +240,7 @@ def save_state(path: str, state: dict) -> str:
     arrays: dict[str, np.ndarray] = {}
     structure = _flatten_state(state, arrays)
     arrays["state_json"] = np.array([json.dumps(structure)])
-    # np.savez_compressed, at a lower deflate level.
-    with zipfile.ZipFile(
-        path, "w", zipfile.ZIP_DEFLATED, compresslevel=STATE_COMPRESSLEVEL
-    ) as archive:
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for key, value in arrays.items():
             with archive.open(key + ".npy", "w", force_zip64=True) as handle:
                 np.lib.format.write_array(handle, np.asanyarray(value), allow_pickle=False)
@@ -250,7 +248,10 @@ def save_state(path: str, state: dict) -> str:
 
 
 def load_state(path: str) -> dict:
-    """Inverse of :func:`save_state` (arrays come back bit-for-bit)."""
+    """Inverse of :func:`save_state` (arrays come back bit-for-bit).
+
+    Also reads the deflated containers that earlier releases wrote.
+    """
     with np.load(path, allow_pickle=False) as payload:
         structure = json.loads(str(payload["state_json"][0]))
         arrays = {key: payload[key] for key in payload.files if key != "state_json"}

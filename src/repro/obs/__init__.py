@@ -90,6 +90,9 @@ class _NoopSpan:
     def __exit__(self, *exc_info) -> None:
         return None
 
+    def set(self, **attrs) -> None:
+        return None
+
 
 _NOOP_SPAN = _NoopSpan()
 

@@ -177,6 +177,10 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._tracer._pop(self, error=exc_type is not None)
 
+    def set(self, **attrs) -> None:
+        """Attach attributes known only inside the region (before exit)."""
+        self.attrs.update(attrs)
+
 
 class _RemoteParent:
     """Stack entry standing in for a span owned by another process.

@@ -53,7 +53,7 @@ making it self-contained.
 
 ``mode="async"`` (requires ``keep_last``) captures a decoupled snapshot
 synchronously (cheap: stamps + dirty shards only) and defers the
-hash/compress/write/rotate tail to a bounded background writer
+hash/serialise/write/rotate tail to a bounded background writer
 (:class:`~repro.io.delta.AsyncCheckpointWriter`).  Crash consistency is
 unchanged — blocks land before the entry rename, so a torn async write
 leaves at worst orphan blocks and the newest *complete* entry keeps
@@ -278,10 +278,13 @@ def rotate_into(
     if os.path.exists(final):
         _discard(final)
     os.rename(tmp, final)
+    retained = []
     for entry in list_checkpoints(directory):
         if entry.step > step:
             _discard(entry.path)
-    for stale in list_checkpoints(directory)[keep_last:]:
+        else:
+            retained.append(entry)
+    for stale in retained[keep_last:]:
         _discard(stale.path)
     return final
 
@@ -488,35 +491,40 @@ def _capture(
     dirty states now, decoupled from the live pipelines, for a commit
     that runs later; otherwise the commit pulls each one as it stores it.
     """
-    base = _capture_manifest(monitor)
-    store = BlockStore(blocks_dir)
-    records = monitor._checkpoint_blocks
-    stamps = monitor.shard_state_stamps()
-    blocks = []
-    for spec in monitor.shards:
-        shard_id = spec.shard_id
-        stamp = stamps[shard_id]
-        previous = records.get(shard_id)
-        if (
-            previous is not None
-            and previous.stamp == stamp
-            and previous.digest is not None
-            and store.has(previous.digest)
-        ):
-            blocks.append(_ShardBlock(shard_id, stamp, previous.digest, reused=True))
-            continue
-        block = _ShardBlock(shard_id, stamp)
-        block.state = monitor._recovery.snapshot_at(shard_id, stamp)
-        if block.state is None and snapshot:
-            block.state = monitor.shard_state_dict(shard_id)
-            if monitor.executor.backend == "serial":
-                # The serial backend hands back state sharing arrays
-                # with the live pipeline; a deferred write needs its own
-                # copy.  The process backend already returned a copy.
-                block.state = copy_state(block.state)
-        records[shard_id] = block
-        blocks.append(block)
-    reused = sum(block.reused for block in blocks)
+    with OBS.span("checkpoint.capture", snapshot=snapshot) as span:
+        base = _capture_manifest(monitor)
+        store = BlockStore(blocks_dir)
+        records = monitor._checkpoint_blocks
+        stamps = monitor.shard_state_stamps()
+        blocks = []
+        for spec in monitor.shards:
+            shard_id = spec.shard_id
+            stamp = stamps[shard_id]
+            previous = records.get(shard_id)
+            if (
+                previous is not None
+                and previous.stamp == stamp
+                and previous.digest is not None
+                and store.has(previous.digest)
+            ):
+                blocks.append(
+                    _ShardBlock(shard_id, stamp, previous.digest, reused=True)
+                )
+                continue
+            block = _ShardBlock(shard_id, stamp)
+            block.state = monitor._recovery.snapshot_at(shard_id, stamp)
+            if block.state is None and snapshot:
+                block.state = monitor.shard_state_dict(shard_id)
+                if monitor.executor.backend == "serial":
+                    # The serial backend hands back state sharing arrays
+                    # with the live pipeline; a deferred write needs its
+                    # own copy.  The process backend already returned a
+                    # copy.
+                    block.state = copy_state(block.state)
+            records[shard_id] = block
+            blocks.append(block)
+        reused = sum(block.reused for block in blocks)
+        span.set(dirty=len(blocks) - reused, reused=reused)
     if OBS.enabled and reused:
         OBS.inc("checkpoint.shards_reused", reused)
     return base, blocks
@@ -589,7 +597,9 @@ def _write_manifest(directory: str, manifest: dict) -> None:
     path = os.path.join(directory, MANIFEST_NAME)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+        # One C-encoded string: ``json.dump`` with ``indent`` would run
+        # the pure-Python encoder and issue one write per token.
+        handle.write(json.dumps(manifest))
     os.replace(tmp, path)
 
 

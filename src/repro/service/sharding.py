@@ -119,8 +119,8 @@ class ShardSpec:
     def to_dict(self) -> dict:
         return {
             "shard_id": self.shard_id,
-            "row_indices": [int(i) for i in self.row_indices],
-            "node_of_row": [int(n) for n in self.node_of_row],
+            "row_indices": np.asarray(self.row_indices, dtype=int).tolist(),
+            "node_of_row": np.asarray(self.node_of_row, dtype=int).tolist(),
             "sensor_names": list(self.sensor_names),
             "start_step": int(self.start_step),
         }

@@ -1,10 +1,17 @@
-"""Test-only writer for the retired version-1/2 checkpoint layout.
+"""Test-only writers for retired checkpoint formats.
 
-The library no longer writes this layout but still reads it: checkpoints
-left on disk by earlier releases are outside input.  This helper produces
-one the way those releases did — one ``save_state`` container per shard
-inside the checkpoint directory and a manifest listing them as
-``shard_files`` — including the retired keys those releases stored:
+The library no longer writes these formats but still reads them:
+checkpoints left on disk by earlier releases are outside input.
+
+:func:`save_deflated_state` writes a state container the way earlier
+releases' ``save_state`` did (``ZIP_DEFLATED`` members at level 1; the
+library now stores them), and :func:`put_deflated_block` drops one into
+a block store under its content digest.
+
+:func:`save_legacy_checkpoint` produces a version-1/2 checkpoint the way
+those releases did — one deflated state container per shard inside the
+checkpoint directory and a manifest listing them as ``shard_files`` —
+including the retired keys those releases stored:
 ``keep_data`` next to ``retain_data``, ``level1_path``/``baseline_refit``
 in pipeline configs, ``level1_path``/``lazy_vh`` in model states,
 ``lazy_rotation`` in iSVD states and the row-policing ``extra_rows`` mode
@@ -16,10 +23,41 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
-from repro.io import save_state
+import numpy as np
+
+from repro.io.delta import BlockStore, state_digest
+from repro.io.storage import _flatten_state
 from repro.service import FleetMonitor
 from repro.service.checkpoint import MANIFEST_NAME, _capture_manifest
+
+#: The deflate level earlier releases wrote state containers at.
+LEGACY_COMPRESSLEVEL = 1
+
+
+def save_deflated_state(path: str, state: dict) -> str:
+    """Write ``state`` as earlier releases' ``save_state`` did: the same
+    ``.npy`` members, deflated at :data:`LEGACY_COMPRESSLEVEL`."""
+    arrays: dict[str, np.ndarray] = {}
+    structure = _flatten_state(state, arrays)
+    arrays["state_json"] = np.array([json.dumps(structure)])
+    with zipfile.ZipFile(
+        path, "w", zipfile.ZIP_DEFLATED, compresslevel=LEGACY_COMPRESSLEVEL
+    ) as archive:
+        for key, value in arrays.items():
+            with archive.open(key + ".npy", "w", force_zip64=True) as handle:
+                np.lib.format.write_array(handle, np.asanyarray(value), allow_pickle=False)
+    return path
+
+
+def put_deflated_block(store: BlockStore, state: dict) -> str:
+    """Place an earlier release's (deflated) block for ``state`` in
+    ``store``; returns its digest."""
+    digest = state_digest(state)
+    os.makedirs(store.root, exist_ok=True)
+    save_deflated_state(store.path(digest), state)
+    return digest
 
 
 def _legacy_config(payload: dict) -> None:
@@ -58,7 +96,7 @@ def save_legacy_checkpoint(
         _legacy_config(state["config"])
         state["model"] = _legacy_model(state["model"])
         name = f"shard_{index}.npz"
-        save_state(os.path.join(directory, name), state)
+        save_deflated_state(os.path.join(directory, name), state)
         shard_files.append(name)
     manifest = {"version": version, "extra_rows": "raise", **_capture_manifest(monitor)}
     _legacy_config(manifest["config"])

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import struct
+import zipfile
 
 import pytest
 
@@ -252,6 +254,34 @@ class TestDeltaCheckpointCorruption:
             fh.write(b"\x00" * 64)
         with pytest.raises(CheckpointError, match="corrupt or unreadable"):
             load_checkpoint(root, rules=default_rules())
+        monitor.close()
+
+    def test_flipped_byte_in_a_stored_block(self, tmp_path):
+        """Blocks are stored, not deflated, so no deflate stream trips over
+        a damaged byte: the member's zip CRC-32 is what catches it."""
+        monitor, root = self._delta_checkpoint(tmp_path)
+        entry = list_checkpoints(root)[0]
+        digest = read_manifest(entry.path)["shard_blocks"][0]
+        path = os.path.join(root, "blocks", f"{digest}.npz")
+        with zipfile.ZipFile(path) as archive:
+            member = max(archive.infolist(), key=lambda info: info.file_size)
+        assert member.compress_type == zipfile.ZIP_STORED
+        with open(path, "r+b") as fh:
+            # Local file header: 30 fixed bytes, then the name and extra
+            # field, whose lengths sit at offset 26.
+            fh.seek(member.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            data_start = member.header_offset + 30 + name_len + extra_len
+            # The member's last byte is array data, past the .npy header.
+            offset = data_start + member.file_size - 1
+            fh.seek(offset)
+            flipped = fh.read(1)[0] ^ 0xFF
+            fh.seek(offset)
+            fh.write(bytes([flipped]))
+        with pytest.raises(CheckpointError, match="corrupt or unreadable") as err:
+            load_checkpoint(root, rules=default_rules())
+        assert isinstance(err.value.__cause__, zipfile.BadZipFile)
+        assert "CRC" in str(err.value.__cause__)
         monitor.close()
 
     def test_crash_mid_async_write_keeps_previous_entry(

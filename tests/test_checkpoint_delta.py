@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import shutil
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ from repro.telemetry import MachineDescription, TelemetryGenerator
 from repro.telemetry.sensors import xc40_sensor_suite
 
 from helpers import shard_reprs as _shard_reprs
-from legacy_checkpoint import save_legacy_checkpoint
+from legacy_checkpoint import put_deflated_block, save_legacy_checkpoint
 
 CONFIG = PipelineConfig(
     mrdmd=MrDMDConfig(max_levels=4),
@@ -721,6 +722,37 @@ def test_legacy_in_place_checkpoint_still_loads(tmp_path):
     monitor.close(), restored.close(), again.close()
 
 
+def test_an_earlier_release_deflated_block_is_re_referenced(tmp_path):
+    """Blocks that earlier releases wrote deflated keep their digests: a
+    save of the same state re-references them, writes no byte, leaves
+    them as they were, and restores bit-for-bit."""
+    monitor, _stream_ = _build_monitor(seed=91)
+    root = str(tmp_path / "ckpt")
+    store = BlockStore(os.path.join(root, "blocks"))
+    digests = [
+        put_deflated_block(store, monitor.shard_state_dict(spec.shard_id))
+        for spec in monitor.shards
+    ]
+    before = {}
+    for digest in digests:
+        with open(store.path(digest), "rb") as fh:
+            before[digest] = fh.read()
+
+    info = save_checkpoint(root, monitor)
+    assert info.bytes_written == 0
+    assert info.bytes_referenced == sum(len(raw) for raw in before.values())
+    assert read_manifest(root)["shard_blocks"] == digests
+    for digest in digests:
+        with zipfile.ZipFile(store.path(digest)) as zf:
+            assert {m.compress_type for m in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        with open(store.path(digest), "rb") as fh:
+            assert fh.read() == before[digest]
+
+    restored = load_checkpoint(root, rules=default_rules())
+    assert _shard_reprs(restored) == _shard_reprs(monitor)
+    monitor.close(), restored.close()
+
+
 def test_compact_upgrades_a_legacy_checkpoint(tmp_path):
     monitor, _stream_ = _build_monitor(seed=89)
     root = save_legacy_checkpoint(str(tmp_path / "legacy"), monitor)
@@ -905,6 +937,36 @@ def test_state_digest_content_addressing():
     assert state_digest({"x": np.arange(5.0)}) != state_digest(
         {"x": np.arange(5).astype(np.int64)}
     )
+
+
+#: ``state_digest`` of :func:`_pinned_state` as earlier releases computed
+#: it, hashing ``tobytes()`` copies.  Block stores on disk are addressed
+#: by these digests, so a change here would orphan every stored block
+#: instead of re-using it.
+PINNED_DIGEST = "35c94f8ee1a1cc0bfdae9b8214613dfdbcb1dcee6dc56d02b208f2de04b96153"
+
+
+def _pinned_state() -> dict:
+    """Every array layout a digest meets: C, Fortran and strided order,
+    complex, bool, 0-d, zero-size and string arrays, nested containers."""
+    return {
+        "floats": np.linspace(0.0, 1.0, 6).reshape(2, 3),
+        "fortran": np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3)),
+        "strided": np.arange(10, dtype=np.int32)[::3],
+        "complex": np.array([1 + 2j, -0.5j]),
+        "flags": np.array([True, False, True]),
+        "scalar": np.array(3.5),
+        "empty": np.zeros((0, 4)),
+        "names": np.array(["rack0", "r1"]),
+        "nested": {
+            "pair": (np.arange(3, dtype=np.uint8), "tag"),
+            "items": [1, 2.5, None],
+        },
+    }
+
+
+def test_state_digest_is_pinned():
+    assert state_digest(_pinned_state()) == PINNED_DIGEST
 
 
 def test_copy_state_decouples_arrays():

@@ -20,7 +20,7 @@ from repro import obs
 from repro.core import MrDMDConfig
 from repro.obs import OBS
 from repro.pipeline import PipelineConfig
-from repro.service import FleetMonitor, IngestStats, RackSharding
+from repro.service import FleetMonitor, IngestStats, RackSharding, save_checkpoint
 from repro.service.__main__ import main as service_main
 from repro.service.alerts import AlertEngine, default_rules
 from repro.service.scenarios import quiet_fleet
@@ -176,6 +176,32 @@ def test_merge_is_a_named_layer_of_the_round_and_the_read(fleet_stream):
     assert OBS.metrics.totals()["span.service.merge_node_scores.count"] == 2
     digest = obs.report.summarize(OBS.metrics)
     assert "service.merge_node_scores" in {s["span"] for s in digest["spans"]}
+
+
+def test_async_save_records_a_capture_span(fleet_stream, tmp_path):
+    """The synchronous half of a save is its own span under
+    ``checkpoint.save``, counting dirty and reused shards; the deferred
+    half runs as ``checkpoint.write`` on the writer thread."""
+    obs.enable()
+    monitor = FleetMonitor.from_stream(fleet_stream, policy=RackSharding(), config=CONFIG)
+    monitor.ingest(fleet_stream.values[:, :240])
+    root = str(tmp_path / "ckpt")
+    for _ in range(2):
+        save_checkpoint(root, monitor, keep_last=2, mode="async")
+        monitor.flush_checkpoints()
+    events = OBS.ring.events
+    by_id = {event["span_id"]: event for event in events}
+    captures = [e for e in events if e["name"] == "checkpoint.capture"]
+    assert [by_id[e["parent_id"]]["name"] for e in captures] == ["checkpoint.save"] * 2
+    n = monitor.n_shards
+    assert [e["attrs"] for e in captures] == [
+        {"snapshot": True, "dirty": n, "reused": 0},
+        {"snapshot": True, "dirty": 0, "reused": n},
+    ]
+    writes = [e for e in events if e["name"] == "checkpoint.write"]
+    assert len(writes) == 2
+    assert {e["tid"] for e in writes}.isdisjoint({e["tid"] for e in captures})
+    monitor.close()
 
 
 def test_ingest_stats_expose_padded_rows(fleet_stream):
