@@ -8,11 +8,13 @@ is independent work).
 
 The sweep ingests identical per-machine chunk protocols through a
 :class:`~repro.federation.FederatedMonitor` at increasing machine counts,
-records per-ingest wall time for the serial fan-out backend,
-**asserts** the near-linear serial bound (super-linear growth fails the
-build, mirroring ``bench_core_streaming.py``'s flat-ingest gate), and
-writes the curves to ``BENCH_federation.json`` next to this file
-(machine-readable; uploaded as a CI artifact).
+records per-ingest wall time with every machine on the serial shard
+executor and again on the process one (``PROCESS_WORKERS`` workers per
+machine; recorded, not gated), **asserts** the near-linear serial bound
+(super-linear growth fails the build, mirroring
+``bench_core_streaming.py``'s flat-ingest gate), and writes the curves to
+``BENCH_federation.json`` next to this file (machine-readable; uploaded
+as a CI artifact).
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ CONFIG = PipelineConfig(mrdmd=MrDMDConfig(max_levels=scaled(4, 6)))
 #: Serial per-ingest time at N machines may exceed N x the 1-machine time
 #: by at most this factor (fan-out bookkeeping + scheduler noise).
 LINEAR_MARGIN = 1.6
+#: Shard workers per machine in the (ungated) process row.
+PROCESS_WORKERS = 2
 
 
 def _machine_description() -> MachineDescription:
@@ -71,12 +75,17 @@ def _build_streams(n_machines: int) -> dict:
     }
 
 
-def _per_ingest_seconds(streams: dict) -> float:
-    """Seconds per federated ingest, initial fit outside the timer."""
+def _per_ingest_seconds(streams: dict, executor: str = "serial") -> float:
+    """Seconds per federated ingest with every machine on ``executor``;
+    the initial fit (which also starts process workers) is untimed."""
     registry = MachineRegistry(
         {
             name: FleetMonitor.from_stream(
-                stream, policy=RackSharding(), config=CONFIG
+                stream,
+                policy=RackSharding(),
+                config=CONFIG,
+                executor=executor,
+                max_workers=PROCESS_WORKERS if executor == "process" else None,
             )
             for name, stream in streams.items()
         }
@@ -110,9 +119,11 @@ def test_federated_ingest_scales_near_linearly(benchmark):
 
     def sweep() -> dict:
         return {
-            "serial": {
-                n: _per_ingest_seconds(streams_by_count[n]) for n in MACHINE_COUNTS
+            backend: {
+                n: _per_ingest_seconds(streams_by_count[n], backend)
+                for n in MACHINE_COUNTS
             }
+            for backend in ("serial", "process")
         }
 
     curves = benchmark.pedantic(sweep, rounds=1, iterations=1, warmup_rounds=0)
@@ -127,6 +138,7 @@ def test_federated_ingest_scales_near_linearly(benchmark):
         "chunk": CHUNK // N_INGESTS,
         "n_ingests": N_INGESTS,
         "linear_margin": LINEAR_MARGIN,
+        "process_workers_per_machine": PROCESS_WORKERS,
         "per_ingest_seconds": {
             backend: {str(n): curves[backend][n] for n in MACHINE_COUNTS}
             for backend in curves

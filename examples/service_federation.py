@@ -8,8 +8,9 @@ scenario from the catalog:
    one with a noisy-neighbor job plus correlated hardware events
    ("north") — each backed by its own rack-sharded
    :class:`~repro.service.FleetMonitor`;
-2. a :class:`~repro.federation.FederatedMonitor` fans each lockstep chunk
-   across the machines on a persistent process executor and routes every
+2. a :class:`~repro.federation.FederatedMonitor` hands each lockstep
+   chunk to every machine — each running its rack shards in parallel on
+   its own process executor — and routes every
    alert through a shared :class:`~repro.federation.AlertRouter`: alerts
    arrive machine-stamped, deduplicated federation-wide, with a
    :class:`~repro.federation.FleetWideRule` watching for multi-machine
@@ -20,8 +21,8 @@ scenario from the catalog:
    entry;
 4. the script re-runs the workload **without** the restart and verifies
    rack values, the flat ``machine/node`` z-score map and the alert trail
-   match *exactly* — neither the restart nor the fan-out backend is
-   observable in the products;
+   match *exactly* — neither the restart nor the machines' shard executor
+   (process here, serial in the reference) is observable in the products;
 5. finally it prints the federated spectrum's ``machine/shard`` power
    table and the retained checkpoint history.
 
@@ -102,7 +103,10 @@ def main() -> None:
     )
     if not (rack_match and zmap_match and alert_match):
         raise SystemExit("federated checkpoint/restore failed to resume bit-for-bit")
-    print("OK: the restart (and the fan-out backend) is observationally invisible.")
+    print(
+        "OK: the restart (and the machines' shard executor) is "
+        "observationally invisible."
+    )
 
     # ---- federated products --------------------------------------------- #
     federated = result.federated

@@ -6,9 +6,9 @@ monitors into a single queryable, alert-routing system:
 * :mod:`repro.federation.registry` — :class:`MachineRegistry`, the named
   membership list (one :class:`~repro.service.FleetMonitor` per machine,
   each with its own sharding policy, config and executor backend);
-* :mod:`repro.federation.monitor` — :class:`FederatedMonitor`, fanning
-  ingests across machines over the persistent
-  :class:`~repro.util.parallel.ShardExecutor` machinery and merging
+* :mod:`repro.federation.monitor` — :class:`FederatedMonitor`, running
+  each machine's round in turn (every machine parallelises its own
+  shards on its own executor; the federation owns no pool) and merging
   per-machine products into federated ones;
 * :mod:`repro.federation.routing` — :class:`AlertRouter` (machine
   stamping, cross-machine cooldown/dedup, global + per-machine sinks) and

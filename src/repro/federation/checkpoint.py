@@ -18,7 +18,9 @@ entries, exactly like ``save_checkpoint(..., keep_last=N)`` one layer down
 (same atomic write-then-rename protocol, same
 :func:`~repro.service.checkpoint.list_checkpoints` history helper — the
 rotation machinery is shared, not duplicated); the entries' machines
-share ``<root>/blocks``.
+share ``<root>/blocks``.  A save captures and commits each machine in turn
+through the service saver's own capture/commit path, so every machine
+re-references its unchanged shards exactly as a service save does.
 
 Restore rebuilds the registry machine by machine through
 :func:`~repro.service.checkpoint.load_checkpoint` (so every per-machine
@@ -33,10 +35,10 @@ import copy
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..io.delta import BLOCKS_DIRNAME, state_digest
+from ..io.delta import BLOCKS_DIRNAME
 from ..obs import OBS
 from ..service.alerts import AlertRule, AlertSink
 from ..service.checkpoint import (
@@ -56,8 +58,6 @@ from ..service.checkpoint import (
     read_manifest,
     resolve_checkpoint_dir,
 )
-from ..service.monitor import FleetMonitor
-from ..util.parallel import ShardExecutor
 from .chunklog import ChunkLog
 from .monitor import FederatedMonitor
 from .registry import MachineRegistry
@@ -116,49 +116,6 @@ class FederatedCheckpointInfo:
         return sum(os.path.getsize(path) for path in {os.path.abspath(p) for p in paths})
 
 
-def _machine_write(monitor: FleetMonitor, target: str, blocks_dir: str) -> None:
-    """Worker-side: capture + commit one machine's entry in place, one
-    shard at a time."""
-    base, blocks = _capture(monitor, blocks_dir, snapshot=False)
-    _commit_entry(target, base, blocks, blocks_dir, pull=monitor.shard_state_dict)
-
-
-def _machine_capture(monitor: FleetMonitor, blocks_dir: str):
-    """Worker-side: capture one machine's dirty shards for a deferred commit.
-
-    The commit runs in the coordinator's writer thread, on pickled copies
-    of the blocks when the machine lives in a pool worker, so the digest
-    it fills in would never reach this monitor's save records — which
-    would disable block reuse entirely.  Each digest is computed here
-    instead, and the records the monitor keeps drop their state once the
-    shipped copies are made.
-    """
-    base, blocks = _capture(monitor, blocks_dir, snapshot=True)
-    for block in blocks:
-        if not block.reused:
-            block.digest = state_digest(block.state)
-    shipped = [replace(block) for block in blocks]
-    for block in blocks:
-        block.state = None
-    return base, shipped
-
-
-def _on_machines(federated: FederatedMonitor, fn, args_by_name: dict) -> dict:
-    """``fn(monitor, *args)`` per machine, keyed by name.
-
-    Runs on the federation's fan-out pool when one is already running
-    (refreshed against the registry so membership changes since start
-    are honoured; a pool left closed by a failed close raises),
-    in-process otherwise: saving never *starts* a pool —
-    a federation that has not ingested yet holds its machines
-    in-process, where a serial walk is exact.
-    """
-    if federated.executor is not None:
-        return federated._ensure_executor().map(fn, args_by_name)
-    monitors = federated.registry.monitors()
-    return {name: fn(monitors[name], *args) for name, args in args_by_name.items()}
-
-
 def save_federated_checkpoint(
     directory: str,
     federated: FederatedMonitor,
@@ -168,14 +125,13 @@ def save_federated_checkpoint(
 ) -> FederatedCheckpointInfo:
     """Write the federation's full state under ``directory``.
 
-    Machine checkpoints are written *in parallel* over the federation's
-    fan-out executor when one is running: each worker persists its
-    resident machine straight to disk (no state ships home), falling
-    back to an in-process walk otherwise — every backend produces
-    identical bytes, as the parity tests assert.  The federated manifest
-    is written only after every machine save completed; with
-    ``keep_last`` the whole entry appears via the same atomic rename as
-    a service rotation.
+    Each machine is captured and committed in registry order through the
+    same capture/commit path as a service save, pulling its shard states
+    from the machine's own executor — machines on the serial and process
+    backends write identical bytes, as the parity tests assert.  The
+    federated manifest is written only after every machine save
+    completed; with ``keep_last`` the whole entry appears via the same
+    atomic rename as a service rotation.
 
     ``keep_last`` and ``mode`` behave exactly like
     :func:`repro.service.checkpoint.save_checkpoint`: every machine's
@@ -188,44 +144,34 @@ def save_federated_checkpoint(
     :class:`~repro.service.checkpoint.CheckpointError`.
     """
     step = federated.step
-    names = list(federated.machine_names)
+    monitors = federated.machines
+    names = list(monitors)
     blocks_dir = os.path.join(directory, BLOCKS_DIRNAME)
     start = time.perf_counter()
     with OBS.span("checkpoint.federated_save", mode=mode):
         if mode == "sync":
             _drain(federated._checkpoint_writer)
         _check_save_args(directory, keep_last, mode)
-        if mode == "sync":
-            router_state = federated.router.state_dict()
-
-            def write_machines(machines_root: str) -> None:
-                _on_machines(
-                    federated,
-                    _machine_write,
-                    {
-                        name: (os.path.join(machines_root, name), blocks_dir)
-                        for name in names
-                    },
-                )
-
-        else:
-            captures = _on_machines(
-                federated,
-                _machine_capture,
-                {name: (blocks_dir,) for name in names},
-            )
-            router_state = copy.deepcopy(federated.router.state_dict())
-
-            def write_machines(machines_root: str) -> None:
-                for name, (base, blocks) in captures.items():
-                    _commit_entry(
-                        os.path.join(machines_root, name), base, blocks, blocks_dir
-                    )
+        captures = {
+            name: _capture(monitor, blocks_dir, snapshot=mode == "async")
+            for name, monitor in monitors.items()
+        }
+        router_state = federated.router.state_dict()
+        if mode == "async":
+            router_state = copy.deepcopy(router_state)
 
         def write(target: str) -> None:
             machines_root = os.path.join(target, MACHINES_DIRNAME)
             os.makedirs(machines_root, exist_ok=True)
-            write_machines(machines_root)
+            for name, (base, blocks) in captures.items():
+                _commit_entry(
+                    os.path.join(machines_root, name),
+                    base,
+                    blocks,
+                    blocks_dir,
+                    # An async capture already holds every dirty state.
+                    pull=monitors[name].shard_state_dict if mode == "sync" else None,
+                )
             _write_federated_manifest(target, step, names, router_state)
 
         if mode == "sync":
@@ -330,7 +276,7 @@ def load_federated_checkpoint(
     sinks: Iterable[AlertSink] = (),
     machine_sinks: Mapping[str, Iterable[AlertSink]] | None = None,
     router: AlertRouter | None = None,
-    executor: str | ShardExecutor | None = None,
+    executor: str | None = None,
     max_workers: int | None = None,
     chunk_log: ChunkLog | None = None,
 ) -> FederatedMonitor:
@@ -341,9 +287,11 @@ def load_federated_checkpoint(
     is rebuilt from ``sinks``/``machine_sinks`` — or pass a pre-configured
     ``router`` instance (custom fleet rules, cooldown) and its persisted
     dedup/fleet-rule memory is loaded into it; combining both forms is an
-    error.  ``executor`` configures the federation fan-out (restored
-    machines run their shards serially); it starts lazily, and restored
-    products resume **bit-for-bit** (asserted by the tests).
+    error.  ``executor``/``max_workers`` configure every restored
+    machine's shard executor, exactly as
+    :func:`~repro.service.checkpoint.load_checkpoint` does for one
+    machine; restored products resume **bit-for-bit** on either backend
+    (asserted by the tests).
     """
     if router is not None and (list(sinks) or machine_sinks):
         raise ValueError(
@@ -357,7 +305,9 @@ def load_federated_checkpoint(
     for name in manifest.get("machines") or ():
         machine_dir = os.path.join(directory, MACHINES_DIRNAME, name)
         try:
-            monitor = load_checkpoint(machine_dir, rules=rules)
+            monitor = load_checkpoint(
+                machine_dir, rules=rules, executor=executor, max_workers=max_workers
+            )
         except FileNotFoundError as exc:
             raise CheckpointError(
                 f"federated checkpoint under {directory!r} lists machine "
@@ -371,12 +321,6 @@ def load_federated_checkpoint(
         router = AlertRouter(sinks=sinks, machine_sinks=machine_sinks)
     router.load_state_dict(manifest["router"])
 
-    federated = FederatedMonitor(
-        registry,
-        router=router,
-        executor=executor,
-        max_workers=max_workers,
-        chunk_log=chunk_log,
-    )
+    federated = FederatedMonitor(registry, router=router, chunk_log=chunk_log)
     federated._step = int(manifest["step"])
     return federated

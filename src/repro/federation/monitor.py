@@ -5,12 +5,11 @@ A :class:`FederatedMonitor` sits on top of a
 independent :class:`~repro.service.monitor.FleetMonitor` instances into a
 single ingest/alert/query surface:
 
-1. :meth:`ingest_and_alert` fans one chunk per machine out over a
-   persistent :class:`~repro.util.parallel.ShardExecutor` whose resident
-   objects are the *machine monitors themselves* — the same machinery the
-   per-machine monitors use one level down for their shards.  Each machine
-   runs its own sharded ingest + alert evaluation; only snapshots and
-   alerts travel back.
+1. :meth:`ingest_and_alert` hands one chunk to each machine, in registry
+   order.  Each machine runs its own sharded ingest + alert evaluation on
+   its own executor (``serial`` or ``process``, chosen when the machine
+   is built or restored), so a machine's shards run in parallel whatever
+   the federation does.  The federation owns no pool of its own.
 2. Per-machine products merge into federated equivalents:
    :class:`FederatedSnapshot` (per-machine and fleet-wide ``max_drift``),
    :class:`FederatedSpectrum` (``total_power_by_shard`` keyed
@@ -21,12 +20,8 @@ single ingest/alert/query surface:
    fleet-wide rules (:class:`~repro.federation.routing.FleetWideRule`)
    that no single machine can express.
 
-Backends compose with one caveat: a ``process`` federation backend hosts
-its machines in daemon worker processes, which the OS forbids from
-spawning children — machines shipped to a process federation must
-therefore run the ``serial`` shard executor themselves.  Every backend
-combination produces bit-for-bit identical products (asserted by the
-tests).
+Machines on the ``serial`` and ``process`` shard executors produce
+bit-for-bit identical federated products (asserted by the tests).
 """
 
 from __future__ import annotations
@@ -48,11 +43,6 @@ from ..service.monitor import (
     FleetSnapshot,
     FleetSpectrum,
     _grouped_power,
-)
-from ..util.parallel import (
-    ShardExecutor,
-    make_shard_executor,
-    validate_executor_spec,
 )
 from ..util.timer import now
 from .chunklog import ChunkLog
@@ -148,25 +138,11 @@ class FederatedSpectrum:
         return _grouped_power(self.power, self.machine_ids)
 
 
-# --------------------------------------------------------------------------- #
-# Machine commands: top-level functions so the process backend can pickle
-# them by reference; called as fn(resident_monitor, *args) in the worker.
-# --------------------------------------------------------------------------- #
-def _machine_round(
-    monitor: FleetMonitor,
-    values: np.ndarray,
-    alerting: bool,
-    hwlog: HardwareLog | None,
-    window: int,
-) -> tuple[FleetSnapshot, list[Alert]]:
-    if not alerting:
-        return monitor.ingest(values), []
-    return monitor.ingest_and_alert(values, hwlog=hwlog, window=window)
-
-
-def _machine_node_zscores(
+def _clamped_node_zscores(
     monitor: FleetMonitor, time_range, reducer: str
 ) -> NodeZScores | None:
+    """One machine's node z-scores over ``time_range`` clamped to its own
+    timeline; ``None`` when the machine has no data in the window."""
     if time_range is not None:
         # Machines advance at their own pace (staggered rounds, joiners):
         # clamp the fleet-level window to this machine's timeline and skip
@@ -180,30 +156,6 @@ def _machine_node_zscores(
     return monitor.node_zscores(time_range=time_range, reducer=reducer)
 
 
-def _machine_fleet_spectrum(monitor: FleetMonitor) -> FleetSpectrum:
-    return monitor.fleet_spectrum()
-
-
-def _machine_step(monitor: FleetMonitor) -> int:
-    return monitor.step
-
-
-def _machine_add_sensors(
-    monitor: FleetMonitor, sensor_names, node_of_row, history, policy, machine
-):
-    return monitor.add_sensors(
-        sensor_names, node_of_row, history=history, policy=policy, machine=machine
-    )
-
-
-def _machine_refresh_deep(monitor: FleetMonitor) -> int:
-    return monitor.refresh_deep_levels()
-
-
-def _return_machine(monitor: FleetMonitor) -> FleetMonitor:
-    return monitor
-
-
 class FederatedMonitor:
     """One ingest/alert/query surface over every registered machine.
 
@@ -211,26 +163,16 @@ class FederatedMonitor:
     ----------
     registry:
         A :class:`MachineRegistry` (or a plain ``name -> FleetMonitor``
-        mapping, wrapped into one).  Membership may change between rounds:
-        the fan-out pool is rebuilt transparently on the next call after a
-        register/deregister (process-resident machine state is pulled back
-        first, so nothing is lost).
+        mapping, wrapped into one).  Membership may change between rounds;
+        every call reads the registry as it stands.  Each machine runs its
+        shards on its own executor, configured when it was built.
     router:
         The shared :class:`AlertRouter` (default: one with no sinks and a
         default :class:`FleetWideRule`).  Pass ``router=None`` explicitly
         configured instances to attach sinks and fleet rules.
-    executor:
-        Machine fan-out backend: ``None``/``"serial"`` (default),
-        ``"process"``, or a fresh
-        :class:`~repro.util.parallel.ShardExecutor`.  Checked here,
-        started lazily, held open across rounds; close with
-        :meth:`close` or the context manager.
-    max_workers:
-        Worker count for process fan-out (default: one per machine,
-        capped at the CPU count).
     chunk_log:
         Optional shared :class:`~repro.federation.chunklog.ChunkLog`.
-        When set, every fanned-out chunk is recorded, enabling
+        When set, every round's chunks are recorded, enabling
         :meth:`catch_up` — a machine restored from an older checkpoint
         (or registered mid-run) replays the logged tail before rejoining
         alert evaluation.
@@ -241,33 +183,20 @@ class FederatedMonitor:
         registry: MachineRegistry | Mapping[str, FleetMonitor],
         *,
         router: AlertRouter | None = None,
-        executor: str | ShardExecutor | None = None,
-        max_workers: int | None = None,
         chunk_log: ChunkLog | None = None,
     ) -> None:
         if not isinstance(registry, MachineRegistry):
             registry = MachineRegistry(registry)
         if len(registry) == 0:
             raise ValueError("FederatedMonitor needs at least one registered machine")
-        validate_executor_spec(executor, max_workers)
         self.registry = registry
         self.chunk_log = chunk_log
         self.router = router if router is not None else AlertRouter()
-        self._executor_spec: str | ShardExecutor | None = executor
-        self._max_workers = max_workers
-        self._executor: ShardExecutor | None = None
-        self._executor_version: int | None = None
-        #: What each pool worker is resident for: name -> the exact object
-        #: last shipped to (or landed from) the pool.  Landing a pulled
-        #: copy is only legal while the registry still holds that object —
-        #: a machine re-registered under the same name must never be
-        #: clobbered by the replaced machine's resident state.
-        self._shipped: dict[str, FleetMonitor] = {}
         self._step = max(
             (monitor.step for monitor in registry.monitors().values()), default=0
         )
         #: Always-on per-machine round-latency samples feeding the health
-        #: score (bounded; never part of pickled/compared state semantics).
+        #: score (bounded; never part of compared state semantics).
         self._round_latency: dict[str, RingBuffer] = {}
         self._last_health: dict[str, HealthScore] | None = None
         #: Lazily created background writer for mode="async" federated
@@ -291,96 +220,24 @@ class FederatedMonitor:
         return self._step
 
     @property
-    def executor(self) -> ShardExecutor | None:
-        """The live fan-out executor (None until first use / after close;
-        a closed one after a close whose pull failed)."""
-        return self._executor
-
-    @property
-    def _resident_remote(self) -> bool:
-        return self._executor is not None and self._executor.backend == "process"
-
-    @property
     def machines(self) -> dict[str, FleetMonitor]:
-        """Name -> monitor.  Serial fan-out returns the live
-        objects; process fan-out pulls fresh copies from the workers and
-        lands them back in the registry (so checkpoints and direct access
-        observe current state)."""
-        if self._resident_remote:
-            for name, monitor in self._executor.pull().items():
-                self._land_pulled(name, monitor)
+        """Name -> the registered (live) monitor."""
         return self.registry.monitors()
 
     def machine(self, name: str) -> FleetMonitor:
-        """One machine's monitor (see :attr:`machines` for semantics)."""
-        if name not in self.registry:
-            raise KeyError(f"unknown machine {name!r}")
-        if self._executor is not None and self._ensure_executor().backend == "process":
-            # One pickle round trip for this machine only, not a full pull.
-            monitor = self._executor.call(name, _return_machine)
-            self._land_pulled(name, monitor)
-            return monitor
+        """One machine's live monitor."""
         return self.registry.get(name)
 
-    def _land_pulled(self, name: str, monitor: FleetMonitor) -> None:
-        """Install a worker's resident copy back into the registry — but
-        only while the registry still holds the object the pool was
-        started with (deregistered or replaced machines keep their own,
-        newer state)."""
-        if name in self.registry and self.registry.get(name) is self._shipped.get(name):
-            self.registry.install(name, monitor)
-            self._shipped[name] = monitor
-
     # ------------------------------------------------------------------ #
-    # Executor lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------ #
-    def _ensure_executor(self) -> ShardExecutor:
-        """Start the fan-out pool lazily; rebuild it on membership change."""
-        if (
-            self._executor is not None
-            and self._executor_version != self.registry.version
-        ):
-            # Machines were (de)registered since the pool started: land
-            # resident state back, tear the pool down and fall through to
-            # a fresh start with the current membership.
-            self._land_and_drop_executor()
-        if self._executor is None:
-            self._executor = make_shard_executor(
-                self._executor_spec, max_workers=self._max_workers
-            )
-            shipped = self.registry.monitors()
-            self._executor.start(shipped)
-            self._executor_version = self.registry.version
-            self._shipped = shipped
-        return self._executor
-
     def collect_metrics(self):
-        """Merge process-worker metric registries into the session provider
-        and return its registry (drain-with-reset: repeat calls never
-        double-count).  Invoked automatically when the pool lands."""
-        if self._executor is not None and not self._executor.closed:
-            self._executor.collect_obs()
+        """Merge every machine's process-worker metric registries into the
+        session provider and return its registry (drain-with-reset: repeat
+        calls never double-count)."""
+        for monitor in self.registry.monitors().values():
+            monitor.collect_metrics()
         return OBS.metrics
-
-    def _land_and_drop_executor(self) -> None:
-        """Land process-resident machine state and drop the pool.
-
-        If the pull fails (a worker died and its machines' state is gone)
-        the closed pool stays in place, so later calls raise instead of
-        answering from the registry's pre-pool monitors.
-        """
-        executor = self._executor
-        try:
-            self.collect_metrics()
-            if self._resident_remote:
-                for name, monitor in executor.pull().items():
-                    self._land_pulled(name, monitor)
-        except BaseException:
-            executor.close()
-            raise
-        self._executor = None
-        self._shipped = {}
-        executor.close()
 
     def _ensure_checkpoint_writer(self):
         """The federation's background checkpoint writer (created lazily)."""
@@ -400,28 +257,15 @@ class FederatedMonitor:
             self._checkpoint_writer.flush()
 
     def close(self) -> None:
-        """Shut the fan-out pool down, landing machine state in-process.
+        """Drain the background checkpoint writer, surfacing any deferred
+        write error.  Idempotent.
 
-        Machine monitors themselves stay open (the registry owns them);
-        close those via ``registry.close()``.  Also drains the background
-        checkpoint writer, surfacing any deferred write error after the
-        pool teardown ran.  If the pull meets a dead worker it raises
-        :class:`~repro.util.parallel.ShardTaskError` and the closed pool
-        stays in place: later calls raise ``RuntimeError("executor is
-        closed")`` rather than answer from the registry's pre-pool
-        monitors.  Idempotent.
+        Machine monitors stay open (the registry owns them and their
+        executors); close those via ``registry.close()``.
         """
         writer, self._checkpoint_writer = self._checkpoint_writer, None
-        try:
-            if writer is not None:
-                writer.close(flush=True)
-        finally:
-            if self._executor is not None and not self._executor.closed:
-                if isinstance(self._executor_spec, ShardExecutor):
-                    # The instance is consumed by the closing pool; fall
-                    # back to its backend name for any later restart.
-                    self._executor_spec = self._executor_spec.backend
-                self._land_and_drop_executor()
+        if writer is not None:
+            writer.close(flush=True)
 
     def __enter__(self) -> "FederatedMonitor":
         return self
@@ -552,9 +396,8 @@ class FederatedMonitor:
     def ingest(self, chunks: Mapping[str, np.ndarray]) -> FederatedSnapshot:
         """Feed one ``(P_m, T)`` block per participating machine; no alerts.
 
-        Machines fan out over the persistent executor and ingest
-        concurrently (each one sharding further internally); per-machine
-        :class:`FleetSnapshot` products merge into one
+        Each machine ingests its chunk on its own shard executor;
+        per-machine :class:`FleetSnapshot` products merge into one
         :class:`FederatedSnapshot`.  Rounds may be partial: machines
         absent from ``chunks`` skip the round and keep their position.
         The round is the one :meth:`ingest_and_alert` runs, minus alerts.
@@ -573,7 +416,7 @@ class FederatedMonitor:
 
         Each machine runs its own overlapped
         :meth:`~repro.service.monitor.FleetMonitor.ingest_and_alert`
-        (per-machine rules, per-machine cooldown) in the fan-out pool;
+        (per-machine rules, per-machine cooldown) on its own executor;
         the per-machine alert streams then pass through the shared
         :class:`AlertRouter` — machine-stamped, federation-deduped,
         delivered to global/per-machine sinks — and the fleet-wide rules
@@ -593,40 +436,30 @@ class FederatedMonitor:
         hwlogs: Mapping[str, HardwareLog] | None = None,
         window: int = 200,
     ) -> tuple[FederatedSnapshot, list[Alert]]:
-        """One federated round: fan each machine's chunk out, gather the
-        results in registry order, merge, and (``alerting``) route the
-        machines' alerts.  Plain rounds return no alerts."""
+        """One federated round: run each machine's round in registry
+        order, merge, and (``alerting``) route the machines' alerts.
+        Plain rounds return no alerts."""
         chunks = self._validated_chunks(chunks)
         hwlogs = dict(hwlogs) if hwlogs else {}
         unknown_logs = sorted(set(hwlogs) - set(self.registry.names))
         if unknown_logs:
             raise ValueError(f"hwlogs reference unknown machines {unknown_logs}")
-        executor = self._ensure_executor()
         with OBS.span("federation.round", n_machines=len(chunks)):
-            t_round = now()
-            tasks = [
-                (
-                    name,
-                    executor.submit(
-                        name, _machine_round, chunk, alerting, hwlogs.get(name),
-                        window,
-                    ),
-                )
-                for name, chunk in chunks.items()
-            ]
             results = {}
-            for name, task in tasks:
-                results[name] = task.result()
-                # Latency of machine ``name``'s slice of the round,
-                # measured from dispatch: the fan-out overlaps, so each
-                # sample is "time until this machine's result landed".
-                landed = now() - t_round
-                self._note_round_latency(name, landed)
+            for name, chunk in chunks.items():
+                monitor = self.registry.get(name)
+                started = now()
+                if alerting:
+                    results[name] = monitor.ingest_and_alert(
+                        chunk, hwlog=hwlogs.get(name), window=window
+                    )
+                else:
+                    results[name] = monitor.ingest(chunk), []
+                elapsed = now() - started
+                self._note_round_latency(name, elapsed)
                 if OBS.enabled:
                     OBS.observe(
-                        "federation.machine_round.seconds",
-                        landed,
-                        machine=name,
+                        "federation.machine_round.seconds", elapsed, machine=name
                     )
         snapshots = {name: results[name][0] for name in results}
         self._record_round(chunks, snapshots)
@@ -669,32 +502,14 @@ class FederatedMonitor:
     ):
         """Stream new sensors into one member machine's live monitor.
 
-        Ships the :meth:`FleetMonitor.add_sensors` command to the
-        *resident* monitor (worker pools keep running on every backend);
-        existing shards absorb their rows, new shards join the machine's
-        executor pool, and the machine's next chunks must carry its grown
-        row count.  Returns the machine's
+        Calls :meth:`FleetMonitor.add_sensors` on the machine (its worker
+        pool keeps running); existing shards absorb their rows, new shards
+        join the machine's executor, and the machine's next chunks must
+        carry its grown row count.  Returns the machine's
         :class:`~repro.service.monitor.TopologyUpdate`.
         """
-        if name not in self.registry:
-            raise KeyError(f"unknown machine {name!r}")
-        if self._executor is None:
-            return _machine_add_sensors(
-                self.registry.get(name),
-                sensor_names,
-                node_of_row,
-                history,
-                policy,
-                machine,
-            )
-        return self._ensure_executor().call(
-            name,
-            _machine_add_sensors,
-            sensor_names,
-            node_of_row,
-            history,
-            policy,
-            machine,
+        return self.registry.get(name).add_sensors(
+            sensor_names, node_of_row, history=history, policy=policy, machine=machine
         )
 
     # ------------------------------------------------------------------ #
@@ -703,7 +518,7 @@ class FederatedMonitor:
     def register_machine(
         self, name: str, monitor: FleetMonitor, *, catch_up: bool = True
     ) -> int:
-        """Register a machine mid-run; the fan-out pool rebuilds lazily.
+        """Register a machine mid-run; it joins the next round.
 
         With a chunk log configured the newcomer is caught up on any
         chunks already logged under its name (normally none for a truly
@@ -730,10 +545,8 @@ class FederatedMonitor:
         from its newest (possibly older) retained checkpoint, reattached
         here, and — before it rejoins alert evaluation — replays every
         chunk the shared log recorded past its restored position, so its
-        next round ingests from the live stream edge.  The registry swap
-        bumps the membership version, so the fan-out pool rebuilds with
-        the new object on next use.  Returns the number of chunks
-        replayed.
+        next round ingests from the live stream edge.  Returns the number
+        of chunks replayed.
         """
         if name in self.registry:
             self.registry.deregister(name)
@@ -745,20 +558,12 @@ class FederatedMonitor:
     def catch_up(self, name: str) -> int:
         """Replay logged chunks into a lagging machine (no alert evaluation).
 
-        Replays straight into the registry's monitor in-process — the
-        fan-out pool rebuilds from the registry on next use (the
-        membership version changed when the machine was (re)attached), so
-        resident workers never hold the stale object.  Alert engines are
+        Replays straight into the registry's monitor.  Alert engines are
         deliberately not consulted during replay: the federation already
         routed (and deduplicated) this history when it happened live.
         """
         if self.chunk_log is None:
             raise RuntimeError("catch_up requires a chunk_log on the federation")
-        if self._executor is not None:
-            # Workers may hold newer resident state (process backend) and
-            # must not keep serving the object being replaced: land state
-            # back and let the pool rebuild from the registry on next use.
-            self._land_and_drop_executor()
         monitor = self.registry.get(name)
         replayed = 0
         for entry in self.chunk_log.entries_since(name, monitor.step):
@@ -780,31 +585,20 @@ class FederatedMonitor:
     def refresh_deep_levels(self) -> int:
         """Force every machine's queued deep-level work through.
 
-        Fans :meth:`FleetMonitor.refresh_deep_levels` out over the
-        federation (no-op per machine under ``deep_levels="inline"``);
+        Calls :meth:`FleetMonitor.refresh_deep_levels` on every machine
+        (no-op per machine under ``deep_levels="inline"``);
         returns the total number of tree nodes added fleet-wide.  Call at
         a quiescent point — after the last round, before final federated
         products — when machines ran with ``deep_levels="deferred"``.
         """
-        return sum(self._query_all(_machine_refresh_deep).values())
+        return sum(
+            monitor.refresh_deep_levels()
+            for monitor in self.registry.monitors().values()
+        )
 
     # ------------------------------------------------------------------ #
     # Federated analysis products
     # ------------------------------------------------------------------ #
-    def _query_all(self, fn, *args) -> dict:
-        """Fan a machine command out; answer in-process before first use.
-
-        Once a pool exists it stays authoritative (``_ensure_executor``
-        transparently rebuilds it after membership changes, landing
-        process-resident state first).
-        """
-        if self._executor is None:
-            return {
-                name: fn(monitor, *args)
-                for name, monitor in self.registry.monitors().items()
-            }
-        return self._ensure_executor().broadcast(fn, *args)
-
     def node_zscores(
         self,
         *,
@@ -819,7 +613,10 @@ class FederatedMonitor:
         Machines whose own timeline has no data in ``time_range``
         (staggered joiners lagging the fleet edge) are omitted.
         """
-        results = self._query_all(_machine_node_zscores, time_range, reducer)
+        results = {
+            name: _clamped_node_zscores(monitor, time_range, reducer)
+            for name, monitor in self.registry.monitors().items()
+        }
         return {name: scores for name, scores in results.items() if scores is not None}
 
     def rack_values(
@@ -853,10 +650,9 @@ class FederatedMonitor:
 
     def fleet_spectrum(self) -> FederatedSpectrum:
         """Merged power/frequency table across every machine and shard."""
-        per_machine = self._query_all(_machine_fleet_spectrum)
         freqs, power, levels, shard_ids, machine_ids = [], [], [], [], []
-        for name in self.registry.names:
-            spectrum = per_machine[name]
+        for name, monitor in self.registry.monitors().items():
+            spectrum = monitor.fleet_spectrum()
             freqs.append(spectrum.frequencies)
             power.append(spectrum.power)
             levels.append(spectrum.levels)
@@ -877,5 +673,5 @@ class FederatedMonitor:
         )
 
     def machine_steps(self) -> dict[str, int]:
-        """Per-machine stream positions (authoritative, via the pool)."""
-        return self._query_all(_machine_step)
+        """Per-machine stream positions."""
+        return {name: monitor.step for name, monitor in self.registry.monitors().items()}

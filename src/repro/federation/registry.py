@@ -5,9 +5,10 @@ A federation watches *N machines*, each with its own
 pipeline config and executor backend.  The registry is the authoritative
 membership list: machines register under a stable name (used to stamp
 alerts, key federated products and lay out checkpoint directories) and can
-deregister at any time.  Membership changes bump a version counter the
-:class:`~repro.federation.monitor.FederatedMonitor` watches, so its
-fan-out pool is rebuilt transparently the next time it is used.
+deregister at any time.  The
+:class:`~repro.federation.monitor.FederatedMonitor` reads the registry on
+every call, so a change takes effect at the next round; other machines'
+executors are never touched.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ _MACHINE_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 class MachineRegistry:
     """Ordered mapping of machine name -> :class:`FleetMonitor`.
 
-    Registration order is preserved (it defines the deterministic fan-out
+    Registration order is preserved (it defines the deterministic round
     and product ordering of the federated monitor).  Each monitor keeps
     full ownership of its own shard partition, pipeline config and
     executor backend — the registry never inspects them.
@@ -35,17 +36,11 @@ class MachineRegistry:
 
     def __init__(self, monitors: Mapping[str, FleetMonitor] | None = None) -> None:
         self._monitors: dict[str, FleetMonitor] = {}
-        self._version = 0
         if monitors:
             for name, monitor in monitors.items():
                 self.register(name, monitor)
 
     # ------------------------------------------------------------------ #
-    @property
-    def version(self) -> int:
-        """Monotonic membership counter (bumped by register/deregister)."""
-        return self._version
-
     @property
     def names(self) -> tuple[str, ...]:
         """Registered machine names, in registration order."""
@@ -76,7 +71,6 @@ class MachineRegistry:
                 f"got {type(monitor).__name__}"
             )
         self._monitors[name] = monitor
-        self._version += 1
         return monitor
 
     def deregister(self, name: str) -> FleetMonitor:
@@ -86,7 +80,6 @@ class MachineRegistry:
             monitor = self._monitors.pop(name)
         except KeyError:
             raise KeyError(f"unknown machine {name!r}") from None
-        self._version += 1
         return monitor
 
     # ------------------------------------------------------------------ #
@@ -99,16 +92,6 @@ class MachineRegistry:
             return self._monitors[name]
         except KeyError:
             raise KeyError(f"unknown machine {name!r}") from None
-
-    def install(self, name: str, monitor: FleetMonitor) -> None:
-        """Replace a registered machine's monitor in place (same name).
-
-        Used by the federated monitor to land synced state back after a
-        process-backend pull; does *not* bump the membership version.
-        """
-        if name not in self._monitors:
-            raise KeyError(f"unknown machine {name!r}")
-        self._monitors[name] = monitor
 
     def __getitem__(self, name: str) -> FleetMonitor:
         return self.get(name)
@@ -127,6 +110,19 @@ class MachineRegistry:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Close every registered monitor's executor (idempotent)."""
+        """Close every registered monitor's executor (idempotent).
+
+        Every monitor is closed even when an earlier one raises (say, a
+        :class:`~repro.util.parallel.ShardTaskError` after one of its
+        workers died), so no machine's worker processes outlive the call;
+        the first error is re-raised afterwards.
+        """
+        first_error: BaseException | None = None
         for monitor in self._monitors.values():
-            monitor.close()
+            try:
+                monitor.close()
+            except BaseException as exc:
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error

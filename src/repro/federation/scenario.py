@@ -4,8 +4,9 @@ A federated scenario composes per-machine
 :class:`~repro.service.scenarios.Scenario` workloads (telemetry, hardware
 log, sharding, pipeline config — all reused as-is) into one lockstep
 federation run: every machine streams the same chunk protocol while the
-:class:`~repro.federation.monitor.FederatedMonitor` fans the ingests out,
-routes machine-stamped alerts through a shared
+:class:`~repro.federation.monitor.FederatedMonitor` runs each machine's
+round (every machine on its own shard executor), routes machine-stamped
+alerts through a shared
 :class:`~repro.federation.routing.AlertRouter`, checkpoints the whole
 federation into a rotating history after every chunk, and (for the
 catalog's ``federated-fleet`` entry) tears the federation down mid-run and
@@ -219,9 +220,9 @@ class FederatedScenarioRunner:
         when ``scenario.restart_after_chunk`` is set, optional otherwise
         (no directory means no checkpointing).
     executor / max_workers:
-        Machine fan-out backend for the federated monitor (``None``/
-        ``"serial"``, ``"process"``).  Each machine's own shards run
-        serially: daemon federation workers cannot spawn child processes.
+        Every machine's shard executor (``None``/``"serial"``,
+        ``"process"``) and its worker count — for the machines built
+        here, joiners, and the machines restored mid-run.
     deep_levels:
         When set (``"inline"``/``"deferred"``), overrides every machine
         workload's deep-level mode — the CLI's ``--deep-levels`` switch.
@@ -329,6 +330,8 @@ class FederatedScenarioRunner:
             policy=scenario.policy,
             config=config,
             alert_engine=engine,
+            executor=self.executor,
+            max_workers=self.max_workers,
         )
 
     def run(self) -> FederatedScenarioResult:
@@ -341,7 +344,7 @@ class FederatedScenarioRunner:
         stale-machine restore rebuilds one machine from the *previous*
         entry and catches it up from the shared chunk log.  Joiners
         register mid-run and stream from their own step zero (partial
-        rounds).  The returned federation is closed with all machine
+        rounds).  The returned federation's machines are closed, their
         state landed in-process, so post-run queries keep working.
         """
         scenario = self.scenario
@@ -368,11 +371,7 @@ class FederatedScenarioRunner:
             }
         )
         federated = FederatedMonitor(
-            registry,
-            router=self._build_router(),
-            executor=self.executor,
-            max_workers=self.max_workers,
-            chunk_log=ChunkLog(),
+            registry, router=self._build_router(), chunk_log=ChunkLog()
         )
         alerts: list[Alert] = []
         topology_updates: dict[str, TopologyUpdate] = {}
@@ -383,8 +382,8 @@ class FederatedScenarioRunner:
         needs_initial: set[str] = set()
         chunk_iters = {}
         chunks_done = {name: 0 for name in workloads}
-        # try/finally: a mid-run failure must not leak the fan-out pool or
-        # the machine executors (the restart path rebinds `federated`).
+        # try/finally: a mid-run failure must not leak the machine
+        # executors (the restart path rebinds `federated`).
         try:
             federated.ingest(
                 {
@@ -447,8 +446,14 @@ class FederatedScenarioRunner:
                     stale_monitor = load_checkpoint(
                         os.path.join(stale_entry.path, MACHINES_DIRNAME, name),
                         rules=default_rules(),
+                        executor=self.executor,
+                        max_workers=self.max_workers,
                     )
+                    replaced = federated.machine(name)
                     chunks_replayed = federated.reattach_machine(name, stale_monitor)
+                    # The replaced machine left the federation: stop its
+                    # worker processes.
+                    replaced.close()
                     stale_restored = True
                 if scenario.join_after_chunk == index:
                     for name, sc in scenario.joiners:

@@ -11,7 +11,7 @@ O(changed state) instead of O(total state):
   digests; every save points unchanged shards at the block an earlier
   save already wrote, so only dirty shards are serialised.  Blocks are
   written tmp+rename and their content never changes, which makes
-  concurrent writers (parallel federated machine saves) and torn writes
+  concurrent writers (two savers sharing one store) and torn writes
   safe: the worst case is an orphan block that the next
   :meth:`BlockStore.sweep` reclaims.  A block damaged on disk after it
   was written is not repaired by later saves; loading it raises.
@@ -137,9 +137,9 @@ class BlockStore:
 
     Each block is one ``save_state`` container named ``<digest>.npz``.
     Writes go through a uniquely named temp file and an ``os.replace``,
-    so concurrent writers of the same block (parallel federated machine
-    saves that share a dirty shard) race benignly — last rename wins and
-    both names are the same bytes-equal content.
+    so concurrent writers of the same block (two savers sharing one
+    store, say two processes) race benignly — last rename wins and both
+    names are the same bytes-equal content.
     """
 
     def __init__(self, root: str) -> None:

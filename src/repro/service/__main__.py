@@ -54,8 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=("serial", "process"),
         default="serial",
-        help="fan-out backend: shards for single-machine scenarios, machines "
-        "for federated ones (persistent across chunks; default serial)",
+        help="shard executor backend of every machine monitor, in single-"
+        "machine and federated scenarios alike (persistent across chunks; "
+        "default serial)",
     )
     parser.add_argument(
         "--deep-levels",
@@ -70,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for the process executor (default: one per "
-        "shard/machine)",
+        help="worker count of each machine's process executor (default: one "
+        "per shard, capped at the CPU count)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -285,7 +286,7 @@ def _run_federated(args: argparse.Namespace, name: str) -> int:
         )
     print(
         f"stream:   {scenario.machines[0][1].total_steps} snapshots per machine, "
-        f"{scenario.n_chunks} chunks; fan-out executor={args.executor}; "
+        f"{scenario.n_chunks} chunks; shard executor={args.executor}; "
         f"rotating checkpoints keep_last={scenario.keep_last}"
     )
 

@@ -580,7 +580,7 @@ class FleetMonitor:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Pickling (federation support)
+    # Pickling
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         """Pickle the monitor as its *state*, never its worker pool.
@@ -590,9 +590,9 @@ class FleetMonitor:
         layout and the executor's *backend name* — the live executor
         itself (pipes, child processes) stays behind.  The copy starts on
         a serial executor and moves onto that backend at its first ingest
-        round, so unpickling never spawns a pool.  This is what lets
-        :class:`repro.federation.FederatedMonitor` ship whole machines to
-        resident federation workers.
+        round, so unpickling never spawns a pool.  So a monitor can be
+        copied (``pickle``, ``copy.deepcopy``) or sent to another process
+        as plain state, whatever backend it runs on.
         """
         self.drain_refreshes()
         state = self.__dict__.copy()

@@ -828,6 +828,10 @@ class ProcessShardExecutor(ShardExecutor):
         from ..obs import worker_enable_metrics
 
         for shard_id in shard_ids:
+            # The session trace id goes first, so the worker's provider
+            # keeps it when it enables: a worker started inside an open
+            # span traces its calibration probes under that span.
+            self.call(shard_id, _worker_set_trace_context, obs.trace_id)
             self.call(shard_id, worker_enable_metrics)
             self._calibrate_worker(shard_id)
 

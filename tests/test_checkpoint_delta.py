@@ -87,7 +87,7 @@ def _stream(seed: int, steps: int = 400, racks: int = 2):
 
 
 def _build_monitor(
-    seed: int, initial: int = 240, racks: int = 2
+    seed: int, initial: int = 240, racks: int = 2, executor: str | None = None
 ) -> tuple[FleetMonitor, object]:
     stream = _stream(seed, racks=racks)
     monitor = FleetMonitor.from_stream(
@@ -95,6 +95,8 @@ def _build_monitor(
         policy=RackSharding(),
         config=CONFIG,
         alert_engine=AlertEngine(rules=default_rules(), cooldown=100),
+        executor=executor,
+        max_workers=2 if executor == "process" else None,
     )
     monitor.ingest(stream.values[:, :initial])
     return monitor, stream
@@ -533,10 +535,12 @@ def test_compact_to_target_leaves_the_rotation_untouched(tmp_path):
 # --------------------------------------------------------------------------- #
 # Federated
 # --------------------------------------------------------------------------- #
-def _build_federation(seeds=(63, 64)) -> tuple[FederatedMonitor, list]:
+def _build_federation(
+    seeds=(63, 64), executor: str | None = None
+) -> tuple[FederatedMonitor, list]:
     monitors, streams = {}, []
     for name, seed in zip(("east", "west"), seeds):
-        monitor, stream = _build_monitor(seed=seed)
+        monitor, stream = _build_monitor(seed=seed, executor=executor)
         monitors[name] = monitor
         streams.append(stream)
     federated = FederatedMonitor(
@@ -592,19 +596,35 @@ def test_federated_async_delta_flush_and_restore(tmp_path):
 
 
 def test_federated_parallel_save_matches_serial(tmp_path):
-    """The executor-parallel machine fan-out writes the same entries."""
-    federated, streams = _build_federation(seeds=(67, 68))
-    serial_dir, parallel_dir = str(tmp_path / "serial"), str(tmp_path / "par")
-    save_federated_checkpoint(serial_dir, federated, keep_last=2)
-
-    parallel = FederatedMonitor(
-        federated.registry, router=AlertRouter(), executor="process"
-    )
-    save_federated_checkpoint(parallel_dir, parallel, keep_last=2)
-    a = load_federated_checkpoint(serial_dir)
-    b = load_federated_checkpoint(parallel_dir)
-    assert _federated_reprs(a) == _federated_reprs(b)
-    parallel.close(), a.close(), b.close(), federated.close()
+    """Machines on process shard executors write the entries serial
+    machines write — the same block per shard, sync and async — and
+    restore to the same state."""
+    entries, restored = {}, {}
+    for executor in ("serial", "process"):
+        federated, streams = _build_federation(seeds=(67, 68), executor=executor)
+        root = str(tmp_path / executor)
+        try:
+            save_federated_checkpoint(root, federated, keep_last=2)
+            federated.ingest(
+                {
+                    "east": streams[0].values[:, 240:320],
+                    "west": streams[1].values[:, 240:320],
+                }
+            )
+            save_federated_checkpoint(root, federated, keep_last=2, mode="async")
+            federated.flush_checkpoints()
+        finally:
+            federated.close()
+            federated.registry.close()
+        entries[executor] = [
+            read_manifest(os.path.join(entry.path, "machines", name))["shard_blocks"]
+            for entry in list_checkpoints(root)
+            for name in ("east", "west")
+        ]
+        restored[executor] = _federated_reprs(load_federated_checkpoint(root))
+    assert len(entries["serial"]) == 4
+    assert entries["process"] == entries["serial"]
+    assert restored["process"] == restored["serial"]
 
 
 def test_compact_federated_checkpoint(tmp_path):

@@ -4,8 +4,8 @@ The central properties, mirroring the ISSUE acceptance criteria:
 
 * a :class:`FederatedMonitor` over N machines produces per-machine
   products **bit-for-bit identical** to N standalone
-  :class:`FleetMonitor` instances fed the same chunks, across the
-  serial and process fan-out backends;
+  :class:`FleetMonitor` instances fed the same chunks, whether the
+  machines run their shards on the serial or the process executor;
 * a rotated federated checkpoint restores and resumes bit-for-bit;
 * alerts are machine-stamped, deduplicated across the federation, and
   :class:`FleetWideRule` fires exactly when >= k machines drift within a
@@ -88,6 +88,8 @@ def streams():
 
 
 def build_machine(stream, *, executor=None, cooldown=100) -> FleetMonitor:
+    """A rack-sharded machine (2 shards); ``executor`` is its shard
+    backend, with two workers on ``process``."""
     engine = AlertEngine(rules=default_rules(), cooldown=cooldown)
     return FleetMonitor.from_stream(
         stream,
@@ -95,18 +97,23 @@ def build_machine(stream, *, executor=None, cooldown=100) -> FleetMonitor:
         config=CONFIG,
         alert_engine=engine,
         executor=executor,
+        max_workers=2 if executor == "process" else None,
     )
 
 
-def build_federated(streams, *, executor=None, shard_executor=None) -> FederatedMonitor:
+def build_federated(streams, *, executor=None) -> FederatedMonitor:
     registry = MachineRegistry(
-        {name: build_machine(s, executor=shard_executor) for name, s in streams.items()}
+        {name: build_machine(s, executor=executor) for name, s in streams.items()}
     )
     return FederatedMonitor(
         registry,
         router=AlertRouter(fleet_rules=[FleetWideRule(min_machines=2)]),
-        executor=executor,
     )
+
+
+def worker_pids(monitor: FleetMonitor) -> list[int]:
+    """Pids of a process-backed machine's shard workers."""
+    return [worker.process.pid for worker in monitor.executor._workers]
 
 
 def drive(federated: FederatedMonitor, streams) -> list[Alert]:
@@ -129,11 +136,9 @@ def test_registry_register_deregister(streams):
     assert registry.register("east", monitor) is monitor
     assert registry.names == ("east",)
     assert "east" in registry and registry["east"] is monitor
-    version = registry.version
     returned = registry.deregister("east")
     assert returned is monitor
     assert len(registry) == 0
-    assert registry.version > version
 
 
 def test_registry_rejects_bad_names_and_duplicates(streams):
@@ -351,42 +356,112 @@ def test_ingest_validates_machine_set(streams):
 
 
 @pytest.mark.parametrize("executor", ["thred", "thread"])
-def test_unknown_executor_fails_at_construction(streams, executor):
-    """The fan-out backend is checked when the federation is built, not at
-    its first round; the error names the backends that exist."""
-    registry = MachineRegistry({"east": build_machine(streams["east"])})
+def test_unknown_executor_fails_at_construction(streams, tmp_path, executor):
+    """A restored federation's machine executor is checked when the
+    machines are rebuilt, not at their first round; the error names the
+    backends that exist."""
+    federated = build_federated({"east": streams["east"]})
+    save_federated_checkpoint(str(tmp_path / "fed"), federated)
     with pytest.raises(ValueError, match="'serial', 'process'"):
-        FederatedMonitor(registry, executor=executor)
+        load_federated_checkpoint(str(tmp_path / "fed"), executor=executor)
     with pytest.raises(ValueError, match="max_workers"):
-        FederatedMonitor(registry, executor="process", max_workers=0)
+        load_federated_checkpoint(
+            str(tmp_path / "fed"), executor="process", max_workers=0
+        )
 
 
 def test_membership_change_rebuilds_fanout(streams):
-    """Register/deregister between rounds: the pool follows the registry."""
-    registry = MachineRegistry({"east": build_machine(streams["east"])})
-    federated = FederatedMonitor(registry, executor="process")
-    federated.ingest({"east": streams["east"].values[:, :INITIAL]})
-    registry.register("west", build_machine(streams["west"]))
-    snapshot = federated.ingest(
-        {
-            "east": streams["east"].values[:, INITIAL:280],
-            "west": streams["west"].values[:, :280],
-        }
-    )
-    assert set(snapshot.machine_snapshots) == {"east", "west"}
-    registry.deregister("west")
-    snapshot = federated.ingest({"east": streams["east"].values[:, 280:360]})
-    assert set(snapshot.machine_snapshots) == {"east"}
-    federated.close()
+    """Register/deregister between rounds on process machines: every
+    round runs exactly the machines registered at that moment."""
+    registry = MachineRegistry({"east": build_machine(streams["east"], executor="process")})
+    federated = FederatedMonitor(registry)
+    try:
+        federated.ingest({"east": streams["east"].values[:, :INITIAL]})
+        registry.register("west", build_machine(streams["west"], executor="process"))
+        snapshot = federated.ingest(
+            {
+                "east": streams["east"].values[:, INITIAL:280],
+                "west": streams["west"].values[:, :280],
+            }
+        )
+        assert set(snapshot.machine_snapshots) == {"east", "west"}
+        registry.deregister("west").close()
+        snapshot = federated.ingest({"east": streams["east"].values[:, 280:360]})
+        assert set(snapshot.machine_snapshots) == {"east"}
+        assert federated.machine_steps() == {"east": 360}
+    finally:
+        federated.close()
+        registry.close()
+
+
+def test_membership_change_keeps_other_machines_workers(streams):
+    """Registering or deregistering a machine mid-run never restarts the
+    other machines' shard workers."""
+    federated = build_federated(streams, executor="process")
+    try:
+        federated.ingest({n: s.values[:, :INITIAL] for n, s in streams.items()})
+        pids = {name: worker_pids(federated.machine(name)) for name in streams}
+        assert all(len(p) == 2 for p in pids.values())
+
+        joiner = build_machine(streams["east"], executor="process")
+        federated.register_machine("north", joiner)
+        federated.ingest(
+            {
+                "east": streams["east"].values[:, INITIAL:280],
+                "west": streams["west"].values[:, INITIAL:280],
+                "north": streams["east"].values[:, :INITIAL],
+            }
+        )
+        for name in streams:
+            assert worker_pids(federated.machine(name)) == pids[name], name
+        joiner_pids = worker_pids(joiner)
+
+        federated.deregister_machine("west").close()
+        federated.ingest(
+            {
+                "east": streams["east"].values[:, 280:360],
+                "north": streams["east"].values[:, INITIAL:280],
+            }
+        )
+        assert worker_pids(federated.machine("east")) == pids["east"]
+        assert worker_pids(joiner) == joiner_pids
+    finally:
+        federated.close()
+        federated.registry.close()
+
+
+def test_registry_close_closes_every_machine_after_a_failure(streams):
+    """A machine whose close raises (one of its workers was SIGKILLed) must
+    not leave the later machines' worker processes running."""
+    federated = build_federated(streams, executor="process")
+    registry = federated.registry
+    federated.ingest({n: s.values[:, :INITIAL] for n, s in streams.items()})
+    east, west = registry["east"], registry["west"]
+    west_executor = west.executor
+    west_workers = [worker.process for worker in west_executor._workers]
+    assert west_workers and all(p.is_alive() for p in west_workers)
+    victim = east.executor._workers[0].process
+    victim.kill()
+    victim.join(timeout=30)
+
+    with pytest.raises(ShardTaskError) as caught:
+        registry.close()
+    assert caught.value.kind == "crash"
+    assert west_executor.closed
+    for process in west_workers:
+        process.join(timeout=30)
+        assert not process.is_alive()
+    # The healthy machine landed its state and keeps answering.
+    assert west.executor.backend == "serial"
+    assert west.step == INITIAL
+    west.rack_values()
 
 
 # --------------------------------------------------------------------------- #
-# Backend parity at the federated level
+# Machine executors at the federated level
 # --------------------------------------------------------------------------- #
-def _run_with_backends(streams, executor, shard_executor=None):
-    federated = build_federated(
-        streams, executor=executor, shard_executor=shard_executor
-    )
+def _run_with_backends(streams, executor):
+    federated = build_federated(streams, executor=executor)
     alerts = drive(federated, streams)
     rack = federated.rack_values()
     power = federated.fleet_spectrum().total_power_by_shard()
@@ -395,68 +470,41 @@ def _run_with_backends(streams, executor, shard_executor=None):
     return rack, [a.to_dict() for a in alerts], power
 
 
-def test_failed_close_leaves_the_federation_closed(streams, tmp_path):
-    """A close whose pull meets a dead worker raises, and the federation
-    then refuses every call instead of answering from (or re-fitting on)
-    the registry's pre-pool monitors."""
+def test_round_on_a_machine_that_lost_a_worker_raises(streams):
+    """A round whose machine lost a shard worker raises the typed error
+    naming one of that machine's shards; the machine then stays closed
+    rather than answer from stale state."""
     federated = build_federated(streams, executor="process")
+    registry = federated.registry
     federated.ingest({n: s.values[:, :INITIAL] for n, s in streams.items()})
-    worker = federated.executor._workers[-1].process
-    worker.kill()
-    worker.join(timeout=30)
+    executor = registry["west"].executor
+    last = len(executor._workers) - 1
+    lost = {sid for sid, index in executor._worker_of_shard.items() if index == last}
+    victim = executor._workers[last].process
+    victim.kill()
+    victim.join(timeout=30)
     with pytest.raises(ShardTaskError) as caught:
-        federated.close()
-    assert caught.value.kind == "crash"
-    for name in streams:
-        with pytest.raises(RuntimeError, match="executor is closed"):
-            federated.machine(name).step
-    with pytest.raises(RuntimeError, match="executor is closed"):
-        federated.machines
-    with pytest.raises(RuntimeError, match="executor is closed"):
-        federated.fleet_spectrum()
-    with pytest.raises(RuntimeError, match="executor is closed"):
         federated.ingest({n: s.values[:, INITIAL:280] for n, s in streams.items()})
-    with pytest.raises(RuntimeError, match="executor is closed"):
-        save_federated_checkpoint(str(tmp_path / "ckpt"), federated)
+    assert caught.value.kind == "crash"
+    assert caught.value.shard_id in lost
     assert federated.step == INITIAL
-    federated.close()  # a second close is a no-op
-    federated.registry.close()
-
-
-def test_process_pool_does_not_resurrect_replaced_machine(streams):
-    """Re-registering a machine under a name the live process pool still
-    holds must not let the replaced machine's resident state clobber the
-    fresh monitor when pulled state lands."""
-    registry = MachineRegistry({"east": build_machine(streams["east"])})
-    federated = FederatedMonitor(registry, executor="process")
-    federated.ingest({"east": streams["east"].values[:, :INITIAL]})
-    registry.deregister("east")
-    fresh = build_machine(streams["east"])
-    registry.register("east", fresh)
-
-    # Landing resident state (pull via .machines) must keep the fresh,
-    # un-ingested monitor, not the pool's step-INITIAL copy.
-    assert federated.machines["east"] is fresh
-    assert federated.machines["east"].step == 0
-    # The rebuilt pool then serves the fresh machine from step 0.
-    snapshot = federated.ingest({"east": streams["east"].values[:, :INITIAL]})
-    assert snapshot.machine_snapshots["east"].step == INITIAL
-    federated.close()
-    registry.close()
+    with pytest.raises(ShardTaskError):
+        registry.close()
+    # The machine whose worker died refuses to answer from stale state;
+    # the healthy one keeps answering.
+    with pytest.raises(RuntimeError, match="executor is closed"):
+        registry["west"].rack_values()
+    assert registry["east"].rack_values()
 
 
 def test_backend_parity_serial_process(streams):
-    """serial == process fan-out, at the machine and the shard level, bit
-    for bit (incl. alerts)."""
+    """Machines on process shard executors produce the serial machines'
+    products bit for bit (incl. alerts)."""
     reference = _run_with_backends(streams, None)
-    for executor, shard_executor in (
-        ("process", None),
-        ("serial", "process"),
-    ):
-        candidate = _run_with_backends(streams, executor, shard_executor)
-        assert candidate[0] == reference[0], (executor, shard_executor)
-        assert candidate[1] == reference[1], (executor, shard_executor)
-        assert candidate[2] == reference[2], (executor, shard_executor)
+    candidate = _run_with_backends(streams, "process")
+    assert candidate[0] == reference[0]
+    assert candidate[1] == reference[1]
+    assert candidate[2] == reference[2]
 
 
 # --------------------------------------------------------------------------- #

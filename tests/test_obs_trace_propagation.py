@@ -258,21 +258,34 @@ class TestWorkerObsOwnership:
             # The workers' metrics were switched on at start and drained
             # home: every shard's pipeline spans reached the parent.
             assert totals["span.pipeline.ingest.count"] == 8
+            # The pool started inside the first round's span, so its
+            # calibration probes are traced too — under the session id.
+            events = OBS.ring.events
+            assert any(e["pid"] != os.getpid() for e in events)
+            assert {e.get("trace_id") for e in events} == {OBS.trace_id}
 
     def test_process_federation_calibrates_each_worker_once(self, small_stream):
         obs.enable()
         machines = {
-            name: FleetMonitor.from_stream(small_stream, policy=RackSharding())
+            name: FleetMonitor.from_stream(
+                small_stream, policy=RackSharding(), executor="process",
+                max_workers=2,
+            )
             for name in ("east", "west")
         }
-        federated = FederatedMonitor(machines, executor="process", max_workers=2)
+        federated = FederatedMonitor(machines)
         try:
             federated.ingest(
                 {name: small_stream.values[:, :160] for name in machines}
             )
-            assert _calibrations() == 2, "one handshake per worker"
+            # Each machine runs its own two workers.
+            assert _calibrations() == 4, "one handshake per worker"
+            federated.ingest(
+                {name: small_stream.values[:, 160:] for name in machines}
+            )
             totals = federated.collect_metrics().totals()
-            assert totals["span.pipeline.ingest.count"] == 8
+            assert _calibrations() == 4
+            assert totals["span.pipeline.ingest.count"] == 16
         finally:
             federated.close()
             federated.registry.close()
