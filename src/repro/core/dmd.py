@@ -6,9 +6,18 @@ This module implements the DMD variant described in Sec. III-A of the paper
 1. form the shifted snapshot matrices ``X = [x_1 ... x_{T-1}]`` and
    ``Y = [x_2 ... x_T]``;
 2. compute a rank-``r`` SVD ``X = U S V'`` with ``r`` chosen by the optimal
-   singular value hard threshold (:mod:`repro.core.svht`);
+   singular value hard threshold (:mod:`repro.core.svht`).  A tall window
+   (``P > T - 1``, the deep mrDMD levels) takes the method of snapshots
+   (Sirovich 1987) instead: one ``T x T`` Gram matrix ``D' D`` of the
+   window, an ``eigh`` of its ``X' X`` block for ``V`` and ``S``, and
+   never ``U``.  The Gram route squares the condition number, so a guard
+   sends the window to the SVD when ``cond(X) > 1e4``
+   (:data:`GRAM_EIG_RATIO`), or when a singular value, the SVHT threshold
+   or a slow-mode cutoff sits inside the Gram route's error band; ranks
+   and slow-mode counts then match the SVD's;
 3. project the best-fit linear operator ``A = Y X^+`` onto the POD modes:
-   ``Atilde = U' Y V S^{-1}``;
+   ``Atilde = U' Y V S^{-1}`` (Gram route: ``C' (X' Y) C`` with
+   ``C = V S^{-1}``, as ``U = X C``);
 4. eigendecompose ``Atilde W = W Lambda``;
 5. lift the eigenvectors back to the full space: ``Phi = Y V S^{-1} W``
    (exact DMD modes);
@@ -27,9 +36,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .svht import SVHTResult, svht_rank, truncate_singular_triplets
+from .svht import SVHTResult, rank_decision, truncate_singular_triplets
 
-__all__ = ["DMDResult", "compute_dmd", "compute_dmd_projected", "slow_mode_mask"]
+__all__ = [
+    "DMDResult",
+    "GRAM_EIG_RATIO",
+    "compute_dmd",
+    "compute_dmd_projected",
+    "slow_mode_mask",
+]
+
+#: Smallest ``lambda_min / lambda_max`` of ``X' X`` the Gram route accepts,
+#: i.e. ``cond(X) <= 1e4``.  Forming ``X' X`` squares the condition number:
+#: a singular value ``sigma`` comes out of the Gram route with an error of
+#: about ``eps * sigma_max**2 / sigma``, so at this bound the smallest one
+#: keeps ~8 correct digits.  Deep mrDMD windows of HPC telemetry measure
+#: ``cond(X) <= 230``; a rank-deficient, constant or offset-dominated window
+#: trips the bound and takes the SVD.
+GRAM_EIG_RATIO = 1e-8
+
+#: Safety factor on the Gram route's eigenvalue error bound
+#: ``eps * (P + T) * ||X||_F**2`` (the rounding of the ``P``-term inner
+#: products that form ``X' X`` plus the backward error of ``eigh``).
+_GRAM_ERR = 4.0
+
+#: Allowance for the eigenvector conditioning of ``Atilde`` (not computed:
+#: it costs as much as the ``eig``) when the Gram route's relative error is
+#: carried over to the eigenvalues that the slow-mode cutoff compares.
+_CUTOFF_BAND = 1e3
 
 
 @dataclass
@@ -195,10 +229,11 @@ def _eig_from_projection(
 
     ``yv_r = Y V_r`` is the only quantity the operator projection needs
     from the right factor: ``Atilde = U^H (Y V S^{-1})`` and
-    ``Phi = (Y V S^{-1}) W``.  Shared by :func:`compute_dmd` (which forms
-    ``Y V`` densely) and :func:`compute_dmd_projected` (which receives it
-    incrementally maintained), so both paths run the identical
-    instruction sequence from here on.
+    ``Phi = (Y V S^{-1}) W``.  Shared by the SVD route of
+    :func:`compute_dmd` (which forms ``Y V`` densely) and
+    :func:`compute_dmd_projected` (which receives it incrementally
+    maintained), so both paths run the identical instruction sequence
+    from here on.
     """
     yvs = yv_r / s_r[None, :]                 # (P, r), scaled columns
     atilde = u_r.conj().T @ yvs               # (r, r)
@@ -219,6 +254,153 @@ def _empty_result(n_features: int, dt: float, n_snapshots: int) -> DMDResult:
         svd_rank=0,
         svht=None,
     )
+
+
+def _positive(s: np.ndarray, x_shape: tuple[int, int]) -> np.ndarray:
+    """Mask of the singular values above numerical zero, so ``1 / s``
+    never overflows."""
+    return s > max(s[0], 1.0) * np.finfo(float).eps * max(x_shape)
+
+
+def _svd_route(
+    data: np.ndarray,
+    svd_factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    **rank_rule,
+) -> tuple[np.ndarray, np.ndarray, SVHTResult] | None:
+    """Eigenvalues, exact modes and rank decision through an SVD of ``X``
+    (``svd_factors``, or a fresh ``np.linalg.svd``); ``None`` when no
+    singular value survives."""
+    x = data[:, :-1]
+    y = data[:, 1:]
+    if svd_factors is None:
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+    else:
+        u, s, vh = svd_factors
+        u = np.asarray(u)
+        s = np.asarray(s, dtype=float)
+        vh = np.asarray(vh)
+        if u.shape[0] != data.shape[0] or vh.shape[1] != data.shape[1] - 1:
+            raise ValueError(
+                "svd_factors shapes are inconsistent with data: "
+                f"U {u.shape}, Vh {vh.shape}, data {data.shape}"
+            )
+    positive = _positive(s, x.shape) if s.size else s > 0
+    u, s, vh = u[:, positive], s[positive], vh[positive, :]
+    if s.size == 0:
+        return None
+    u_r, s_r, vh_r, decision = truncate_singular_triplets(u, s, vh, x.shape, **rank_rule)
+    if s_r.size == 0:
+        return None
+    # Atilde = U' Y V S^{-1}  -- work entirely in the r-dimensional space.
+    yv = y @ vh_r.conj().T                    # (P, r)
+    eigenvalues, modes = _eig_from_projection(u_r, s_r, yv)
+    return eigenvalues, modes, decision
+
+
+def _gram_route(
+    data: np.ndarray,
+    cutoff: float | None,
+    *,
+    sigma: float | None,
+    use_svht: bool,
+    max_rank: int | None,
+) -> tuple[np.ndarray, np.ndarray, SVHTResult] | None:
+    """The method of snapshots for a tall real window; ``None`` when the
+    guard sends the window to the SVD.
+
+    ``G = D' D`` of the whole window holds both ``X' X`` (its leading
+    block) and ``X' Y`` (the block shifted by one column).  ``eigh`` of
+    ``X' X`` gives ``V`` and ``S**2``; with ``C = V_r S_r^{-1}``,
+    ``Atilde = C' (X' Y) C`` and the exact modes are ``Y (C W)``.  The
+    guard returns ``None`` when ``cond(X) > 1e4`` (:data:`GRAM_EIG_RATIO`)
+    or when a singular value sits inside the error band of the numerical
+    zero cut or of the SVHT threshold, so the rank equals the SVD route's;
+    likewise when an eigenvalue's frequency sits inside the band of the
+    slow-mode ``cutoff`` (an angle ``2 pi rho dt``, ``None`` for none).
+    """
+    n_features, n_cols = data.shape
+    x_shape = (n_features, n_cols - 1)
+    gram = data.T @ data
+    lam, v = np.linalg.eigh(gram[:-1, :-1])
+    lam, v = lam[::-1], v[:, ::-1]            # descending, like the SVD
+    if not (lam[0] > 0.0 and lam[-1] >= GRAM_EIG_RATIO * lam[0]):
+        return None                           # also catches NaN
+    s = np.sqrt(lam)
+    eps = np.finfo(float).eps
+    err = _GRAM_ERR * eps * sum(x_shape) * lam.sum()
+    band = err / s                            # error bound of each s_i
+    # s - 2 band grows with s: the smallest value decides the zero cut.
+    if s[-1] <= max(s[0], 1.0) * eps * max(x_shape) + 2.0 * band[-1]:
+        return None
+    decision = rank_decision(s, x_shape, sigma=sigma, use_svht=use_svht, max_rank=max_rank)
+    if use_svht:
+        # The threshold scales the median, whose error is at most the band
+        # of the lower middle value.
+        tau = decision.threshold
+        tau_band = tau * err / lam[x_shape[1] // 2]
+        if (np.abs(s - tau) <= 2.0 * band + tau_band).any():
+            return None
+    r = decision.rank
+    c = v[:, :r] / s[:r]                      # (T-1, r) = V_r S_r^{-1}
+    atilde = c.T @ gram[:-1, 1:] @ c          # (r, r)
+    eigenvalues, w = np.linalg.eig(atilde)
+    if cutoff is not None:
+        rel = _CUTOFF_BAND * err / lam[-1]
+        if (np.abs(np.abs(np.angle(eigenvalues)) - cutoff) <= rel * cutoff).any():
+            return None
+    modes = data[:, 1:] @ (c @ w)             # (P, r) = Y C W
+    return eigenvalues, modes, decision
+
+
+def _exact_dmd(
+    data: np.ndarray,
+    *,
+    svd_rank: int | None,
+    use_svht: bool,
+    noise_sigma: float | None,
+    amplitude_method: str,
+    svd_factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    cutoff: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, SVHTResult | None, bool]:
+    """``(eigenvalues, modes, amplitudes, decision, svd_fallback)`` of the
+    exact DMD of ``data``; zero modes (and no decision) for a degenerate
+    window.
+
+    The one factorisation step behind :func:`compute_dmd` and every mrDMD
+    window: a tall real window without ``svd_factors`` takes the Gram
+    route, and ``svd_fallback`` says its guard sent it to the SVD.
+    ``cutoff`` is the slow-mode cutoff angle the guard protects (see
+    :func:`_gram_route`).
+    """
+    if amplitude_method not in ("first", "window"):
+        raise ValueError(
+            f"amplitude_method must be 'first' or 'window', got {amplitude_method!r}"
+        )
+    n_features, n_snapshots = data.shape
+    factored = None
+    fallback = False
+    if n_snapshots >= 2 and n_features:
+        rank_rule = {"sigma": noise_sigma, "use_svht": use_svht, "max_rank": svd_rank}
+        if (
+            svd_factors is None
+            and n_features > n_snapshots - 1
+            and not np.iscomplexobj(data)
+        ):
+            factored = _gram_route(data, cutoff, **rank_rule)
+            fallback = factored is None
+        if factored is None:
+            factored = _svd_route(data, svd_factors, **rank_rule)
+    if factored is None:
+        none = np.zeros(0, dtype=complex)
+        return none, np.zeros((n_features, 0), dtype=complex), none, None, fallback
+    eigenvalues, modes, decision = factored
+    if amplitude_method == "first":
+        # Amplitudes from the first snapshot: min ||Phi a - x_1||_2
+        x1 = data[:, 0].astype(complex)
+        amplitudes, *_ = np.linalg.lstsq(modes, x1, rcond=None)
+    else:
+        amplitudes = _fit_window_amplitudes(modes, eigenvalues, data)
+    return eigenvalues, modes, amplitudes, decision, fallback
 
 
 def compute_dmd(
@@ -255,6 +437,9 @@ def compute_dmd(
         :meth:`~repro.core.isvd.IncrementalSVD.factors`, to avoid
         recomputing the SVD from scratch; the factors are still
         re-truncated with SVHT so both paths share the same rank rule.
+        Without factors a tall real window (``P > T - 1``) takes the
+        guarded Gram route (module docstring, step 2) and any other takes
+        ``np.linalg.svd``.
     amplitude_method:
         How to fit the mode amplitudes ``a_i``: ``"first"`` (classic DMD,
         least squares against the first snapshot only — Eq. 6's
@@ -269,62 +454,21 @@ def compute_dmd(
         raise ValueError(f"data must be 2-D (P, T), got shape {data.shape!r}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n_features, n_snapshots = data.shape
-    if n_snapshots < 2 or n_features == 0:
-        return _empty_result(n_features, dt, n_snapshots)
-
-    x = data[:, :-1]
-    y = data[:, 1:]
-
-    if svd_factors is None:
-        u, s, vh = np.linalg.svd(x, full_matrices=False)
-    else:
-        u, s, vh = svd_factors
-        u = np.asarray(u)
-        s = np.asarray(s, dtype=float)
-        vh = np.asarray(vh)
-        if u.shape[0] != n_features or vh.shape[1] != n_snapshots - 1:
-            raise ValueError(
-                "svd_factors shapes are inconsistent with data: "
-                f"U {u.shape}, Vh {vh.shape}, data {data.shape}"
-            )
-
-    # Drop numerically-zero singular values before thresholding so that
-    # 1 / s never overflows.
-    positive = s > max(s[0], 1.0) * np.finfo(float).eps * max(x.shape) if s.size else s > 0
-    u, s, vh = u[:, positive], s[positive], vh[positive, :]
-    if s.size == 0:
-        return _empty_result(n_features, dt, n_snapshots)
-
-    u_r, s_r, vh_r, decision = truncate_singular_triplets(
-        u, s, vh, x.shape, sigma=noise_sigma, use_svht=use_svht, max_rank=svd_rank
+    eigenvalues, modes, amplitudes, decision, _ = _exact_dmd(
+        data,
+        svd_rank=svd_rank,
+        use_svht=use_svht,
+        noise_sigma=noise_sigma,
+        amplitude_method=amplitude_method,
+        svd_factors=svd_factors,
     )
-    r = s_r.size
-    if r == 0:
-        return _empty_result(n_features, dt, n_snapshots)
-
-    # Atilde = U' Y V S^{-1}  -- work entirely in the r-dimensional space.
-    yv = y @ vh_r.conj().T                    # (P, r)
-    eigenvalues, modes = _eig_from_projection(u_r, s_r, yv)
-
-    if amplitude_method == "first":
-        # Amplitudes from the first snapshot: min ||Phi a - x_1||_2
-        x1 = data[:, 0].astype(complex)
-        amplitudes, *_ = np.linalg.lstsq(modes, x1, rcond=None)
-    elif amplitude_method == "window":
-        amplitudes = _fit_window_amplitudes(modes, eigenvalues, data)
-    else:
-        raise ValueError(
-            f"amplitude_method must be 'first' or 'window', got {amplitude_method!r}"
-        )
-
     return DMDResult(
         modes=modes,
         eigenvalues=eigenvalues,
         amplitudes=amplitudes,
         dt=dt,
-        n_snapshots=n_snapshots,
-        svd_rank=r,
+        n_snapshots=data.shape[1],
+        svd_rank=modes.shape[1],
         svht=decision if use_svht else None,
     )
 
@@ -397,21 +541,14 @@ def compute_dmd_projected(
 
     # Same zero-singular-value guard as compute_dmd; dropping row i of Vh
     # drops column i of Y Vh^H.
-    positive = s > max(s[0], 1.0) * np.finfo(float).eps * max(x_shape)
+    positive = _positive(s, x_shape)
     u, s, yv = u[:, positive], s[positive], yv[:, positive]
     if s.size == 0:
         return _empty_result(n_features, dt, n_snapshots)
 
-    if use_svht:
-        decision = svht_rank(s, x_shape, sigma=noise_sigma, max_rank=svd_rank)
-    else:
-        rank = s.size if svd_rank is None else min(int(svd_rank), s.size)
-        decision = SVHTResult(
-            rank=max(rank, 1) if s.size else 0,
-            threshold=0.0,
-            beta=min(x_shape) / max(x_shape),
-            noise_sigma=noise_sigma,
-        )
+    decision = rank_decision(
+        s, x_shape, sigma=noise_sigma, use_svht=use_svht, max_rank=svd_rank
+    )
     r = decision.rank
     if r == 0:
         return _empty_result(n_features, dt, n_snapshots)

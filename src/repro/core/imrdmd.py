@@ -37,7 +37,7 @@ from ..util.growbuf import GrowableMatrix
 from ..util.timer import now
 from .dmd import DMDResult, compute_dmd_projected, slow_mode_mask
 from .isvd import IncrementalSVD
-from .mrdmd import MrDMDConfig, compute_mrdmd
+from .mrdmd import MrDMDConfig, compute_mrdmd, grow_mrdmd
 from .tree import MrDMDNode, MrDMDTree
 
 __all__ = [
@@ -300,6 +300,10 @@ class IncrementalMrDMD:
         # "start" is the chunk's absolute start column and "shifts" counts
         # the tree level shifts the entry has missed since it was queued.
         self._deep_pending: list[dict] = []
+        #: Deep-level windows of appended chunks whose Gram-route guard
+        #: fell back to the SVD (a runtime diagnostic; not saved in the
+        #: state, so a restored model counts from zero).
+        self.svd_fallbacks = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -590,19 +594,13 @@ class IncrementalMrDMD:
             if OBS.enabled:
                 OBS.gauge("core.deep.queue_depth", len(self._deep_pending))
         else:
-            chunk_tree = compute_mrdmd(residual, self.dt, self._chunk_config())
-            for node in chunk_tree:
-                self._tree.add(
-                    node.copy_with(
-                        level=node.level + 1,
-                        start=node.start + t_old,
-                        bin_index=node.bin_index + 1,
-                    )
-                )
-                new_nodes += 1
+            n_before = len(self._tree)
+            fallbacks = self._grow_chunk(residual, t_old, shifts=0)
+            new_nodes = len(self._tree) - n_before
             if OBS.enabled:
-                OBS.record("core.chunk_mrdmd", now() - t_phase,
-                           cols=int(t1), new_nodes=new_nodes)
+                OBS.record("core.chunk_mrdmd", now() - t_phase, cols=int(t1),
+                           new_nodes=new_nodes, windows=new_nodes,
+                           svd_fallbacks=fallbacks)
 
         # ---- 5. install the new level-1 node and bookkeeping ---------- #
         self._tree.add(new_level1)
@@ -694,26 +692,40 @@ class IncrementalMrDMD:
         if n_entries == 0:
             return 0
         t_start = now() if OBS.enabled else 0.0
-        added = 0
+        n_before = len(self._tree)
+        fallbacks = 0
         for _ in range(n_entries):
             entry = self._deep_pending.pop(0)
-            chunk_tree = compute_mrdmd(
-                entry["residual"], self.dt, self._chunk_config()
+            fallbacks += self._grow_chunk(
+                entry["residual"], entry["start"], shifts=entry["shifts"]
             )
-            for node in chunk_tree:
-                self._tree.add(
-                    node.copy_with(
-                        level=node.level + 1 + entry["shifts"],
-                        start=node.start + entry["start"],
-                        bin_index=node.bin_index + 1,
-                    )
-                )
-                added += 1
+        added = len(self._tree) - n_before
         if OBS.enabled:
             OBS.record("core.deep_refresh", now() - t_start,
-                       entries=int(n_entries), new_nodes=int(added))
+                       entries=int(n_entries), new_nodes=added, windows=added,
+                       svd_fallbacks=fallbacks)
             OBS.gauge("core.deep.queue_depth", len(self._deep_pending))
         return added
+
+    def _grow_chunk(self, residual: np.ndarray, start: int, *, shifts: int) -> int:
+        """Attach the levels-2..L subtree of one appended chunk.
+
+        The recursion over the chunk's level-1 residual writes its nodes
+        straight into the tree: its root at level ``2 + shifts`` (one below
+        the new level 1, plus the level shifts an entry queued for
+        deferred recursion has missed), snapshot ``start`` and bin 1.
+        Counts the windows whose Gram guard fell back to the SVD, in
+        :attr:`svd_fallbacks` and the ``core.numerics.svd_fallbacks``
+        metric, and returns that number.
+        """
+        fallbacks = grow_mrdmd(
+            self._tree, residual, self.dt, self._chunk_config(),
+            start=start, level_offset=1 + shifts, bin_offset=1,
+        )
+        if fallbacks:
+            self.svd_fallbacks += fallbacks
+            OBS.inc("core.numerics.svd_fallbacks", fallbacks)
+        return fallbacks
 
     # ------------------------------------------------------------------ #
     # Elastic topology: streaming new sensor rows

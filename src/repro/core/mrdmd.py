@@ -18,6 +18,9 @@ Sec. III-A / Fig. 1(a) of the paper:
   environment logs.
 
 The entry point :func:`compute_mrdmd` returns a :class:`~repro.core.tree.MrDMDTree`.
+:func:`grow_mrdmd` runs the same recursion into an existing tree at a level,
+start and bin offset; the incremental model attaches each appended chunk's
+subtree with it (Fig. 1(c)).
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import compute_dmd, slow_mode_mask
+from .dmd import _exact_dmd
 from .tree import MrDMDNode, MrDMDTree
 
-__all__ = ["MrDMDConfig", "compute_mrdmd", "decompose_window"]
+__all__ = ["MrDMDConfig", "compute_mrdmd", "decompose_window", "grow_mrdmd"]
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,35 @@ def decompose_window(
     """Extract the slow modes of one window and its slow reconstruction.
 
     Returns the populated :class:`MrDMDNode` and the real ``(P, T_window)``
-    slow-mode reconstruction to be subtracted before recursing.
+    slow-mode reconstruction to be subtracted before recursing.  The
+    window's DMD runs on its subsampled view through the one
+    factorisation step of :mod:`repro.core.dmd`: a tall window takes the
+    guarded Gram route (method of snapshots), anything else, or a window
+    the guard rejects, the SVD.
+    """
+    node, reconstruction, _ = _decompose(
+        data, dt, config, level=level, bin_index=bin_index, start=start,
+        reconstruct=True,
+    )
+    return node, reconstruction
+
+
+def _decompose(
+    data: np.ndarray,
+    dt: float,
+    config: MrDMDConfig,
+    *,
+    level: int,
+    bin_index: int,
+    start: int,
+    reconstruct: bool,
+) -> tuple[MrDMDNode, np.ndarray | None, bool]:
+    """One window: its node, its slow reconstruction (``None`` unless
+    ``reconstruct``) and whether the Gram guard fell back to the SVD.
+
+    Only the slow modes leave the window; the continuous-time
+    eigenvalues are computed once, for the slow-mode test and the
+    reconstruction alike.
     """
     n_features, window_length = data.shape
     step = config.stride_for(window_length)
@@ -137,31 +168,33 @@ def decompose_window(
     local_dt = dt * step
     rho = config.rho_for(window_length, dt)
 
-    dmd = compute_dmd(
+    eigenvalues, modes, amplitudes, _, fallback = _exact_dmd(
         sub,
-        local_dt,
         svd_rank=config.svd_rank,
         use_svht=config.use_svht,
+        noise_sigma=None,
         amplitude_method=config.amplitude_method,
+        cutoff=2.0 * np.pi * rho * local_dt,
     )
-    mask = slow_mode_mask(dmd, rho) if dmd.n_modes else np.zeros(0, dtype=bool)
-    slow = dmd.mode_subset(mask)
-
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega = np.log(eigenvalues.astype(complex)) / local_dt
+    slow = np.flatnonzero(np.abs(omega.imag) / (2.0 * np.pi) <= rho)
     node = MrDMDNode(
-        level=level,
-        bin_index=bin_index,
-        start=start,
-        n_snapshots=window_length,
-        dt=dt,
-        step=step,
-        rho=rho,
-        modes=slow.modes,
-        eigenvalues=slow.eigenvalues,
-        amplitudes=slow.amplitudes,
-        svd_rank=dmd.svd_rank,
+        level=level, bin_index=bin_index, start=start,
+        n_snapshots=window_length, dt=dt, step=step, rho=rho,
+        modes=modes[:, slow],
+        eigenvalues=eigenvalues[slow],
+        amplitudes=amplitudes[slow],
+        svd_rank=modes.shape[1],
     )
-    reconstruction = node.local_reconstruction(window_length)
-    return node, reconstruction
+    if not reconstruct:
+        return node, None, fallback
+    if not slow.size:
+        return node, np.zeros((n_features, window_length)), fallback
+    # The node's own local_reconstruction, with omega already at hand.
+    t = np.arange(window_length) * dt
+    dynamics = node.amplitudes[:, None] * np.exp(np.outer(omega[slow], t))
+    return node, np.real(node.modes @ dynamics), fallback
 
 
 def _recurse(
@@ -170,35 +203,78 @@ def _recurse(
     config: MrDMDConfig,
     tree: MrDMDTree,
     *,
-    level: int,
+    depth: int,
     bin_index: int,
     start: int,
-) -> None:
-    """Depth-first mrDMD recursion over ``data`` (a residual window view)."""
+    level_offset: int,
+    bin_offset: int,
+) -> int:
+    """Depth-first mrDMD recursion over ``data`` (a residual window view).
+
+    Writes one node per window straight into ``tree`` at level
+    ``depth + level_offset`` and bin ``bin_index + bin_offset``; a leaf
+    window computes no reconstruction.  Returns the number of windows
+    whose Gram guard fell back to the SVD.
+    """
     window_length = data.shape[1]
     if window_length < config.min_window:
-        return
-    node, slow_recon = decompose_window(
-        data, dt, config, level=level, bin_index=bin_index, start=start
+        return 0
+    leaf = depth >= config.max_levels
+    node, slow_recon, fallback = _decompose(
+        data, dt, config,
+        level=depth + level_offset, bin_index=bin_index + bin_offset,
+        start=start, reconstruct=not leaf,
     )
     tree.add(node)
-    if level >= config.max_levels:
-        return
+    fallbacks = int(fallback)
+    if leaf:
+        return fallbacks
     residual = data - slow_recon
-    # Split the residual timeline into `split` nearly-equal children.
-    edges = np.linspace(0, window_length, config.split + 1, dtype=int)
-    for child, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+    # Split the residual timeline into `split` nearly-equal children (the
+    # integer edges of np.linspace(0, window_length, split + 1)).
+    split = config.split
+    for child in range(split):
+        lo = child * window_length // split
+        hi = (child + 1) * window_length // split
         if hi - lo < config.min_window:
             continue
-        _recurse(
+        fallbacks += _recurse(
             residual[:, lo:hi],
             dt,
             config,
             tree,
-            level=level + 1,
-            bin_index=bin_index * config.split + child,
-            start=start + int(lo),
+            depth=depth + 1,
+            bin_index=bin_index * split + child,
+            start=start + lo,
+            level_offset=level_offset,
+            bin_offset=bin_offset,
         )
+    return fallbacks
+
+
+def grow_mrdmd(
+    tree: MrDMDTree,
+    data: np.ndarray,
+    dt: float,
+    config: MrDMDConfig,
+    *,
+    start: int = 0,
+    level_offset: int = 0,
+    bin_offset: int = 0,
+) -> int:
+    """Run the mrDMD recursion over ``data`` and add its nodes to ``tree``.
+
+    The root window's node lands at level ``1 + level_offset``, snapshot
+    ``start`` and bin ``bin_offset``; ``config.max_levels`` counts levels
+    from that root.  Nodes are added in depth-first order, each as its
+    window is decomposed.  :func:`compute_mrdmd` is this call on an empty
+    tree with no offsets.  Returns the number of windows whose Gram-route
+    guard fell back to the SVD (see :mod:`repro.core.dmd`).
+    """
+    return _recurse(
+        data, dt, config, tree, depth=1, bin_index=0, start=start,
+        level_offset=level_offset, bin_offset=bin_offset,
+    )
 
 
 def compute_mrdmd(
@@ -208,6 +284,11 @@ def compute_mrdmd(
     **config_overrides,
 ) -> MrDMDTree:
     """Run the batch mrDMD over a ``(P, T)`` snapshot matrix.
+
+    Every window runs the lean kernel of :func:`decompose_window`
+    (:func:`grow_mrdmd` into a fresh tree): the method of snapshots for
+    the tall subsampled windows of the deep levels, behind a conditioning
+    guard that falls back to the SVD, and no reconstruction for a leaf.
 
     Parameters
     ----------
@@ -236,6 +317,5 @@ def compute_mrdmd(
         raise TypeError("pass either a config object or keyword overrides, not both")
 
     tree = MrDMDTree(dt=dt, n_features=data.shape[0])
-    if data.shape[1] >= config.min_window:
-        _recurse(data, dt, config, tree, level=1, bin_index=0, start=0)
+    grow_mrdmd(tree, data, dt, config)
     return tree

@@ -35,6 +35,7 @@ __all__ = [
     "median_marchenko_pastur",
     "svht_threshold",
     "svht_rank",
+    "rank_decision",
     "truncate_singular_triplets",
     "SVHTResult",
 ]
@@ -177,7 +178,25 @@ def svht_threshold(
         coeff = lambda_star(beta) / math.sqrt(median_marchenko_pastur(beta))
     else:
         coeff = omega_approx(beta)
-    return float(coeff * np.median(s))
+    return float(coeff * _median(s))
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, bit for bit, by partition.
+
+    The middle element for an odd count; for an even count the mean
+    ``(a + b) / 2`` of the two middle elements, exactly as ``np.median``
+    forms it (NaN anywhere gives NaN, as there).  A partition costs a
+    fraction of ``np.median``'s generic dispatch, which the rank rule of
+    every DMD window pays.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        middle = np.partition(values, half)[half]
+    else:
+        low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
+        middle = (low + high) / 2
+    return np.nan if np.isnan(values).any() else middle
 
 
 def svht_rank(
@@ -224,13 +243,28 @@ def truncate_singular_triplets(
     ``use_svht`` is ``False`` only ``max_rank`` (or full rank) applies.
     """
     s = np.asarray(s, dtype=float)
-    if use_svht:
-        decision = svht_rank(s, shape, sigma=sigma, max_rank=max_rank)
-    else:
-        rank = s.size if max_rank is None else min(int(max_rank), s.size)
-        decision = SVHTResult(rank=max(rank, 1) if s.size else 0,
-                              threshold=0.0,
-                              beta=min(shape) / max(shape),
-                              noise_sigma=sigma)
+    decision = rank_decision(s, shape, sigma=sigma, use_svht=use_svht, max_rank=max_rank)
     r = decision.rank
     return u[:, :r], s[:r], vh[:r, :], decision
+
+
+def rank_decision(
+    s: np.ndarray,
+    shape: tuple[int, int],
+    *,
+    sigma: float | None = None,
+    use_svht: bool = True,
+    max_rank: int | None = None,
+) -> SVHTResult:
+    """The truncation rank of singular values ``s`` of a ``shape`` matrix.
+
+    The SVHT rule (:func:`svht_rank`) when ``use_svht``; otherwise
+    ``max_rank`` (or full rank), at least 1 when any value exists.
+    """
+    if use_svht:
+        return svht_rank(s, shape, sigma=sigma, max_rank=max_rank)
+    rank = s.size if max_rank is None else min(int(max_rank), s.size)
+    return SVHTResult(rank=max(rank, 1) if s.size else 0,
+                      threshold=0.0,
+                      beta=min(shape) / max(shape),
+                      noise_sigma=sigma)

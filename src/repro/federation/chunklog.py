@@ -4,8 +4,10 @@ With staggered rounds and machine-local restores, "what did machine X
 already see?" stops being derivable from the round counter: a machine
 restored from an older checkpoint sits several chunks behind the stream,
 and a machine registered mid-run starts at its own step 0.  The
-:class:`ChunkLog` closes that gap — the federated monitor records every
-chunk it fans out (keyed by machine and absolute step range), and
+:class:`ChunkLog` closes that gap — the federated monitor records each
+machine's chunk (keyed by machine and absolute step range) as soon as
+that machine has ingested it, so a round that raises part-way leaves no
+gap for the machines it reached, and
 :meth:`~repro.federation.monitor.FederatedMonitor.catch_up` replays the
 retained tail into a lagging machine before it rejoins alert evaluation.
 

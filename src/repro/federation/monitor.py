@@ -373,18 +373,11 @@ class FederatedMonitor:
         or ``None`` before the first round."""
         return self._last_health
 
-    def _record_round(
-        self,
-        chunks: Mapping[str, np.ndarray],
-        snapshots: Mapping[str, FleetSnapshot],
-    ) -> None:
-        if self.chunk_log is None:
-            return
-        for name, chunk in chunks.items():
+    def _log_chunk(self, name: str, chunk: np.ndarray, step: int) -> None:
+        """Record one machine's ingested chunk, ending at ``step``."""
+        if self.chunk_log is not None:
             chunk = np.asarray(chunk)
-            self.chunk_log.record(
-                name, snapshots[name].step - chunk.shape[1], chunk
-            )
+            self.chunk_log.record(name, step - chunk.shape[1], chunk)
 
     def _record_round_metrics(self, chunks: Mapping[str, np.ndarray]) -> None:
         """Deterministic round accounting (membership only, no timings)."""
@@ -455,6 +448,9 @@ class FederatedMonitor:
                     )
                 else:
                     results[name] = monitor.ingest(chunk), []
+                # Logged as soon as the machine has it: a later machine
+                # that raises must not leave a gap in this one's log.
+                self._log_chunk(name, chunk, results[name][0].step)
                 elapsed = now() - started
                 self._note_round_latency(name, elapsed)
                 if OBS.enabled:
@@ -462,7 +458,6 @@ class FederatedMonitor:
                         "federation.machine_round.seconds", elapsed, machine=name
                     )
         snapshots = {name: results[name][0] for name in results}
-        self._record_round(chunks, snapshots)
         if OBS.enabled:
             self._record_round_metrics(chunks)
         snapshot = self._finish_round(snapshots)

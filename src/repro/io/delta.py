@@ -45,7 +45,7 @@ import numpy as np
 
 from ..obs import OBS
 from ..obs.flight import FLIGHT
-from .storage import _flatten_state, load_state, save_state
+from .storage import _flatten_state, _write_flat_state, load_state
 
 __all__ = [
     "BLOCKS_DIRNAME",
@@ -113,6 +113,11 @@ def state_digest(state: dict) -> str:
     """
     arrays: dict[str, np.ndarray] = {}
     structure = _flatten_state(state, arrays)
+    return _flat_digest(structure, arrays)
+
+
+def _flat_digest(structure, arrays: dict[str, np.ndarray]) -> str:
+    """:func:`state_digest` of an already flattened state."""
     digest = hashlib.sha256()
     digest.update(
         json.dumps(structure, sort_keys=True, separators=(",", ":")).encode()
@@ -157,20 +162,26 @@ class BlockStore:
 
         ``created`` is False when the block already existed (the write is
         skipped — content addressing makes this exact, not heuristic).
-        Pass ``digest`` when the caller already computed it.
+        Pass ``digest`` when the caller already computed it.  The state is
+        flattened once, for the digest and the write alike.
         """
+        arrays: dict[str, np.ndarray] = {}
+        structure = None
         if digest is None:
-            digest = state_digest(state)
+            structure = _flatten_state(state, arrays)
+            digest = _flat_digest(structure, arrays)
         final = self.path(digest)
         if os.path.isfile(final):
             return digest, False, os.path.getsize(final)
+        if structure is None:
+            structure = _flatten_state(state, arrays)
         os.makedirs(self.root, exist_ok=True)
         tmp = os.path.join(
             self.root,
             f".tmp-{digest[:16]}-{os.getpid()}-{uuid.uuid4().hex[:8]}{_BLOCK_SUFFIX}",
         )
         try:
-            save_state(tmp, state)
+            _write_flat_state(tmp, structure, arrays)
             os.replace(tmp, final)
         finally:
             if os.path.exists(tmp):  # failed before the rename

@@ -239,12 +239,18 @@ def save_state(path: str, state: dict) -> str:
         path = path + ".npz"
     arrays: dict[str, np.ndarray] = {}
     structure = _flatten_state(state, arrays)
-    arrays["state_json"] = np.array([json.dumps(structure)])
+    _write_flat_state(path, structure, arrays)
+    return path
+
+
+def _write_flat_state(path: str, structure, arrays: dict[str, np.ndarray]) -> None:
+    """Write a flattened state (see :func:`_flatten_state`) to ``path``:
+    the arrays in flattening order, then the structure as ``state_json``."""
+    members = {**arrays, "state_json": np.array([json.dumps(structure)])}
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-        for key, value in arrays.items():
+        for key, value in members.items():
             with archive.open(key + ".npy", "w", force_zip64=True) as handle:
                 np.lib.format.write_array(handle, np.asanyarray(value), allow_pickle=False)
-    return path
 
 
 def load_state(path: str) -> dict:

@@ -21,6 +21,11 @@ so the monitors can afford it every chunk, and the resulting
 :class:`HealthScore` objects ride on ``FleetSnapshot``/
 ``FederatedSnapshot`` as comparison-exempt fields (wall-clock latency
 must never break bit-for-bit snapshot parity).
+
+Model numerics ride along unscored: ``svd_fallbacks`` counts the deep-level
+DMD windows whose Gram-route conditioning guard sent them to the SVD
+(``core.numerics.svd_fallbacks``).  A fallback gives the right answer at a
+higher cost, so it informs the operator without lowering the score.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ class HealthScore:
     availability: float
     latency: float
     staleness: float
+    svd_fallbacks: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -75,6 +81,7 @@ class HealthScore:
             "availability": self.availability,
             "latency": self.latency,
             "staleness": self.staleness,
+            "svd_fallbacks": self.svd_fallbacks,
         }
 
 
@@ -115,8 +122,10 @@ def score_shard(
     budget_seconds: float | None = None,
     deep_stale_snapshots: float = 0.0,
     staleness_tolerance: float = DEFAULT_STALENESS_TOLERANCE,
+    svd_fallbacks: int = 0,
 ) -> HealthScore:
-    """Score one shard (or one machine treated as a unit)."""
+    """Score one shard (or one machine treated as a unit); the shard's
+    ``svd_fallbacks`` are carried, not scored."""
     availability = 0.0 if quarantined else 1.0
     latency = component_latency(p95_seconds, budget_seconds)
     staleness = component_staleness(deep_stale_snapshots, staleness_tolerance)
@@ -127,6 +136,7 @@ def score_shard(
         availability=availability,
         latency=latency,
         staleness=staleness,
+        svd_fallbacks=int(svd_fallbacks),
     )
 
 
@@ -135,7 +145,8 @@ def aggregate(scores) -> HealthScore:
 
     The aggregate score is the mean member score (an operator cares how
     much of the fleet is serving well), with each component averaged the
-    same way; an empty roster scores a neutral 1.0.
+    same way and the SVD fallbacks summed; an empty roster scores a
+    neutral 1.0.
     """
     members = list(scores)
     if not members:
@@ -148,4 +159,5 @@ def aggregate(scores) -> HealthScore:
         availability=sum(m.availability for m in members) / n,
         latency=sum(m.latency for m in members) / n,
         staleness=sum(m.staleness for m in members) / n,
+        svd_fallbacks=sum(m.svd_fallbacks for m in members),
     )

@@ -22,7 +22,7 @@ import bisect
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class PipelineSnapshot:
     snapshots the deep levels lag the stream by (both 0 under
     ``"inline"``, where the tree is always current).  They default so
     pickled snapshots from older checkpoints keep loading.
+    ``svd_fallbacks`` is the model's running count of deep-level windows
+    its Gram-route guard sent to the SVD; a process-lifetime diagnostic,
+    so it takes no part in snapshot equality.
     """
 
     update: UpdateRecord | None
@@ -62,6 +65,7 @@ class PipelineSnapshot:
     reconstruction_error: float | None
     deep_pending: int = 0
     deep_stale_snapshots: int = 0
+    svd_fallbacks: int = field(default=0, compare=False)
 
 
 class _BlockFold:
@@ -373,6 +377,7 @@ class OnlineAnalysisPipeline:
             reconstruction_error=error,
             deep_pending=self.model.deep_pending,
             deep_stale_snapshots=self.model.deep_stale_snapshots,
+            svd_fallbacks=self.model.svd_fallbacks,
         )
 
     def refresh_deep_levels(self, max_entries: int | None = None) -> int:

@@ -191,7 +191,8 @@ def _print_health(health: dict | None) -> None:
     print("fleet health:")
     for entity in sorted(health):
         score = health[entity]
-        print(f"  {entity:16s} {score.score:.2f} ({score.status})")
+        fallbacks = f", {score.svd_fallbacks} SVD fallbacks" if score.svd_fallbacks else ""
+        print(f"  {entity:16s} {score.score:.2f} ({score.status}{fallbacks})")
 
 
 def _run(args: argparse.Namespace, name: str) -> int:

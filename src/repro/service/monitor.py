@@ -925,7 +925,8 @@ class FleetMonitor:
         Latency uses each shard's own supervised-round p95 when sampled
         (supervised gathers time per shard), else the fleet-wide chunk
         p95; staleness comes from the shard's deferred deep-level backlog;
-        availability from the quarantine roster.
+        availability from the quarantine roster.  Each shard's SVD
+        fallback count rides along unscored.
         """
         budget = self._latency_budget()
         fleet_p95 = percentile(self._chunk_latency.items(), 0.95)
@@ -942,6 +943,7 @@ class FleetMonitor:
                 p95_seconds=p95,
                 budget_seconds=budget,
                 deep_stale_snapshots=stale,
+                svd_fallbacks=0 if snap is None else snap.svd_fallbacks,
             )
         health = dict(per_shard)
         health["fleet"] = aggregate(per_shard.values())

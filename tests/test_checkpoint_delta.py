@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import shutil
 import threading
+import time
 import zipfile
 
 import numpy as np
@@ -987,6 +988,34 @@ def _pinned_state() -> dict:
 
 def test_state_digest_is_pinned():
     assert state_digest(_pinned_state()) == PINNED_DIGEST
+
+
+def test_block_put_flattens_once_and_writes_save_state_bytes(tmp_path, monkeypatch):
+    import repro.io.delta as delta_module
+    import repro.io.storage as storage_module
+    from repro.io.storage import save_state
+
+    state = _pinned_state()
+    passes = []
+    original = storage_module._flatten_state
+
+    def counting(obj, arrays):
+        if obj is state:
+            passes.append(obj)
+        return original(obj, arrays)
+
+    # Both names: put's own and the recursion's (and save_state's).
+    monkeypatch.setattr(storage_module, "_flatten_state", counting)
+    monkeypatch.setattr(delta_module, "_flatten_state", counting)
+    # Zip members carry their write time; pin it so the bytes compare.
+    monkeypatch.setattr(time, "time", lambda: 1_700_000_000.0)
+    store = BlockStore(str(tmp_path / "blocks"))
+    digest, created, _ = store.put(state)
+    assert created and digest == PINNED_DIGEST
+    assert len(passes) == 1
+    reference = save_state(str(tmp_path / "reference.npz"), state)
+    with open(store.path(digest), "rb") as block, open(reference, "rb") as saved:
+        assert block.read() == saved.read()
 
 
 def test_copy_state_decouples_arrays():

@@ -862,6 +862,49 @@ class TestFederationElastic:
             reference.close()
         federated.registry.close()
 
+    def test_round_that_raises_part_way_leaves_no_log_gap(
+        self, fed_streams, tmp_path, monkeypatch
+    ):
+        log = ChunkLog()
+        federated = FederatedMonitor(
+            MachineRegistry({n: _fed_machine(s) for n, s in fed_streams.items()}),
+            chunk_log=log,
+        )
+        first, second = federated.machine_names
+        with federated:
+            federated.ingest({n: s.values[:, :240] for n, s in fed_streams.items()})
+            save_checkpoint(str(tmp_path / first), federated.machine(first))
+
+            def unreachable(*args, **kwargs):
+                raise RuntimeError("machine unreachable")
+
+            monkeypatch.setattr(
+                federated.machine(second), "ingest_and_alert", unreachable
+            )
+            with pytest.raises(RuntimeError, match="unreachable"):
+                federated.ingest_and_alert(
+                    {n: s.values[:, 240:320] for n, s in fed_streams.items()}
+                )
+            # The first machine ingested its chunk before the second
+            # raised: the log holds it.
+            assert federated.machine(first).step == 320
+            assert log.latest_step(first) == federated.machine(first).step
+
+            # A stale restore of the first machine replays without a gap.
+            stale = load_checkpoint(str(tmp_path / first), rules=default_rules())
+            assert stale.step == 240
+            assert federated.reattach_machine(first, stale) == 1
+            assert federated.machine_steps()[first] == 320
+            reference = _fed_machine(fed_streams[first])
+            reference.ingest(fed_streams[first].values[:, :240])
+            reference.ingest(fed_streams[first].values[:, 240:320])
+            assert (
+                federated.machine(first).rack_values(time_range=(220, 320))
+                == reference.rack_values(time_range=(220, 320))
+            )
+            reference.close()
+        federated.registry.close()
+
     def test_catch_up_requires_chunk_log(self, fed_streams):
         federated = FederatedMonitor(
             MachineRegistry({n: _fed_machine(s) for n, s in fed_streams.items()})
